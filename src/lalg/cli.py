@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import constructions
 from .core import structure_flags
-from .errors import AxiomViolation, LAlgebraError, MalformedTable, ParseError
+from .errors import AxiomViolation, LAlgebraError, MalformedTable, ParseError, SizeTooLarge
 from .formats import (
     algebra_to_document,
     load_algebra,
@@ -138,6 +138,8 @@ def _laws_corpus(args: argparse.Namespace) -> list[constructions.Fixture]:
     if args.files and args.enumerate_n is not None:
         raise _Usage("FILE arguments and --enumerate are mutually exclusive")
     if args.enumerate_n is not None:
+        if args.enumerate_n < 1:
+            raise _Usage("--enumerate needs N >= 1; an empty corpus checks nothing")
         corpus = []
         for n in range(1, args.enumerate_n + 1):
             corpus.extend(
@@ -254,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _Usage as exc:
+    except (_Usage, SizeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

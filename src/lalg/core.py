@@ -179,8 +179,8 @@ def _check_shape(
         if len(row) != n:
             raise MalformedTable(f"table not square: row {i} has {len(row)} entries, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < n):
-                raise MalformedTable(f"entry ({i},{j}) = {v!r} out of range 0..{n - 1}")
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+                raise MalformedTable(f"entry ({i},{j}) = {v!r} is not an index in 0..{n - 1}")
     if not (0 <= unit < n):
         raise MalformedTable(f"unit index {unit} out of range 0..{n - 1}")
     if labels is not None:

@@ -134,66 +134,66 @@ def principal_ideal(alg: FiniteLAlgebra, x: int) -> Ideal:
     return generate_ideal(alg, (x,))
 
 
-def _ideal_masks_by_filter(alg: FiniteLAlgebra) -> list[int]:
-    """All ideal masks by filtering every unit-containing subset."""
-    n = alg.n
-    unit_bit = 1 << alg.unit
-    rest = [i for i in range(n) if i != alg.unit]
-    out = []
-    for combo in range(1 << (n - 1)):
-        mask = unit_bit
-        c = combo
-        for i in rest:
-            if c & 1:
-                mask |= 1 << i
-            c >>= 1
-        if is_ideal(alg, mask):
-            out.append(mask)
-    return out
+def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...]) -> list[int]:
+    """All ideal masks, from the join-irreducible principal ideals.
 
-
-def _ideal_masks_by_saturation(alg: FiniteLAlgebra) -> list[int]:
-    """All ideal masks by closing principal ideals under joins and meets.
-
-    Every ideal is the join of the principal ideals of its members, so
-    pairwise join saturation already reaches everything; intersections are
-    kept in the loop as a second, cheap safety net.
+    Every ideal is the join of the principal ideals of its members, so the
+    join-irreducibles J are principal: the non-bottom <x> that the closure
+    of the principal ideals strictly inside them does not reach.  An ideal I
+    is then {x | every J inside <x> lies in I}, read off the down-set of
+    join-irreducibles inside I; that holds in any finite lattice.  Each
+    down-set S of the join-irreducibles gives one candidate of that form,
+    and ``is_ideal`` keeps the candidates that are ideals, so nothing here
+    presupposes the distributivity that the laws check.
     """
-    found = {close_under_rules(alg, 0)}
-    found.update(close_under_rules(alg, 1 << x) for x in range(alg.n))
-    while True:
-        new = set()
-        pool = list(found)
-        for i, a in enumerate(pool):
-            for b in pool[i + 1 :]:
-                inter = a & b
-                if inter not in found:
-                    new.add(inter)
-                union = a | b
-                if union not in found:
-                    j = close_under_rules(alg, union)
-                    if j not in found:
-                        new.add(j)
-        if not new:
-            return sorted(found)
-        found |= new
-
-
-#: Above this carrier size the subset filter (2^(n-1) candidates) gives way
-#: to saturation from principal ideals.  Both paths agree wherever both run.
-FILTER_LIMIT = 20
+    # (popcount, mask) order is a linear extension of inclusion: the bottom
+    # <1> comes first, and every join-irreducible below joinirr[j] has an
+    # index below j
+    distinct = sorted(set(principal), key=lambda m: (m.bit_count(), m))
+    joinirr = []
+    for p in distinct[1:]:
+        below = 0
+        for q in distinct:
+            if q != p and q & ~p == 0:
+                below |= q
+        if below != p and close_under_rules(alg, below) != p:
+            joinirr.append(p)
+    k = len(joinirr)
+    lower = [mask_of(i for i in range(j) if joinirr[i] & ~joinirr[j] == 0) for j in range(k)]
+    need = [mask_of(j for j in range(k) if joinirr[j] & ~px == 0) for px in principal]
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        j, down = stack.pop()
+        if j == k:
+            cand = mask_of(x for x, nx in enumerate(need) if nx & ~down == 0)
+            if is_ideal(alg, cand):
+                out.append(cand)
+            continue
+        stack.append((j + 1, down))
+        if lower[j] & ~down == 0:
+            stack.append((j + 1, down | 1 << j))
+    return out
 
 
 class IdealLattice:
     """All ideals of one algebra with meet, join and residuation tables.
 
     Ideals are deduplicated by mask and sorted by (popcount, mask), so index
-    0 is the bottom {1} and the last index is the full carrier.  Construction
-    cross-checks the two join characterizations, the two residuation routes,
-    and distributivity; each failure raises its falsification error.
+    0 is the bottom {1} and the last index is the full carrier.  ``principal``
+    takes the masks of <x> for every element x when the caller has them
+    already (as :func:`enumerate_ideals` does); otherwise they are closed
+    here.  Construction cross-checks the two join characterizations, the two
+    residuation routes, and distributivity; each failure raises its
+    falsification error.
     """
 
-    def __init__(self, algebra: FiniteLAlgebra, masks: Iterable[int]):
+    def __init__(
+        self,
+        algebra: FiniteLAlgebra,
+        masks: Iterable[int],
+        principal: Iterable[int] | None = None,
+    ):
         self.algebra = algebra
         self.masks: tuple[int, ...] = tuple(
             sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -202,11 +202,11 @@ class IdealLattice:
         self._index: dict[int, int] = {m: k for k, m in enumerate(self.masks)}
         self.bottom = 0
         self.top = len(self.masks) - 1
-        assert self.masks[self.bottom] == close_under_rules(algebra, 0)
+        if principal is None:
+            principal = (close_under_rules(algebra, 1 << x) for x in range(algebra.n))
+        self.principal: tuple[int, ...] = tuple(self._index[p] for p in principal)
+        assert self.principal[algebra.unit] == self.bottom
         assert self.masks[self.top] == algebra.full_mask
-        self.principal: tuple[int, ...] = tuple(
-            self._index[close_under_rules(algebra, 1 << x)] for x in range(algebra.n)
-        )
         self.meet_table = self._build_meets()
         self.join_table = self._build_joins()
         self.residuation_table = self._build_residuations()
@@ -348,22 +348,15 @@ def _labels(alg: FiniteLAlgebra, mask: int) -> list[str]:
     return [alg.label(i) for i in bits(mask)]
 
 
-def enumerate_ideals(alg: FiniteLAlgebra, strategy: str = "auto") -> IdealLattice:
+def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
     """Materialize the full ideal lattice.
 
-    ``strategy`` is "auto" (filter up to carrier size 20, saturation above),
-    "filter", or "saturate"; the two concrete strategies agree wherever both
-    are feasible and the test suite holds them to that.
+    The n principal ideals are closed once; the ideals are read off the
+    down-sets of the join-irreducible ones (see :func:`_ideal_masks`), and
+    the same principal masks index ``IdealLattice.principal``.
     """
-    if strategy == "auto":
-        strategy = "filter" if alg.n <= FILTER_LIMIT else "saturate"
-    if strategy == "filter":
-        masks = _ideal_masks_by_filter(alg)
-    elif strategy == "saturate":
-        masks = _ideal_masks_by_saturation(alg)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return IdealLattice(alg, masks)
+    principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
+    return IdealLattice(alg, _ideal_masks(alg, principal), principal)
 
 
 def join_via_closure(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:

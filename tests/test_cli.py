@@ -114,6 +114,21 @@ def test_laws_enumerate_conflicts_with_files(diamond_file, capsys):
     assert main(["laws", diamond_file, "--enumerate", "2"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_laws_enumerate_below_one_exits_two(n, capsys):
+    # an empty corpus is not a pass
+    assert main(["laws", "--enumerate", n]) == 2
+    assert "--enumerate" in capsys.readouterr().err
+
+
+def test_laws_enumerate_above_cap_exits_two(capsys):
+    # an input limit is a usage error, not a falsification
+    assert main(["laws", "--enumerate", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "capped at 5" in err
+    assert "falsification" not in err
+
+
 def test_laws_fail_exit_code(tmp_path, capsys):
     # a square non-L table: validation fails inside the law run
     f = tmp_path / "broken.lalg"

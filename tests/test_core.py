@@ -66,6 +66,12 @@ def test_malformed_tables():
         validate([], 0)
 
 
+def test_bool_entries_are_malformed():
+    # True is an int in Python; a table of bools is still not a table of indices
+    with pytest.raises(MalformedTable):
+        validate([[False, True], [False, False]], 0)
+
+
 def test_carrier_cap():
     n = 65
     table = [[0] * n for _ in range(n)]

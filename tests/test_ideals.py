@@ -1,6 +1,6 @@
 import pytest
 
-from lalg.constructions import PosetSpec, poset_algebra
+from lalg.constructions import PosetSpec, enumerate_all, poset_algebra
 from lalg.core import FiniteLAlgebra
 from lalg.errors import (
     CongruenceFailure,
@@ -22,8 +22,6 @@ from lalg.ideals import (
     mask_of,
     quotient,
     residuation,
-    _ideal_masks_by_filter,
-    _ideal_masks_by_saturation,
 )
 
 
@@ -64,14 +62,25 @@ def test_ideal_counts(algebras, fixture_map):
             assert len(enumerate_ideals(alg)) == expected, name
 
 
-def test_filter_and_saturation_agree(algebras):
-    for alg in algebras.values():
-        assert sorted(_ideal_masks_by_filter(alg)) == sorted(
-            _ideal_masks_by_saturation(alg)
-        )
+def _ideal_masks_by_filter(alg):
+    """Oracle: every unit-containing subset that passes ``is_ideal``."""
+    assert alg.n <= 12, "the subset filter tries 2^(n-1) candidates"
+    unit_bit = 1 << alg.unit
+    return sorted(
+        m for m in range(1 << alg.n) if m & unit_bit and is_ideal(alg, m)
+    )
 
 
-def test_filter_and_saturation_agree_at_twelve_elements():
+def test_join_irreducible_route_matches_subset_filter(algebras):
+    corpus = list(algebras.values())
+    corpus += [a for n in (1, 2, 3, 4) for a in enumerate_all(n)]
+    iso5 = list(enumerate_all(5, up_to_iso=True))
+    assert len(iso5) == 632
+    for alg in corpus + iso5:
+        assert sorted(enumerate_ideals(alg).masks) == _ideal_masks_by_filter(alg), alg.name
+
+
+def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
     # 2 x 6 grid poset, 12 elements
     elements = tuple(f"a{i}" for i in range(6)) + tuple(f"b{i}" for i in range(6))
     covers = (
@@ -82,7 +91,7 @@ def test_filter_and_saturation_agree_at_twelve_elements():
     alg = poset_algebra(
         PosetSpec(elements=elements, covers=covers, top="a5"), verify_ideals=False
     )
-    assert sorted(_ideal_masks_by_filter(alg)) == sorted(_ideal_masks_by_saturation(alg))
+    assert sorted(enumerate_ideals(alg).masks) == _ideal_masks_by_filter(alg)
 
 
 def test_lattice_shape(b2, diamond):

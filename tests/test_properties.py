@@ -1,17 +1,20 @@
-"""Property tests: closure confluence, monotonicity, builder soundness."""
+"""Property tests: closure confluence, monotonicity, builder soundness,
+element-order invariance."""
 
 from hypothesis import given, settings, strategies as st
 
 from lalg.constructions import (
     PosetSpec,
     enumerate_all,
+    fixtures,
     ordered_sum,
     poset_algebra,
     product,
     upper_set_masks,
 )
 from lalg.core import validate
-from lalg.ideals import close_under_rules, enumerate_ideals, generate_ideal
+from lalg.ideals import bits, close_under_rules, enumerate_ideals, generate_ideal
+from lalg.spectrum import prime_ideals
 
 CORPUS = list(enumerate_all(3)) + list(enumerate_all(4, up_to_iso=True))
 
@@ -139,3 +142,28 @@ def test_lattice_absorption(data):
     j = data.draw(st.integers(min_value=0, max_value=len(lat) - 1))
     assert lat.meet_table[i][lat.join_table[i][j]] == i
     assert lat.join_table[i][lat.meet_table[i][j]] == i
+
+
+FIXTURES = [f.algebra for f in fixtures()]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_ideals_follow_element_order(data):
+    """Relabelling and reordering the elements permutes the ideal masks."""
+    alg = data.draw(st.sampled_from(FIXTURES))
+    if data.draw(st.booleans()):
+        alg = product(alg, data.draw(st.sampled_from([a for a in FIXTURES if a.n <= 3])))
+    order = data.draw(st.permutations(range(alg.n)))  # new index i is old order[i]
+    new_of = {old: new for new, old in enumerate(order)}
+    shuffled = validate(
+        [[new_of[alg.table[a][b]] for b in order] for a in order],
+        new_of[alg.unit],
+        labels=[f"e{alg.label(old)}" for old in order],
+        name=f"{alg.name}-shuffled",
+    )
+    lat = enumerate_ideals(alg)
+    moved = {sum(1 << new_of[x] for x in bits(m)) for m in lat.masks}
+    shuffled_lat = enumerate_ideals(shuffled)
+    assert set(shuffled_lat.masks) == moved
+    assert prime_ideals(shuffled_lat).point_count == prime_ideals(lat).point_count
