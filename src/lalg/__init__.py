@@ -49,7 +49,6 @@ from .ideals import (
     generate_ideal,
     ideal_of_congruence,
     is_ideal,
-    join_via_closure,
     join_via_witness,
     principal_ideal,
     quotient,

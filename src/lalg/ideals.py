@@ -134,33 +134,46 @@ def principal_ideal(alg: FiniteLAlgebra, x: int) -> Ideal:
     return generate_ideal(alg, (x,))
 
 
-def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...]) -> list[int]:
-    """All ideal masks, from the join-irreducible principal ideals.
+def _join_irreducibles(alg: FiniteLAlgebra, principal: Iterable[int]) -> list[int]:
+    """The join-irreducible ideals, as masks in (popcount, mask) order.
 
     Every ideal is the join of the principal ideals of its members, so the
-    join-irreducibles J are principal: the non-bottom <x> that the closure
-    of the principal ideals strictly inside them does not reach.  An ideal I
-    is then {x | every J inside <x> lies in I}, read off the down-set of
-    join-irreducibles inside I; that holds in any finite lattice.  Each
-    down-set S of the join-irreducibles gives one candidate of that form,
-    and ``is_ideal`` keeps the candidates that are ideals, so nothing here
-    presupposes the distributivity that the laws check.
+    join-irreducibles are principal: the non-bottom <x> that the closure of
+    the principal ideals strictly inside them does not reach.  The order
+    extends inclusion, so every join-irreducible below the j-th one has an
+    index below j.
     """
-    # (popcount, mask) order is a linear extension of inclusion: the bottom
-    # <1> comes first, and every join-irreducible below joinirr[j] has an
-    # index below j
     distinct = sorted(set(principal), key=lambda m: (m.bit_count(), m))
-    joinirr = []
+    out = []
     for p in distinct[1:]:
         below = 0
         for q in distinct:
             if q != p and q & ~p == 0:
                 below |= q
         if below != p and close_under_rules(alg, below) != p:
-            joinirr.append(p)
+            out.append(p)
+    return out
+
+
+def _downsets(joinirr: list[int], masks: Iterable[int]) -> list[int]:
+    """For each mask, the join-irreducibles inside it, as bits over ``joinirr``."""
+    return [mask_of(j for j, q in enumerate(joinirr) if q & ~m == 0) for m in masks]
+
+
+def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...]) -> list[int]:
+    """All ideal masks, from the join-irreducible principal ideals.
+
+    An ideal I is {x | every join-irreducible inside <x> lies in I}, read
+    off the down-set S_I of join-irreducibles inside I; that holds in any
+    finite lattice.  Each down-set S of the join-irreducibles gives one
+    candidate of that form, and ``is_ideal`` keeps the candidates that are
+    ideals, so nothing here presupposes the distributivity that the laws
+    check.
+    """
+    joinirr = _join_irreducibles(alg, principal)
     k = len(joinirr)
-    lower = [mask_of(i for i in range(j) if joinirr[i] & ~joinirr[j] == 0) for j in range(k)]
-    need = [mask_of(j for j in range(k) if joinirr[j] & ~px == 0) for px in principal]
+    lower = [d ^ 1 << j for j, d in enumerate(_downsets(joinirr, joinirr))]
+    need = _downsets(joinirr, principal)
     out = []
     stack = [(0, 0)]
     while stack:
@@ -183,9 +196,18 @@ class IdealLattice:
     0 is the bottom {1} and the last index is the full carrier.  ``principal``
     takes the masks of <x> for every element x when the caller has them
     already (as :func:`enumerate_ideals` does); otherwise they are closed
-    here.  Construction cross-checks the two join characterizations, the two
-    residuation routes, and distributivity; each failure raises its
-    falsification error.
+    here.
+
+    The lattice is data only.  ``downsets[k]`` is the set S_I of
+    ``join_irreducibles`` inside the k-th ideal.  I n J is the intersection,
+    I v J the ideal with down-set S_I u S_J, and I*J the set
+    {x | <x> n I <= J}; each is looked up among the ideals.  A hit is the
+    meet, the join or the greatest K with K n I <= J; a join that misses
+    raises :class:`DistributivityFailure` (only a non-distributive lattice
+    lacks it), a residual that misses :class:`ResiduationNotGreatest`.  The
+    theorems are checked once per algebra, in the laws
+    ``ideal-lattice.distributive``, ``join.witness-form`` and
+    ``residuation.adjunction``.
     """
 
     def __init__(
@@ -204,13 +226,15 @@ class IdealLattice:
         self.top = len(self.masks) - 1
         if principal is None:
             principal = (close_under_rules(algebra, 1 << x) for x in range(algebra.n))
+        principal = tuple(principal)
         self.principal: tuple[int, ...] = tuple(self._index[p] for p in principal)
         assert self.principal[algebra.unit] == self.bottom
         assert self.masks[self.top] == algebra.full_mask
+        self.join_irreducibles = tuple(_join_irreducibles(algebra, principal))
+        self.downsets = tuple(_downsets(self.join_irreducibles, self.masks))
         self.meet_table = self._build_meets()
         self.join_table = self._build_joins()
         self.residuation_table = self._build_residuations()
-        self._assert_distributive()
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -240,87 +264,52 @@ class IdealLattice:
 
     def _build_joins(self) -> tuple[tuple[int, ...], ...]:
         m = len(self.masks)
+        by_downset = {d: k for k, d in enumerate(self.downsets)}
         table = [[0] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
-                closed = close_under_rules(self.algebra, self.masks[i] | self.masks[j])
-                witness = self._join_by_witness(self.masks[i], self.masks[j])
-                if witness != closed:
-                    raise JoinWitnessMismatch(
-                        f"{self.algebra.name}: witness form of the join differs "
-                        f"from the closure join",
+                k = by_downset.get(self.downsets[i] | self.downsets[j])
+                if k is None:
+                    raise DistributivityFailure(
+                        f"{self.algebra.name}: no ideal has S_I u S_J as its down-set",
                         witness={
                             "algebra": self.algebra.name,
-                            "left": _labels(self.algebra, self.masks[i]),
-                            "right": _labels(self.algebra, self.masks[j]),
-                            "closure_join": _labels(self.algebra, closed),
-                            "witness_join": _labels(self.algebra, witness),
+                            "I": _labels(self.algebra, self.masks[i]),
+                            "J": _labels(self.algebra, self.masks[j]),
                         },
                     )
-                k = self._index.get(closed)
-                assert k is not None, "ideal family not closed under join"
                 table[i][j] = table[j][i] = k
         return tuple(tuple(r) for r in table)
 
-    def _join_by_witness(self, imask: int, jmask: int) -> int:
-        """y is in I v J  iff  some x in I has x*y and y*x in J."""
-        t = self.algebra.table
-        out = 0
-        for y in range(self.algebra.n):
-            for x in bits(imask):
-                if (jmask >> t[x][y]) & 1 and (jmask >> t[y][x]) & 1:
-                    out |= 1 << y
-                    break
-        return out
-
     def _residuation_mask(self, imask: int, jmask: int) -> int:
+        """Element-wise I*J = {x | <x> n I <= J}."""
+        outside = imask & ~jmask
         out = 0
-        for x in range(self.algebra.n):
-            px = self.masks[self.principal[x]]
-            if px & imask & ~jmask == 0:
+        for x, p in enumerate(self.principal):
+            if self.masks[p] & outside == 0:
                 out |= 1 << x
         return out
 
     def _build_residuations(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self.masks)
         table = []
-        for i in range(m):
+        for imask in self.masks:
             row = []
-            for j in range(m):
-                r = self._residuation_mask(self.masks[i], self.masks[j])
-                k = self._check_residuation(i, j, r)
+            for jmask in self.masks:
+                r = self._residuation_mask(imask, jmask)
+                k = self._index.get(r)
+                if k is None:
+                    raise ResiduationNotGreatest(
+                        f"{self.algebra.name}: element-wise residuation is not an ideal",
+                        witness={
+                            "algebra": self.algebra.name,
+                            "I": _labels(self.algebra, imask),
+                            "J": _labels(self.algebra, jmask),
+                            "elementwise": _labels(self.algebra, r),
+                        },
+                    )
                 row.append(k)
             table.append(tuple(row))
         return tuple(table)
-
-    def _check_residuation(self, i: int, j: int, r: int) -> int:
-        """Element-wise I*J must be the greatest ideal K with K n I <= J."""
-        k = self._index.get(r)
-        bad = None
-        if k is None:
-            bad = "element-wise residuation is not an ideal"
-        elif r & self.masks[i] & ~self.masks[j]:
-            bad = "residuation does not satisfy K n I <= J"
-        else:
-            for other in self.masks:
-                if other & self.masks[i] & ~self.masks[j] == 0 and other & ~r:
-                    bad = "a larger ideal also satisfies K n I <= J"
-                    break
-        if bad is not None:
-            raise ResiduationNotGreatest(
-                f"{self.algebra.name}: {bad}",
-                witness={
-                    "algebra": self.algebra.name,
-                    "I": _labels(self.algebra, self.masks[i]),
-                    "J": _labels(self.algebra, self.masks[j]),
-                    "elementwise": _labels(self.algebra, r),
-                },
-            )
-        assert k is not None
-        return k
-
-    def _assert_distributive(self) -> None:
-        check_distributive(self.masks, self._index, self.join_table, self.algebra.name)
 
 
 def check_distributive(
@@ -359,38 +348,46 @@ def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
     return IdealLattice(alg, _ideal_masks(alg, principal), principal)
 
 
-def join_via_closure(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:
-    """Join as the ideal generated by the union."""
-    return Ideal(lattice.algebra, close_under_rules(lattice.algebra, left.members | right.members))
-
-
 def join_via_witness(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:
-    """Join via congruence witnesses; must equal the closure join.
+    """Join via congruence witnesses: y is in I v J iff some x in I has x*y
+    and y*x in J.
 
-    This equality is a standing cross-check: a mismatch raises
-    :class:`JoinWitnessMismatch` instead of returning either side.
+    The witness join must equal the closure of I u J and the entry of
+    ``join_table``; a mismatch raises :class:`JoinWitnessMismatch` with all
+    three instead of returning one of them.
     """
-    w = lattice._join_by_witness(left.members, right.members)
-    closed = close_under_rules(lattice.algebra, left.members | right.members)
-    if w != closed:
+    alg = lattice.algebra
+    t = alg.table
+    jmask = right.members
+    w = 0
+    for y in range(alg.n):
+        for x in bits(left.members):
+            if (jmask >> t[x][y]) & 1 and (jmask >> t[y][x]) & 1:
+                w |= 1 << y
+                break
+    closed = close_under_rules(alg, left.members | jmask)
+    entry = lattice.masks[lattice.join_table[lattice.index(left.members)][lattice.index(jmask)]]
+    if not w == closed == entry:
         raise JoinWitnessMismatch(
-            f"{lattice.algebra.name}: witness join differs from closure join",
+            f"{alg.name}: witness join, closure join and join table disagree",
             witness={
-                "algebra": lattice.algebra.name,
-                "left": _labels(lattice.algebra, left.members),
-                "right": _labels(lattice.algebra, right.members),
-                "closure_join": _labels(lattice.algebra, closed),
-                "witness_join": _labels(lattice.algebra, w),
+                "algebra": alg.name,
+                "left": _labels(alg, left.members),
+                "right": _labels(alg, jmask),
+                "closure_join": _labels(alg, closed),
+                "witness_join": _labels(alg, w),
+                "table_join": _labels(alg, entry),
             },
         )
-    return Ideal(lattice.algebra, w)
+    return Ideal(alg, w)
 
 
 def residuation(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:
     """I*J: the greatest ideal K with K n I inside J.
 
-    Computed element-wise as {x | <x> n I <= J} and cross-checked against a
-    scan of the whole lattice.
+    Read from ``residuation_table``, which holds the element-wise
+    {x | <x> n I <= J}; the law ``residuation.adjunction`` checks that it is
+    the greatest.
     """
     i = lattice.index(left.members)
     j = lattice.index(right.members)

@@ -15,6 +15,8 @@ spectra: Spec I matches U_I and Spec X/I matches its complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterable
 
 from .core import FiniteLAlgebra, StructureFlags, meet, structure_flags, subalgebra
 from .errors import (
@@ -147,35 +149,31 @@ class TopologyReport:
 def _minimal_generator_count(lat: IdealLattice, ideal_index: int) -> int:
     """Size of a smallest generating subset of one ideal.
 
-    Greedy removal first, then an exhaustive sweep over all smaller subsets
-    of size at most 3.  Finiteness makes every ideal finitely generated; the
-    number is what the quasi-compactness report records.
+    The ideal generated by a set is the join of its members' principal
+    ideals, folded over ``join_table``.  Greedy removal first, then an
+    exhaustive sweep over all smaller subsets of size at most 3.  Finiteness
+    makes every ideal finitely generated; the number is what the
+    quasi-compactness report records.
     """
-    from itertools import combinations
 
-    from .ideals import close_under_rules, mask_of
+    def generated(gens: Iterable[int]) -> int:
+        k = lat.bottom
+        for x in gens:
+            k = lat.join_table[k][lat.principal[x]]
+        return k
 
-    alg = lat.algebra
-    target = lat.masks[ideal_index]
-    if target == lat.masks[lat.bottom]:
+    if ideal_index == lat.bottom:
         return 0
-    gens = [i for i in bits(target)]
-    for x in list(gens):
+    members = list(bits(lat.masks[ideal_index]))
+    gens = members
+    for x in members:
         trial = [g for g in gens if g != x]
-        if close_under_rules(alg, mask_of(trial)) == target:
+        if generated(trial) == ideal_index:
             gens = trial
-    best = len(gens)
-    members = list(bits(target))
-    for k in range(1, min(best, 4)):
-        if k >= best:
-            break
-        for combo in combinations(members, k):
-            if close_under_rules(alg, mask_of(combo)) == target:
-                best = k
-                break
-        if best == k:
-            break
-    return best
+    for k in range(1, min(len(gens), 4)):
+        if any(generated(combo) == ideal_index for combo in combinations(members, k)):
+            return k
+    return len(gens)
 
 
 def topology_report(spec: SpectrumTopology) -> TopologyReport:

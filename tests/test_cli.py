@@ -98,6 +98,19 @@ def test_laws_enumerate_two(capsys):
     assert "enum1-00000" in out and "enum2-00000" in out
 
 
+@pytest.mark.parametrize(
+    "corpus, failures",
+    [(["--enumerate", "4"], 9), (["--enumerate", "5", "--iso"], 72)],
+)
+def test_relative_spectrum_boundary_failure_counts(corpus, failures, capsys):
+    # the standalone reading of Spec I fails on exactly these many algebras;
+    # a change either way must show
+    argv = ["laws", *corpus, "--law", "relative-spectrum.bijection", "--json", "--no-timing"]
+    assert main(argv) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert sum(r["verdict"] == "fail" for r in reports) == failures
+
+
 def test_laws_unknown_id_exits_two(capsys):
     assert main(["laws", "--law", "nope"]) == 2
     assert "lalg laws --list" in capsys.readouterr().err

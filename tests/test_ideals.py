@@ -1,6 +1,7 @@
 import pytest
 
-from lalg.constructions import PosetSpec, enumerate_all, poset_algebra
+from lalg import ideals
+from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import FiniteLAlgebra
 from lalg.errors import (
     CongruenceFailure,
@@ -17,12 +18,12 @@ from lalg.ideals import (
     generate_ideal,
     ideal_of_congruence,
     is_ideal,
-    join_via_closure,
     join_via_witness,
     mask_of,
     quotient,
     residuation,
 )
+from lalg.laws import run_law
 
 
 def _labels(alg, mask):
@@ -71,13 +72,36 @@ def _ideal_masks_by_filter(alg):
     )
 
 
+def _closure_join(alg, imask, jmask):
+    """Oracle: the join as the ideal generated by the union."""
+    return close_under_rules(alg, imask | jmask)
+
+
+def _greatest_residual(lat, i, j):
+    """Oracle: scan the lattice for the greatest K with K n I <= J."""
+    outside = lat.masks[i] & ~lat.masks[j]
+    fits = [k for k, m in enumerate(lat.masks) if m & outside == 0]
+    (greatest,) = [k for k in fits if all(lat.leq(f, k) for f in fits)]
+    return greatest
+
+
 def test_join_irreducible_route_matches_subset_filter(algebras):
+    # the ideals against the subset filter, and the join and residuation
+    # tables read off the join-irreducibles against the closure join and
+    # the greatest-ideal scan
     corpus = list(algebras.values())
     corpus += [a for n in (1, 2, 3, 4) for a in enumerate_all(n)]
     iso5 = list(enumerate_all(5, up_to_iso=True))
     assert len(iso5) == 632
     for alg in corpus + iso5:
-        assert sorted(enumerate_ideals(alg).masks) == _ideal_masks_by_filter(alg), alg.name
+        lat = enumerate_ideals(alg)
+        assert sorted(lat.masks) == _ideal_masks_by_filter(alg), alg.name
+        m = len(lat)
+        for i in range(m):
+            for j in range(m):
+                closed = _closure_join(alg, lat.masks[i], lat.masks[j])
+                assert lat.masks[lat.join_table[i][j]] == closed, alg.name
+                assert lat.residuation_table[i][j] == _greatest_residual(lat, i, j), alg.name
 
 
 def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
@@ -107,9 +131,9 @@ def test_join_examples(algebras):
     lat = enumerate_ideals(b2xb2)
     atoms = [i for i in lat.ideals if len(i) == 2]
     assert len(atoms) == 2
-    join = join_via_closure(lat, atoms[0], atoms[1])
-    assert join.members == b2xb2.full_mask
-    assert join_via_witness(lat, atoms[0], atoms[1]).members == join.members
+    join = _closure_join(b2xb2, atoms[0].members, atoms[1].members)
+    assert join == b2xb2.full_mask
+    assert join_via_witness(lat, atoms[0], atoms[1]).members == join
 
 
 def test_join_witness_example_b2xb2(algebras):
@@ -129,7 +153,7 @@ def test_join_bottom_neutral(algebras):
         lat = enumerate_ideals(alg)
         bottom = lat.ideals[lat.bottom]
         for ideal in lat.ideals:
-            assert join_via_closure(lat, bottom, ideal).members == ideal.members
+            assert _closure_join(alg, bottom.members, ideal.members) == ideal.members
 
 
 def test_residuation_examples(chain3, omega3):
@@ -185,18 +209,47 @@ def test_join_witness_mismatch_surfaces_on_magma():
     magma = FiniteLAlgebra(
         "magma", ("1", "a", "b"), 0, ((0, 1, 2), (0, 0, 1), (0, 2, 0))
     )
+    lat = IdealLattice(magma, [0b001, 0b011, 0b111])
     with pytest.raises(JoinWitnessMismatch):
-        IdealLattice(magma, [0b001, 0b011, 0b111])
+        join_via_witness(lat, lat.ideals[1], lat.ideals[0])
 
 
 def test_residuation_cross_check_trips_on_wrong_values(monkeypatch, b2):
-    # force the element-wise route to return the bottom everywhere; the
-    # greatest-ideal scan must refuse it rather than fill the table
+    # force the element-wise route to return the bottom everywhere: the
+    # table fills, since the bottom is an ideal, and the adjunction law
+    # must refuse it
     monkeypatch.setattr(
         IdealLattice, "_residuation_mask", lambda self, imask, jmask: self.masks[self.bottom]
     )
+    report = run_law("residuation.adjunction", Fixture("B2", b2))
+    assert report.verdict == "fail"
+    assert report.witness is not None and "algebra_document" in report.witness
+
+
+def test_residual_outside_the_family_raises(monkeypatch, b2):
+    # an element-wise residual that is not an ideal misses the index
+    monkeypatch.setattr(
+        IdealLattice, "_residuation_mask", lambda self, imask, jmask: 1 << (1 - b2.unit)
+    )
     with pytest.raises(ResiduationNotGreatest):
         enumerate_ideals(b2)
+
+
+def test_join_outside_the_family_raises(monkeypatch, algebras):
+    # plant a wrong down-set on the top of B2xB2: the union of the two atoms'
+    # down-sets then names no ideal, which only a non-distributive lattice
+    # allows
+    alg = algebras["B2xB2"]
+    masks = enumerate_ideals(alg).masks
+    real = ideals._downsets
+
+    def planted(joinirr, family):
+        out = real(joinirr, family)
+        return out[:-1] + [out[-1] | 1 << len(joinirr)]
+
+    monkeypatch.setattr(ideals, "_downsets", planted)
+    with pytest.raises(DistributivityFailure):
+        IdealLattice(alg, masks)
 
 
 def test_congruence_classes_chain3(chain3):

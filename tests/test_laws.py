@@ -1,6 +1,6 @@
 import pytest
 
-from lalg.constructions import Fixture, fixtures, product_pairs
+from lalg.constructions import Fixture, PosetSpec, fixtures, poset_algebra, product_pairs
 from lalg.core import FiniteLAlgebra
 from lalg.laws import (
     LAWS,
@@ -128,3 +128,28 @@ def test_exhaustive_small_corpus_all_pass(small_corpus):
     reports = run_suite(corpus)
     assert all_pass(reports)
     assert len(reports) == len(corpus) * len(LAWS)
+
+
+def test_ideal_lattice_above_the_carrier_cap_is_checked():
+    # 7 atoms under a top: 128 ideals, twice the 64-element carrier cap; the
+    # residuation table is checked as a table, not validated as an algebra
+    atoms = tuple(f"a{i}" for i in range(7))
+    anti7 = poset_algebra(
+        PosetSpec(elements=("t",) + atoms, covers=tuple((a, "t") for a in atoms), top="t")
+    )
+    report = run_law("ideal-lattice.is-l-algebra", Fixture("anti7", anti7))
+    assert report.verdict == "pass", report.witness
+    assert report.instances == 128 * 128
+
+
+def test_lattice_is_algebra_law_fails_on_planted_residuals(monkeypatch, b2):
+    # every residual the bottom: {1}*{1} is no longer the unit X, so the
+    # table breaks x*x = 1
+    from lalg.ideals import IdealLattice
+
+    monkeypatch.setattr(
+        IdealLattice, "_residuation_mask", lambda self, imask, jmask: self.masks[self.bottom]
+    )
+    report = run_law("ideal-lattice.is-l-algebra", Fixture("B2", b2))
+    assert report.verdict == "fail"
+    assert report.witness["error"] == "AxiomViolation"

@@ -88,6 +88,14 @@ def test_minimal_generator_counts(omega3):
     assert full_needs == 2  # y plus the deepest chain element
 
 
+def test_minimal_generators_b2xb2(algebras):
+    # the full ideal is generated by (0,0) alone, though two join-irreducible
+    # ideals (the atoms) lie maximal below it
+    lat = enumerate_ideals(algebras["B2xB2"])
+    assert topology_report(prime_ideals(lat)).min_generators == (0, 1, 1, 1)
+    assert len(lat.join_irreducibles) == 2
+
+
 def test_prime_elements_poset_algebras(chain3, omega3):
     # in an implication algebra of a poset every non-top element qualifies
     for alg in (chain3, omega3):
