@@ -38,6 +38,7 @@ from .errors import (
     ResiduationNotGreatest,
     SizeTooLarge,
     SpatialityFailure,
+    UnwritableLabel,
     Violation,
 )
 from .ideals import (

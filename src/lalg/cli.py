@@ -12,7 +12,9 @@ from pathlib import Path
 
 from . import constructions
 from .core import structure_flags
-from .errors import AxiomViolation, LAlgebraError, MalformedTable, ParseError, SizeTooLarge
+from .errors import (
+    AxiomViolation, LAlgebraError, MalformedTable, ParseError, SizeTooLarge, UnwritableLabel
+)
 from .formats import (
     algebra_to_document,
     load_algebra,
@@ -256,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (_Usage, SizeTooLarge) as exc:
+    except (_Usage, SizeTooLarge, UnwritableLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

@@ -2,9 +2,11 @@
 
 The enumerator generates every operation table of a given size satisfying
 the axioms, by backtracking over the cells that the unit laws leave free,
-with constraint propagation on the exchange identity and antisymmetry.
-The regression fixtures are the concrete algebras the law harness grew up
-on; each carries the facts it is expected to reproduce.
+with constraint propagation on the exchange identity and antisymmetry; up
+to isomorphism it keeps the least table over the unit-fixing relabelings,
+decided by early exit.  The regression fixtures are the concrete algebras
+the law harness grew up on; each carries the facts it is expected to
+reproduce.
 """
 
 from __future__ import annotations
@@ -321,38 +323,54 @@ def enumerate_all(n: int, up_to_iso: bool = False) -> Iterator[FiniteLAlgebra]:
 
     The unit sits at index 0 (relabelings add nothing; the count contract
     and the canonical form both pin it there).  With ``up_to_iso`` only the
-    lexicographically-least table over all unit-fixing permutations of each
-    isomorphism class is emitted.
+    lexicographically least table over the unit-fixing relabelings of each
+    isomorphism class is emitted: a table is kept when no relabeling makes
+    it smaller, which :func:`_is_canonical` decides cell by cell, stopping
+    at the first cell where the two differ.
     """
     if n < 1:
         raise ValueError("carrier size must be at least 1")
     if n > ENUMERATION_LIMIT:
         raise SizeTooLarge(f"exhaustive enumeration is capped at {ENUMERATION_LIMIT}")
     labels = _ENUM_LABELS[:n]
+    relabelings = _relabelings(n) if up_to_iso else []
     count = 0
     for flat in _search_tables(n):
-        if up_to_iso and _canonical_form(flat, n) != flat:
+        if not _is_canonical(flat, relabelings):
             continue
         table = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         yield validate(table, 0, labels=labels, name=f"enum{n}-{count:05d}")
         count += 1
 
 
-def _canonical_form(flat: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Least relabeling of the table over permutations fixing the unit at 0."""
-    best = flat
-    for perm in permutations(range(1, n)):
+def _relabelings(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """Each permutation p fixing 0 but the identity, with the cells it reads.
+
+    Cell k = i*n + j of the table relabelled by p is p(flat[s]), with
+    s = p^-1(i)*n + p^-1(j).  The (k, s) pairs skip row 0, column 0 and the
+    diagonal, which the unit laws fix under every relabeling.
+    """
+    out = []
+    for perm in list(permutations(range(1, n)))[1:]:  # the first is the identity
         p = (0,) + perm
-        relabeled = tuple(
-            p[flat[_inv(p, i) * n + _inv(p, j)]] for i in range(n) for j in range(n)
+        inv = tuple(p.index(i) for i in range(n))
+        cells = tuple(
+            (i * n + j, inv[i] * n + inv[j]) for i in range(1, n) for j in range(1, n) if i != j
         )
-        if relabeled < best:
-            best = relabeled
-    return best
+        out.append((p, cells))
+    return out
 
 
-def _inv(p: tuple[int, ...], i: int) -> int:
-    return p.index(i)
+def _is_canonical(flat: tuple[int, ...], relabelings) -> bool:
+    """True when no relabeling gives a lexicographically smaller table."""
+    for p, cells in relabelings:
+        for k, s in cells:
+            v = p[flat[s]]
+            if v != flat[k]:
+                if v < flat[k]:
+                    return False
+                break
+    return True
 
 
 def _search_tables(n: int) -> Iterator[tuple[int, ...]]:
@@ -376,32 +394,32 @@ def _search_tables(n: int) -> Iterator[tuple[int, ...]]:
         for j in range(1, n)
         if i != j
     ]
+    # each exchange constraint (x*y)*(x*z) = (y*x)*(y*z) as its cells (xy, xz, yx, yz)
     constraints = [
-        (x, y, z)
+        (x * n + y, x * n + z, y * n + x, y * n + z)
         for x in range(1, n)
         for y in range(x + 1, n)
         for z in range(1, n)
         if z != x and z != y
     ]
+    mirror = [j * n + i for i in range(n) for j in range(n)]
 
     def assign(pos: int, value: int, trail: list[int]) -> bool:
         t[pos] = value
         trail.append(pos)
-        if value == 0:
-            i, j = divmod(pos, n)
-            if t[j * n + i] == 0:  # antisymmetry: both above and below
-                return False
+        if value == 0 and t[mirror[pos]] == 0:  # antisymmetry: both above and below
+            return False
         return True
 
     def propagate(trail: list[int]) -> bool:
         changed = True
         while changed:
             changed = False
-            for x, y, z in constraints:
-                a = t[x * n + y]
-                b = t[x * n + z]
-                c = t[y * n + x]
-                d = t[y * n + z]
+            for xy, xz, yx, yz in constraints:
+                a = t[xy]
+                b = t[xz]
+                c = t[yx]
+                d = t[yz]
                 if a < 0 or b < 0 or c < 0 or d < 0:
                     continue
                 lhs = t[a * n + b]

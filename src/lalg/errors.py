@@ -113,6 +113,10 @@ class SizeTooLarge(LAlgebraError):
     """Requested exhaustive enumeration beyond the supported size cap."""
 
 
+class UnwritableLabel(LAlgebraError):
+    """A name or label that the line-oriented text format cannot carry."""
+
+
 class ParseError(LAlgebraError):
     """Malformed input file; reports exact position."""
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .constructions import PosetSpec
 from .core import FiniteLAlgebra, validate
-from .errors import ParseError
+from .errors import ParseError, UnwritableLabel
 
 if TYPE_CHECKING:  # pragma: no cover
     from .laws import LawReport
@@ -57,6 +57,18 @@ class AlgebraDocument:
             unit=index[self.unit],
             table=tuple(tuple(r) for r in table),
         )
+
+    def to_json_object(self) -> dict:
+        """The document as the JSON format writes it (and witnesses embed it)."""
+        payload: dict = {
+            "name": self.name,
+            "elements": list(self.elements),
+            "unit": self.unit,
+            "table": [list(row) for row in self.table],
+        }
+        if self.metadata is not None:
+            payload["metadata"] = self.metadata
+        return payload
 
 
 def algebra_to_document(alg: FiniteLAlgebra, metadata: dict | None = None) -> AlgebraDocument:
@@ -164,6 +176,13 @@ def parse_algebra_text(text: str) -> AlgebraDocument:
 
 
 def serialize_algebra_text(doc: AlgebraDocument) -> str:
+    """The line format; refuses a name or label it could not read back."""
+    for what, text in [("name", doc.name)] + [("label", e) for e in doc.elements]:
+        if not text or "#" in text or any(c.isspace() for c in text):
+            raise UnwritableLabel(
+                f"{what} {text!r} cannot be written in the line format, which splits "
+                "on whitespace and '#'; save to a .json path instead"
+            )
     lines = [
         f"name: {doc.name}",
         f"elements: {' '.join(doc.elements)}",
@@ -184,6 +203,11 @@ def parse_algebra_json(text: str) -> AlgebraDocument:
     except json.JSONDecodeError as exc:
         line, col = _json_position(exc)
         raise ParseError(line, col, exc.msg) from None
+    return document_from_json_object(data)
+
+
+def document_from_json_object(data: object) -> AlgebraDocument:
+    """Check a decoded JSON value as a document (the inverse of ``to_json_object``)."""
     if not isinstance(data, dict):
         raise ParseError(1, 1, "top level must be an object")
     for key in ("elements", "unit", "table"):
@@ -218,15 +242,7 @@ def parse_algebra_json(text: str) -> AlgebraDocument:
 
 
 def serialize_algebra_json(doc: AlgebraDocument) -> str:
-    payload: dict = {
-        "name": doc.name,
-        "elements": list(doc.elements),
-        "unit": doc.unit,
-        "table": [list(row) for row in doc.table],
-    }
-    if doc.metadata is not None:
-        payload["metadata"] = doc.metadata
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(doc.to_json_object(), indent=2) + "\n"
 
 
 def parse_algebra(text: str, suffix: str = ".lalg") -> AlgebraDocument:

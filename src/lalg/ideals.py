@@ -160,8 +160,8 @@ def _downsets(joinirr: list[int], masks: Iterable[int]) -> list[int]:
     return [mask_of(j for j, q in enumerate(joinirr) if q & ~m == 0) for m in masks]
 
 
-def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...]) -> list[int]:
-    """All ideal masks, from the join-irreducible principal ideals.
+def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[int]) -> list[int]:
+    """All ideal masks, from the join-irreducible principal ideals ``joinirr``.
 
     An ideal I is {x | every join-irreducible inside <x> lies in I}, read
     off the down-set S_I of join-irreducibles inside I; that holds in any
@@ -170,7 +170,6 @@ def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...]) -> list[int]:
     ideals, so nothing here presupposes the distributivity that the laws
     check.
     """
-    joinirr = _join_irreducibles(alg, principal)
     k = len(joinirr)
     lower = [d ^ 1 << j for j, d in enumerate(_downsets(joinirr, joinirr))]
     need = _downsets(joinirr, principal)
@@ -194,9 +193,9 @@ class IdealLattice:
 
     Ideals are deduplicated by mask and sorted by (popcount, mask), so index
     0 is the bottom {1} and the last index is the full carrier.  ``principal``
-    takes the masks of <x> for every element x when the caller has them
-    already (as :func:`enumerate_ideals` does); otherwise they are closed
-    here.
+    takes the masks of <x> for every element x and ``join_irreducibles`` the
+    join-irreducible ones among them when the caller has them already (as
+    :func:`enumerate_ideals` does); otherwise they are computed here.
 
     The lattice is data only.  ``downsets[k]`` is the set S_I of
     ``join_irreducibles`` inside the k-th ideal.  I n J is the intersection,
@@ -215,6 +214,7 @@ class IdealLattice:
         algebra: FiniteLAlgebra,
         masks: Iterable[int],
         principal: Iterable[int] | None = None,
+        join_irreducibles: Iterable[int] | None = None,
     ):
         self.algebra = algebra
         self.masks: tuple[int, ...] = tuple(
@@ -230,7 +230,9 @@ class IdealLattice:
         self.principal: tuple[int, ...] = tuple(self._index[p] for p in principal)
         assert self.principal[algebra.unit] == self.bottom
         assert self.masks[self.top] == algebra.full_mask
-        self.join_irreducibles = tuple(_join_irreducibles(algebra, principal))
+        if join_irreducibles is None:
+            join_irreducibles = _join_irreducibles(algebra, principal)
+        self.join_irreducibles = tuple(join_irreducibles)
         self.downsets = tuple(_downsets(self.join_irreducibles, self.masks))
         self.meet_table = self._build_meets()
         self.join_table = self._build_joins()
@@ -340,12 +342,13 @@ def _labels(alg: FiniteLAlgebra, mask: int) -> list[str]:
 def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
     """Materialize the full ideal lattice.
 
-    The n principal ideals are closed once; the ideals are read off the
-    down-sets of the join-irreducible ones (see :func:`_ideal_masks`), and
-    the same principal masks index ``IdealLattice.principal``.
+    The n principal ideals are closed and the join-irreducible ones found
+    once; the ideals are read off the down-sets of the join-irreducibles
+    (see :func:`_ideal_masks`), and the lattice takes the same masks.
     """
     principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
-    return IdealLattice(alg, _ideal_masks(alg, principal), principal)
+    joinirr = _join_irreducibles(alg, principal)
+    return IdealLattice(alg, _ideal_masks(alg, principal, joinirr), principal, joinirr)
 
 
 def join_via_witness(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:

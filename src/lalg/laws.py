@@ -16,16 +16,9 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .constructions import Fixture, product_injections
-from .core import (
-    FiniteLAlgebra,
-    axiom_violations,
-    derive_order,
-    meet,
-    partial_product,
-    structure_flags,
-    validate,
-)
+from .core import axiom_violations, derive_order, meet, partial_product, structure_flags
 from .errors import AxiomViolation, FalsificationError, LAlgebraError
+from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
     bits,
     check_distributive,
@@ -49,33 +42,6 @@ from .spectrum import (
 )
 
 CheckResult = tuple[int, dict | None, str | None]
-
-
-def algebra_doc(alg: FiniteLAlgebra) -> dict:
-    """Label-level snapshot of an algebra, embeddable in witnesses."""
-    return {
-        "name": alg.name,
-        "elements": list(alg.labels),
-        "unit": alg.label(alg.unit),
-        "table": [[alg.label(v) for v in row] for row in alg.table],
-    }
-
-
-def algebra_from_doc(doc: dict, validated: bool = False) -> FiniteLAlgebra:
-    """Rebuild an algebra from a witness snapshot.
-
-    ``validated=False`` skips the axiom check so that falsification
-    witnesses, which are typically *not* L-algebras, can be replayed.
-    """
-    labels = tuple(doc["elements"])
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = [[index[v] for v in row] for row in doc["table"]]
-    unit = index[doc["unit"]]
-    if validated:
-        return validate(table, unit, labels=labels, name=doc["name"])
-    return FiniteLAlgebra(
-        name=doc["name"], labels=labels, unit=unit, table=tuple(tuple(r) for r in table)
-    )
 
 
 class Context:
@@ -674,7 +640,7 @@ def _run_one(law: Law, ctx: Context, corpus_id: str) -> LawReport:
             witness.update(exc.witness)
         elif isinstance(exc, AxiomViolation):
             witness["violations"] = [str(v) for v in exc.violations]
-        witness["algebra_document"] = algebra_doc(ctx.algebra)
+        witness["algebra_document"] = algebra_to_document(ctx.algebra).to_json_object()
         return LawReport(
             law=law.id,
             corpus=corpus_id,
@@ -686,7 +652,7 @@ def _run_one(law: Law, ctx: Context, corpus_id: str) -> LawReport:
     elapsed = time.perf_counter() - start
     if witness is not None:
         witness = dict(witness)
-        witness.setdefault("algebra_document", algebra_doc(ctx.algebra))
+        witness.setdefault("algebra_document", algebra_to_document(ctx.algebra).to_json_object())
         return LawReport(
             law=law.id,
             corpus=corpus_id,
@@ -750,10 +716,15 @@ def run_law(law_id: str, fixture: Fixture) -> LawReport:
 
 
 def replay(report: LawReport) -> LawReport:
-    """Re-run a failed law on the algebra frozen inside its witness."""
+    """Re-run a failed law on the algebra frozen inside its witness.
+
+    The algebra is rebuilt without the axiom check, since falsification
+    witnesses are typically *not* L-algebras.
+    """
     if report.witness is None or "algebra_document" not in report.witness:
         raise ValueError("report carries no replayable witness")
-    alg = algebra_from_doc(report.witness["algebra_document"], validated=False)
+    doc = document_from_json_object(report.witness["algebra_document"])
+    alg = doc.to_algebra(validated=False)
     return run_law(report.law, Fixture(report.corpus, alg))
 
 

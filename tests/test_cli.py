@@ -190,6 +190,48 @@ def test_quotient_unknown_label(diamond_file, tmp_path, capsys):
     assert main(["quotient", diamond_file, "--ideal", "zap", "-o", str(tmp_path / "q")]) == 1
 
 
+@pytest.fixture()
+def spaced_file(tmp_path):
+    # the diamond with labels that only the JSON format can carry
+    f = tmp_path / "spaced.json"
+    f.write_text(
+        json.dumps(
+            {
+                "name": "spaced",
+                "elements": ["1", "p q", "r", "0"],
+                "unit": "1",
+                "table": [
+                    ["1", "p q", "r", "0"],
+                    ["1", "1", "0", "0"],
+                    ["1", "0", "1", "0"],
+                    ["1", "1", "1", "1"],
+                ],
+            }
+        )
+    )
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "product", "{spaced}", "{spaced}"],
+        ["construct", "ordered-sum", "{spaced}", "{spaced}"],
+        ["quotient", "{spaced}", "--ideal", "1"],
+    ],
+)
+def test_text_output_of_an_unwritable_label_exits_two(argv, spaced_file, tmp_path, capsys):
+    out_file = tmp_path / "out.lalg"
+    argv = [a.format(spaced=spaced_file) for a in argv] + ["-o", str(out_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "p q" in err and ".json" in err
+    assert not out_file.exists()
+    json_file = tmp_path / "out.json"
+    assert main(argv[:-1] + [str(json_file)]) == 0
+    assert main(["validate", str(json_file)]) == 0
+
+
 def test_fixtures_list(capsys):
     assert main(["fixtures", "--list"]) == 0
     out = capsys.readouterr().out

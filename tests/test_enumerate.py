@@ -3,9 +3,13 @@
 The independent oracle filters every raw table (all n^(n*n) of them at
 n <= 3, all unit-skeleton completions at n = 4) through the axiom checker;
 the backtracking generator must produce exactly the same tables.  Counts
-below the oracle line are frozen from cross-validated runs.
+below the oracle line are frozen from cross-validated runs.  The isomorphism
+filter is checked against a canonical-form oracle that builds every
+relabelled table in full.
 """
 
+from functools import cache
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -88,6 +92,7 @@ def test_frozen_counts(n):
 
 def test_frozen_counts_at_five():
     assert sum(1 for _ in enumerate_all(5)) == FROZEN_COUNTS[5][0]
+    assert sum(1 for _ in enumerate_all(5, up_to_iso=True)) == FROZEN_COUNTS[5][1]
 
 
 def test_generated_algebras_validate():
@@ -96,21 +101,49 @@ def test_generated_algebras_validate():
             validate(alg.table, alg.unit, alg.labels, alg.name)
 
 
-def test_representatives_are_canonical():
-    from lalg.constructions import _canonical_form
+def _canonical_form(flat, n):
+    """Oracle: least relabelled table over the permutations fixing the unit.
 
-    for alg in enumerate_all(3, up_to_iso=True):
-        flat = _flat(alg)
-        assert _canonical_form(flat, 3) == flat
+    Builds every relabelled table in full and takes the minimum, with no
+    early exit.
+    """
+    best = flat
+    for perm in permutations(range(1, n)):
+        p = (0,) + perm
+        relabeled = tuple(
+            p[flat[p.index(i) * n + p.index(j)]] for i in range(n) for j in range(n)
+        )
+        if relabeled < best:
+            best = relabeled
+    return best
+
+
+@cache
+def _labelled_with_forms(n):
+    """(flat table, oracle canonical form) for every labelled table, in order."""
+    return tuple((f, _canonical_form(f, n)) for f in map(_flat, enumerate_all(n)))
+
+
+def test_representatives_are_canonical():
+    for n in (3, 4, 5):
+        for alg in enumerate_all(n, up_to_iso=True):
+            flat = _flat(alg)
+            assert _canonical_form(flat, n) == flat
 
 
 def test_iso_classes_cover_everything():
     # every labeled table must be a relabeling of exactly one representative
-    from lalg.constructions import _canonical_form
+    for n in (3, 4, 5):
+        reps = {_flat(a) for a in enumerate_all(n, up_to_iso=True)}
+        for _, form in _labelled_with_forms(n):
+            assert form in reps
 
-    reps = {_flat(a) for a in enumerate_all(3, up_to_iso=True)}
-    for alg in enumerate_all(3):
-        assert _canonical_form(_flat(alg), 3) in reps
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_iso_enumeration_is_the_oracle_filter_in_order(n):
+    kept = [flat for flat, form in _labelled_with_forms(n) if form == flat]
+    expected = [(flat, f"enum{n}-{k:05d}") for k, flat in enumerate(kept)]
+    assert [(_flat(a), a.name) for a in enumerate_all(n, up_to_iso=True)] == expected
 
 
 def test_names_are_deterministic():

@@ -3,13 +3,16 @@ import json
 import pytest
 
 from lalg.constructions import fixtures, poset_algebra
-from lalg.errors import AxiomViolation, ParseError
+from lalg.core import validate
+from lalg.errors import AxiomViolation, ParseError, UnwritableLabel
 from lalg.formats import (
     AlgebraDocument,
     algebra_to_document,
+    load_algebra,
     parse_algebra_json,
     parse_algebra_text,
     parse_poset_text,
+    save_algebra,
     serialize_algebra_json,
     serialize_algebra_text,
     serialize_report,
@@ -122,6 +125,33 @@ def test_round_trip_json_all_fixtures():
     for f in fixtures():
         doc = algebra_to_document(f.algebra)
         assert parse_algebra_json(serialize_algebra_json(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "name, labels, offending",
+    [
+        ("has space", ("1", "a"), "has space"),
+        ("B2", ("1", "a b"), "a b"),
+        ("B2", ("1", "a#"), "a#"),
+        ("B2#2", ("1", "a"), "B2#2"),
+        ("B2", ("1\t", "a"), "1\t"),
+    ],
+)
+def test_text_save_refuses_what_the_line_format_cannot_carry(
+    tmp_path, name, labels, offending
+):
+    alg = validate([[0, 1], [0, 0]], 0, labels=labels, name=name)
+    path = tmp_path / "out.lalg"
+    with pytest.raises(UnwritableLabel) as exc:
+        save_algebra(alg, path)
+    assert repr(offending) in str(exc.value)
+    assert ".json" in str(exc.value)
+    assert not path.exists()
+    save_algebra(alg, tmp_path / "out.json")
+    back = load_algebra(tmp_path / "out.json")
+    assert (back.name, back.labels, back.unit, back.table) == (
+        alg.name, alg.labels, alg.unit, alg.table
+    )
 
 
 def test_json_metadata_round_trip():

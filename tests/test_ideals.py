@@ -104,6 +104,25 @@ def test_join_irreducible_route_matches_subset_filter(algebras):
                 assert lat.residuation_table[i][j] == _greatest_residual(lat, i, j), alg.name
 
 
+def test_join_irreducibles_are_found_once_per_lattice(algebras, monkeypatch):
+    # enumerate_ideals hands its join-irreducibles to the lattice; a
+    # hand-built lattice finds the same ones, and the same down-sets, itself
+    calls = []
+    found = ideals._join_irreducibles
+    monkeypatch.setattr(
+        ideals, "_join_irreducibles", lambda *a: calls.append(a) or found(*a)
+    )
+    corpus = list(algebras.values()) + list(enumerate_all(4))
+    for alg in corpus:
+        lat = enumerate_ideals(alg)
+        assert len(calls) == 1, alg.name
+        calls.clear()
+        again = IdealLattice(alg, lat.masks)
+        assert again.join_irreducibles == lat.join_irreducibles, alg.name
+        assert again.downsets == lat.downsets, alg.name
+        calls.clear()
+
+
 def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
     # 2 x 6 grid poset, 12 elements
     elements = tuple(f"a{i}" for i in range(6)) + tuple(f"b{i}" for i in range(6))

@@ -2,10 +2,9 @@ import pytest
 
 from lalg.constructions import Fixture, PosetSpec, fixtures, poset_algebra, product_pairs
 from lalg.core import FiniteLAlgebra
+from lalg.formats import algebra_to_document, document_from_json_object
 from lalg.laws import (
     LAWS,
-    algebra_doc,
-    algebra_from_doc,
     all_pass,
     law_ids,
     replay,
@@ -106,8 +105,9 @@ def test_axiom_law_fails_on_invalid_table():
 
 
 def test_algebra_doc_round_trip(diamond):
-    doc = algebra_doc(diamond)
-    back = algebra_from_doc(doc, validated=True)
+    # the witness snapshot and its replay use the formats pair
+    doc = algebra_to_document(diamond).to_json_object()
+    back = document_from_json_object(doc).to_algebra(validated=True)
     assert back.table == diamond.table
     assert back.labels == diamond.labels
     assert back.unit == diamond.unit

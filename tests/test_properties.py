@@ -1,5 +1,8 @@
 """Property tests: closure confluence, monotonicity, builder soundness,
-element-order invariance."""
+element-order invariance, file round trips."""
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,8 @@ from lalg.constructions import (
     upper_set_masks,
 )
 from lalg.core import validate
+from lalg.errors import UnwritableLabel
+from lalg.formats import load_algebra, save_algebra
 from lalg.ideals import bits, close_under_rules, enumerate_ideals, generate_ideal
 from lalg.spectrum import prime_ideals
 
@@ -167,3 +172,31 @@ def test_ideals_follow_element_order(data):
     shuffled_lat = enumerate_ideals(shuffled)
     assert set(shuffled_lat.masks) == moved
     assert prime_ideals(shuffled_lat).point_count == prime_ideals(lat).point_count
+
+
+# any character UTF-8 can carry, with the separators of the line format
+# drawn often
+LABELS = st.text(st.one_of(st.sampled_from(" #:\t"), st.characters(codec="utf-8")), max_size=4)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_saved_algebras_read_back_or_are_refused(data):
+    base = data.draw(st.sampled_from(CORPUS))
+    labels = data.draw(st.lists(LABELS, min_size=base.n, max_size=base.n, unique=True))
+    alg = validate(base.table, base.unit, labels=labels, name=data.draw(LABELS))
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix in (".lalg", ".json"):
+            path = Path(tmp) / f"saved{suffix}"
+            try:
+                save_algebra(alg, path)
+            except UnwritableLabel:
+                assert suffix == ".lalg", "a .json save always reads back"
+                assert not path.exists()
+                continue
+            back = load_algebra(path)
+            # the default name X marks an unnamed algebra, which takes the stem
+            name = "saved" if alg.name == "X" else alg.name
+            assert (back.name, back.labels, back.unit, back.table) == (
+                name, alg.labels, alg.unit, alg.table
+            )
