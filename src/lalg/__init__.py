@@ -30,7 +30,6 @@ from .errors import (
     MaximalAvoiderNotPrime,
     NonUniqueAttachment,
     NonUniqueProduct,
-    NotTransitive,
     ParseError,
     PrimeDefinitionMismatch,
     PrimeNotQuasiPrime,

@@ -22,7 +22,6 @@ from .errors import (
     AxiomViolation,
     MalformedTable,
     NonUniqueProduct,
-    NotTransitive,
     Violation,
 )
 
@@ -244,11 +243,10 @@ def _assert_products_unique(alg: FiniteLAlgebra) -> None:
 
 
 def derive_order(alg: FiniteLAlgebra) -> OrderRelation:
-    """Read the order off the table and cross-check that it is a partial order.
+    """Read the relation x*y = 1 off the table as bitmask rows.
 
-    Reflexivity and antisymmetry come straight from the axioms; transitivity
-    is a consequence, so a failure here means the table was never a valid
-    L-algebra and :class:`NotTransitive` reports the witness triple.
+    Nothing is checked here: the law ``order.partial-order`` checks that the
+    relation is a partial order with top 1.
     """
     n = alg.n
     t = alg.table
@@ -260,22 +258,6 @@ def derive_order(alg: FiniteLAlgebra) -> OrderRelation:
             if t[i][j] == unit:
                 above[i] |= 1 << j
                 below[j] |= 1 << i
-    for x in range(n):
-        ax = above[x]
-        y_mask = ax
-        while y_mask:
-            y = (y_mask & -y_mask).bit_length() - 1
-            y_mask &= y_mask - 1
-            if above[y] & ~ax:
-                z = ((above[y] & ~ax) & -(above[y] & ~ax)).bit_length() - 1
-                raise NotTransitive(
-                    f"{alg.name}: {alg.label(x)} <= {alg.label(y)} <= {alg.label(z)} "
-                    f"but not {alg.label(x)} <= {alg.label(z)}",
-                    witness={
-                        "algebra": alg.name,
-                        "triple": [alg.label(x), alg.label(y), alg.label(z)],
-                    },
-                )
     return OrderRelation(unit=unit, above=tuple(above), below=tuple(below))
 
 

@@ -57,16 +57,14 @@ class FalsificationError(LAlgebraError):
         super().__init__(message)
 
 
-class NotTransitive(FalsificationError):
-    """The derived relation x <= y is not transitive (cross-check failure)."""
-
-
 class NonUniqueProduct(FalsificationError):
     """Two distinct witnesses for one partial product x = y * z, z <= y."""
 
 
 class DistributivityFailure(FalsificationError):
-    """An ideal-lattice triple where (I v J) n K != (I n K) v (J n K)."""
+    """The ideal lattice does not embed into the sets of its join-irreducibles:
+    two ideals share a down-set, a join-irreducible is not join-prime, or no
+    ideal has the union of two down-sets."""
 
 
 class JoinWitnessMismatch(FalsificationError):

@@ -38,9 +38,14 @@ REPORT_SCHEMA = 1
 
 @dataclass(frozen=True)
 class AlgebraDocument:
-    """An algebra as written in a file: labels only, no indices."""
+    """An algebra as written in a file: labels only, no indices.
 
-    name: str
+    ``name`` is None when the file has no name line (or key); such an
+    algebra takes the default name ``X``, and :func:`load_algebra` gives it
+    the file's stem.
+    """
+
+    name: str | None
     elements: tuple[str, ...]
     unit: str
     table: tuple[tuple[str, ...], ...]
@@ -49,10 +54,11 @@ class AlgebraDocument:
     def to_algebra(self, validated: bool = True) -> FiniteLAlgebra:
         index = {lab: i for i, lab in enumerate(self.elements)}
         table = [[index[v] for v in row] for row in self.table]
+        name = "X" if self.name is None else self.name
         if validated:
-            return validate(table, index[self.unit], labels=self.elements, name=self.name)
+            return validate(table, index[self.unit], labels=self.elements, name=name)
         return FiniteLAlgebra(
-            name=self.name,
+            name=name,
             labels=self.elements,
             unit=index[self.unit],
             table=tuple(tuple(r) for r in table),
@@ -60,12 +66,10 @@ class AlgebraDocument:
 
     def to_json_object(self) -> dict:
         """The document as the JSON format writes it (and witnesses embed it)."""
-        payload: dict = {
-            "name": self.name,
-            "elements": list(self.elements),
-            "unit": self.unit,
-            "table": [list(row) for row in self.table],
-        }
+        payload: dict = {} if self.name is None else {"name": self.name}
+        payload["elements"] = list(self.elements)
+        payload["unit"] = self.unit
+        payload["table"] = [list(row) for row in self.table]
         if self.metadata is not None:
             payload["metadata"] = self.metadata
         return payload
@@ -167,7 +171,7 @@ def parse_algebra_text(text: str) -> AlgebraDocument:
     if missing:
         raise ParseError(last_line + 1, 1, f"missing row for {missing[0]!r}")
     return AlgebraDocument(
-        name=name if name is not None else "X",
+        name=name,
         elements=elements,
         unit=unit,
         table=tuple(rows[e] for e in elements),
@@ -177,17 +181,15 @@ def parse_algebra_text(text: str) -> AlgebraDocument:
 
 def serialize_algebra_text(doc: AlgebraDocument) -> str:
     """The line format; refuses a name or label it could not read back."""
-    for what, text in [("name", doc.name)] + [("label", e) for e in doc.elements]:
+    named = [] if doc.name is None else [("name", doc.name)]
+    for what, text in named + [("label", e) for e in doc.elements]:
         if not text or "#" in text or any(c.isspace() for c in text):
             raise UnwritableLabel(
                 f"{what} {text!r} cannot be written in the line format, which splits "
                 "on whitespace and '#'; save to a .json path instead"
             )
-    lines = [
-        f"name: {doc.name}",
-        f"elements: {' '.join(doc.elements)}",
-        f"unit: {doc.unit}",
-    ]
+    lines = [] if doc.name is None else [f"name: {doc.name}"]
+    lines += [f"elements: {' '.join(doc.elements)}", f"unit: {doc.unit}"]
     for label, row in zip(doc.elements, doc.table):
         lines.append(f"row {label}: {' '.join(row)}")
     return "\n".join(lines) + "\n"
@@ -232,8 +234,9 @@ def document_from_json_object(data: object) -> AlgebraDocument:
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError(1, 1, "metadata must be an object")
+    name = data.get("name")
     return AlgebraDocument(
-        name=str(data.get("name", "X")),
+        name=None if name is None else str(name),
         elements=tuple(elements),
         unit=data["unit"],
         table=tuple(tuple(row) for row in table),
@@ -255,7 +258,7 @@ def parse_algebra(text: str, suffix: str = ".lalg") -> AlgebraDocument:
 def load_algebra(path: str | Path, validated: bool = True) -> FiniteLAlgebra:
     p = Path(path)
     doc = parse_algebra(p.read_text(encoding="utf-8"), p.suffix)
-    if doc.name == "X":
+    if doc.name is None:
         doc = AlgebraDocument(p.stem, doc.elements, doc.unit, doc.table, doc.metadata)
     return doc.to_algebra(validated=validated)
 

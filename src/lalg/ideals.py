@@ -15,7 +15,7 @@ throughout; the carrier cap of 64 in :mod:`lalg.core` keeps that honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import FiniteLAlgebra, validate
 from .errors import (
@@ -207,6 +207,11 @@ class IdealLattice:
     theorems are checked once per algebra, in the laws
     ``ideal-lattice.distributive``, ``join.witness-form`` and
     ``residuation.adjunction``.
+
+    Construction does not check the family.  A hand-built family in which
+    two members share a down-set is accepted, and ``join_table`` then keeps
+    the last of them; the injectivity check of :func:`certify_distributive`,
+    run by ``ideal-lattice.distributive``, names both.
     """
 
     def __init__(
@@ -314,25 +319,49 @@ class IdealLattice:
         return tuple(table)
 
 
-def check_distributive(
-    masks: tuple[int, ...],
-    index: dict[int, int],
-    join_table: tuple[tuple[int, ...], ...],
-    name: str = "lattice",
-) -> None:
-    """Raise DistributivityFailure on any triple with (IvJ)nK != (InK)v(JnK)."""
-    m = len(masks)
-    for i in range(m):
-        for j in range(i, m):
-            left_join = masks[join_table[i][j]]
-            for k in range(m):
-                lhs = left_join & masks[k]
-                rhs = masks[join_table[index[masks[i] & masks[k]]][index[masks[j] & masks[k]]]]
-                if lhs != rhs:
-                    raise DistributivityFailure(
-                        f"{name}: (I v J) n K != (I n K) v (J n K)",
-                        witness={"I": masks[i], "J": masks[j], "K": masks[k]},
-                    )
+def certify_distributive(
+    masks: Sequence[int],
+    join_irreducibles: Sequence[int],
+    downsets: Sequence[int],
+    join: Callable[[int], int],
+    name: str,
+    label: Callable[[int], object],
+) -> int:
+    """Certify that I -> S_I embeds the lattice into the sets of join-irreducibles.
+
+    ``downsets[k]`` is S_I for ``masks[k]`` (as bits over
+    ``join_irreducibles``), ``join`` takes a union of members to their join,
+    and ``label`` names a member in a witness.  The map preserves meets by
+    definition; it preserves joins when every join-irreducible j is
+    join-prime, which holds exactly when j lies outside the join of all
+    members that do not contain it.  An injective
+    map that preserves both is an embedding into a lattice of sets, so the
+    lattice is distributive (Birkhoff; Davey & Priestley, ch. 5), and every
+    member is the join of the join-irreducibles inside it.  Raises
+    :class:`DistributivityFailure` naming two members with one down-set or
+    a join-irreducible that is not join-prime; returns the number of checks,
+    one per member and one join per join-irreducible.
+    """
+    first: dict[int, int] = {}
+    for k, down in enumerate(downsets):
+        other = first.setdefault(down, k)
+        if other != k:
+            raise DistributivityFailure(
+                f"{name}: two ideals have the same down-set of join-irreducibles",
+                witness={"I": label(masks[other]), "J": label(masks[k])},
+            )
+    for b, jmask in enumerate(join_irreducibles):
+        rest = 0
+        for mask, down in zip(masks, downsets):
+            if not (down >> b) & 1:
+                rest |= mask
+        joined = join(rest)
+        if jmask & ~joined == 0:
+            raise DistributivityFailure(
+                f"{name}: a join-irreducible ideal is not join-prime",
+                witness={"join_irreducible": label(jmask), "join_of_the_rest": label(joined)},
+            )
+    return len(masks) + len(join_irreducibles)
 
 
 def _labels(alg: FiniteLAlgebra, mask: int) -> list[str]:
@@ -351,38 +380,63 @@ def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
     return IdealLattice(alg, _ideal_masks(alg, principal, joinirr), principal, joinirr)
 
 
+def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Yield the witness join of each (i, j) pair of lattice indices, certified.
+
+    y is in the witness join w of I and J when some x in I has x*y and y*x
+    in J, so w is the union of one precomputed mask per member of I.  By
+    detachment w lies inside every ideal that holds I u J; so w is the
+    closure of I u J exactly when it holds I u J and is an ideal.  Each pair
+    checks that and that w is the entry of ``join_table``, with ``is_ideal``
+    run once per entry; a miss computes the closure and raises
+    :class:`JoinWitnessMismatch` with all three.
+    """
+    alg = lattice.algebra
+    t = alg.table
+    masks = lattice.masks
+    by_right: dict[int, list[int]] = {}
+    entry_is_ideal: dict[int, bool] = {}
+    for i, j in pairs:
+        imask, jmask = masks[i], masks[j]
+        if j not in by_right:
+            by_right[j] = [
+                mask_of(y for y, xy in enumerate(row) if (jmask >> xy) & 1 and (jmask >> t[y][x]) & 1)
+                for x, row in enumerate(t)
+            ]
+        wit = by_right[j]
+        w = 0
+        for x in bits(imask):
+            w |= wit[x]
+        k = lattice.join_table[i][j]
+        if k not in entry_is_ideal:
+            entry_is_ideal[k] = is_ideal(alg, masks[k])
+        union = imask | jmask
+        if not (w == masks[k] and union & ~w == 0 and entry_is_ideal[k]):
+            raise JoinWitnessMismatch(
+                f"{alg.name}: witness join, closure join and join table disagree",
+                witness={
+                    "algebra": alg.name,
+                    "left": _labels(alg, imask),
+                    "right": _labels(alg, jmask),
+                    "closure_join": _labels(alg, close_under_rules(alg, union)),
+                    "witness_join": _labels(alg, w),
+                    "table_join": _labels(alg, masks[k]),
+                },
+            )
+        yield w
+
+
 def join_via_witness(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:
     """Join via congruence witnesses: y is in I v J iff some x in I has x*y
     and y*x in J.
 
     The witness join must equal the closure of I u J and the entry of
-    ``join_table``; a mismatch raises :class:`JoinWitnessMismatch` with all
-    three instead of returning one of them.
+    ``join_table`` (see :func:`witness_joins`); a mismatch raises
+    :class:`JoinWitnessMismatch` with all three instead of returning one of
+    them.
     """
-    alg = lattice.algebra
-    t = alg.table
-    jmask = right.members
-    w = 0
-    for y in range(alg.n):
-        for x in bits(left.members):
-            if (jmask >> t[x][y]) & 1 and (jmask >> t[y][x]) & 1:
-                w |= 1 << y
-                break
-    closed = close_under_rules(alg, left.members | jmask)
-    entry = lattice.masks[lattice.join_table[lattice.index(left.members)][lattice.index(jmask)]]
-    if not w == closed == entry:
-        raise JoinWitnessMismatch(
-            f"{alg.name}: witness join, closure join and join table disagree",
-            witness={
-                "algebra": alg.name,
-                "left": _labels(alg, left.members),
-                "right": _labels(alg, jmask),
-                "closure_join": _labels(alg, closed),
-                "witness_join": _labels(alg, w),
-                "table_join": _labels(alg, entry),
-            },
-        )
-    return Ideal(alg, w)
+    pair = (lattice.index(left.members), lattice.index(right.members))
+    return Ideal(lattice.algebra, next(witness_joins(lattice, [pair])))
 
 
 def residuation(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:

@@ -1,5 +1,6 @@
 import pytest
 
+from lalg.constructions import Fixture
 from lalg.core import (
     FiniteLAlgebra,
     axiom_violations,
@@ -14,8 +15,8 @@ from lalg.errors import (
     AxiomViolation,
     MalformedTable,
     NonUniqueProduct,
-    NotTransitive,
 )
+from lalg.laws import run_law
 
 
 def test_validate_b2():
@@ -101,15 +102,22 @@ def test_order_chain3_total(chain3):
 
 def test_not_transitive_cross_check():
     # a <= b <= c but a and c incomparable: impossible for a valid algebra,
-    # so this table goes in unvalidated
+    # so this table goes in unvalidated; derive_order reads the relation and
+    # the law order.partial-order refuses it
     alg = FiniteLAlgebra(
         "bad",
         ("1", "a", "b", "c"),
         0,
         ((0, 1, 2, 3), (0, 0, 0, 3), (0, 1, 0, 0), (0, 1, 2, 0)),
     )
-    with pytest.raises(NotTransitive):
-        derive_order(alg)
+    assert derive_order(alg).leq(1, 2) and not derive_order(alg).leq(1, 3)
+    report = run_law("order.partial-order", Fixture("bad", alg))
+    assert report.verdict == "fail"
+    assert report.witness["problem"] == "not transitive"
+    assert report.witness["triple"] == ["a", "b", "c"]
+    # one instance for each of the elements 1 and a, one for each of the
+    # pairs a < 1 and a < b
+    assert report.instances == 4
 
 
 def _product_oracle(alg, x, y):

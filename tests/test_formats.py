@@ -9,6 +9,7 @@ from lalg.formats import (
     AlgebraDocument,
     algebra_to_document,
     load_algebra,
+    parse_algebra,
     parse_algebra_json,
     parse_algebra_text,
     parse_poset_text,
@@ -152,6 +153,22 @@ def test_text_save_refuses_what_the_line_format_cannot_carry(
     assert (back.name, back.labels, back.unit, back.table) == (
         alg.name, alg.labels, alg.unit, alg.table
     )
+
+
+@pytest.mark.parametrize("suffix", [".lalg", ".json"])
+def test_only_a_missing_name_takes_the_file_stem(tmp_path, suffix):
+    alg = validate([[0, 1], [0, 0]], 0, labels=("1", "a"), name="X")
+    save_algebra(alg, tmp_path / f"keep{suffix}")
+    assert load_algebra(tmp_path / f"keep{suffix}").name == "X"
+    doc = algebra_to_document(alg)
+    nameless = AlgebraDocument(None, doc.elements, doc.unit, doc.table)
+    write = serialize_algebra_json if suffix == ".json" else serialize_algebra_text
+    text = write(nameless)
+    assert parse_algebra(text, suffix).name is None
+    assert "name" not in text
+    (tmp_path / f"anon{suffix}").write_text(text, encoding="utf-8")
+    assert load_algebra(tmp_path / f"anon{suffix}").name == "anon"
+    assert nameless.to_algebra().name == "X"
 
 
 def test_json_metadata_round_trip():

@@ -1,6 +1,6 @@
 import pytest
 
-from lalg import ideals
+from lalg import ideals, laws
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import FiniteLAlgebra
 from lalg.errors import (
@@ -11,7 +11,7 @@ from lalg.errors import (
 )
 from lalg.ideals import (
     IdealLattice,
-    check_distributive,
+    certify_distributive,
     close_under_rules,
     congruence_of,
     enumerate_ideals,
@@ -23,7 +23,7 @@ from lalg.ideals import (
     quotient,
     residuation,
 )
-from lalg.laws import run_law
+from lalg.laws import run_law, run_suite
 
 
 def _labels(alg, mask):
@@ -85,15 +85,46 @@ def _greatest_residual(lat, i, j):
     return greatest
 
 
-def test_join_irreducible_route_matches_subset_filter(algebras):
-    # the ideals against the subset filter, and the join and residuation
-    # tables read off the join-irreducibles against the closure join and
-    # the greatest-ideal scan
+def _distributive_by_triples(masks, join_table):
+    """Oracle: (I v J) n K = (I n K) v (J n K) on every triple."""
+    index = {mask: k for k, mask in enumerate(masks)}
+    m = len(masks)
+    for i in range(m):
+        for j in range(i, m):
+            left_join = masks[join_table[i][j]]
+            for k in range(m):
+                meet_i = index[masks[i] & masks[k]]
+                meet_j = index[masks[j] & masks[k]]
+                if left_join & masks[k] != masks[join_table[meet_i][meet_j]]:
+                    return False
+    return True
+
+
+def _residuation_by_triples(lat):
+    """Oracle: K n I <= J exactly when K <= I*J, on every triple."""
+    m = len(lat)
+    return all(
+        (lat.masks[k] & lat.masks[i] & ~lat.masks[j] == 0)
+        == lat.leq(k, lat.residuation_table[i][j])
+        for k in range(m)
+        for i in range(m)
+        for j in range(m)
+    )
+
+
+def _corpus_to_five(algebras):
     corpus = list(algebras.values())
     corpus += [a for n in (1, 2, 3, 4) for a in enumerate_all(n)]
     iso5 = list(enumerate_all(5, up_to_iso=True))
     assert len(iso5) == 632
-    for alg in corpus + iso5:
+    return corpus + iso5
+
+
+def test_join_irreducible_route_matches_subset_filter(algebras):
+    # the ideals against the subset filter, and the join and residuation
+    # tables read off the join-irreducibles against the closure join and
+    # the greatest-ideal scan
+    for alg in _corpus_to_five(algebras):
         lat = enumerate_ideals(alg)
         assert sorted(lat.masks) == _ideal_masks_by_filter(alg), alg.name
         m = len(lat)
@@ -102,6 +133,27 @@ def test_join_irreducible_route_matches_subset_filter(algebras):
                 closed = _closure_join(alg, lat.masks[i], lat.masks[j])
                 assert lat.masks[lat.join_table[i][j]] == closed, alg.name
                 assert lat.residuation_table[i][j] == _greatest_residual(lat, i, j), alg.name
+
+
+CERTIFIED = ("ideal-lattice.distributive", "join.witness-form", "residuation.adjunction")
+
+
+def test_certified_laws_agree_with_the_triple_oracles(algebras):
+    # the certificate-based rows against the m^3 loops they replace; each
+    # row also counts what it checked: m down-sets and k joins, m(m+1)/2
+    # pairs, and (k+1) m^2 triples over the bottom and the join-irreducibles
+    for alg in _corpus_to_five(algebras):
+        lat = enumerate_ideals(alg)
+        m, k = len(lat), len(lat.join_irreducibles)
+        rows = {r.law: r for r in run_suite([Fixture(alg.name, alg)], laws=CERTIFIED)}
+        distributive = _distributive_by_triples(lat.masks, lat.join_table)
+        assert (rows["ideal-lattice.distributive"].verdict == "pass") == distributive, alg.name
+        residuated = _residuation_by_triples(lat)
+        assert (rows["residuation.adjunction"].verdict == "pass") == residuated, alg.name
+        assert rows["join.witness-form"].verdict == "pass", alg.name
+        assert rows["ideal-lattice.distributive"].instances == m + k, alg.name
+        assert rows["join.witness-form"].instances == m * (m + 1) // 2, alg.name
+        assert rows["residuation.adjunction"].instances == (k + 1) * m * m, alg.name
 
 
 def test_join_irreducibles_are_found_once_per_lattice(algebras, monkeypatch):
@@ -208,18 +260,63 @@ def test_is_ideal_rejects_non_ideals(diamond):
     assert is_ideal(diamond, diamond.full_mask)
 
 
+def _least_cover(masks, union):
+    """The join in a hand-built family of sets: its least member holding ``union``."""
+    return min((m for m in masks if union & ~m == 0), key=int.bit_count)
+
+
+def _planted_certificate(masks, join_irreducibles):
+    downsets = ideals._downsets(join_irreducibles, masks)
+    join = lambda union: _least_cover(masks, union)
+    return certify_distributive(masks, join_irreducibles, downsets, join, "planted", int)
+
+
+def _table_of_joins(masks):
+    return [[masks.index(_least_cover(masks, a | b)) for b in masks] for a in masks]
+
+
 def test_distributivity_checker_trips_on_n5():
-    masks = (0b0001, 0b0011, 0b1001, 0b0111, 0b1111)
-    index = {m: k for k, m in enumerate(masks)}
-    join_table = (
-        (0, 1, 2, 3, 4),
-        (1, 1, 4, 3, 4),
-        (2, 4, 2, 4, 4),
-        (3, 3, 4, 3, 4),
-        (4, 4, 4, 4, 4),
-    )
-    with pytest.raises(DistributivityFailure):
-        check_distributive(masks, index, join_table)
+    # 0 < a < b < 1 and 0 < c < 1: b is join-irreducible, yet it lies below
+    # a v c although neither a nor c is above it
+    masks = [0b0001, 0b0011, 0b1001, 0b0111, 0b1111]
+    assert not _distributive_by_triples(masks, _table_of_joins(masks))
+    with pytest.raises(DistributivityFailure) as exc:
+        _planted_certificate(masks, [0b0011, 0b1001, 0b0111])
+    assert exc.value.witness == {"join_irreducible": 0b0111, "join_of_the_rest": 0b1111}
+
+
+def test_distributivity_checker_trips_on_m3():
+    # three atoms under one top: each atom lies below the join of the others
+    masks = [0b0001, 0b0011, 0b0101, 0b1001, 0b1111]
+    assert not _distributive_by_triples(masks, _table_of_joins(masks))
+    with pytest.raises(DistributivityFailure) as exc:
+        _planted_certificate(masks, masks[1:4])
+    assert exc.value.witness["join_irreducible"] == 0b0011
+
+
+def test_shared_down_set_fails_the_distributivity_law(monkeypatch, chain3):
+    # plant the down-set of {1,a} on the top of chain3: construction keeps
+    # the last of the two in its join index and raises nothing, so the
+    # certificate's injectivity check is what must name both
+    masks = enumerate_ideals(chain3).masks
+    real = ideals._downsets
+
+    def planted(joinirr, family):
+        out = real(joinirr, family)
+        return out[:-1] + [out[-2]]
+
+    monkeypatch.setattr(ideals, "_downsets", planted)
+    lat = IdealLattice(chain3, masks)
+    monkeypatch.setattr(laws, "enumerate_ideals", lambda alg: lat)
+    fixture = Fixture("chain3", chain3)
+    report = run_law("ideal-lattice.distributive", fixture)
+    assert report.verdict == "fail"
+    assert report.witness["error"] == "DistributivityFailure"
+    assert (report.witness["I"], report.witness["J"]) == (["1", "a"], ["1", "a", "b"])
+    # the residuation law loses its certificate and checks all m^3 triples
+    report = run_law("residuation.adjunction", fixture)
+    assert report.verdict == "pass"
+    assert report.instances == 3 ** 3
 
 
 def test_join_witness_mismatch_surfaces_on_magma():

@@ -142,6 +142,25 @@ def test_ideal_lattice_above_the_carrier_cap_is_checked():
     assert report.instances == 128 * 128
 
 
+def test_certified_lattice_laws_on_anti8():
+    # 8 atoms under a top: 256 ideals and 8 join-irreducibles, where the
+    # m^3 loops took seconds; the certificates check m + k down-sets and
+    # joins and (k+1) m^2 residuation triples
+    atoms = tuple(f"a{i}" for i in range(8))
+    anti8 = poset_algebra(
+        PosetSpec(elements=("t",) + atoms, covers=tuple((a, "t") for a in atoms), top="t")
+    )
+    reports = run_suite(
+        [Fixture("anti8", anti8)],
+        laws=["ideal-lattice.distributive", "join.witness-form", "residuation.adjunction"],
+    )
+    assert [(r.law, r.verdict, r.instances, r.detail) for r in reports] == [
+        ("ideal-lattice.distributive", "pass", 256 + 8, "256 ideals"),
+        ("join.witness-form", "pass", 256 * 257 // 2, None),
+        ("residuation.adjunction", "pass", 9 * 256 * 256, None),
+    ]
+
+
 def test_lattice_is_algebra_law_fails_on_planted_residuals(monkeypatch, b2):
     # every residual the bottom: {1}*{1} is no longer the unit X, so the
     # table breaks x*x = 1

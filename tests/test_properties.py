@@ -195,8 +195,8 @@ def test_saved_algebras_read_back_or_are_refused(data):
                 assert not path.exists()
                 continue
             back = load_algebra(path)
-            # the default name X marks an unnamed algebra, which takes the stem
-            name = "saved" if alg.name == "X" else alg.name
+            # every saved algebra has a name line, so it keeps its name,
+            # X included; only a file without one takes the stem
             assert (back.name, back.labels, back.unit, back.table) == (
-                name, alg.labels, alg.unit, alg.table
+                alg.name, alg.labels, alg.unit, alg.table
             )
