@@ -31,7 +31,6 @@ from .errors import (
     NonUniqueAttachment,
     NonUniqueProduct,
     ParseError,
-    PrimeDefinitionMismatch,
     PrimeNotQuasiPrime,
     QuotientNotWellDefined,
     ResiduationNotGreatest,

@@ -63,8 +63,9 @@ class NonUniqueProduct(FalsificationError):
 
 class DistributivityFailure(FalsificationError):
     """The ideal lattice does not embed into the sets of its join-irreducibles:
-    two ideals share a down-set, a join-irreducible is not join-prime, or no
-    ideal has the union of two down-sets."""
+    two ideals share a down-set, a join-irreducible is not join-prime, no
+    ideal has the union of two down-sets, or a join-irreducible has no dual
+    prime ideal."""
 
 
 class JoinWitnessMismatch(FalsificationError):
@@ -81,10 +82,6 @@ class CongruenceFailure(FalsificationError):
 
 class QuotientNotWellDefined(FalsificationError):
     """Quotient table value depends on the chosen class representatives."""
-
-
-class PrimeDefinitionMismatch(FalsificationError):
-    """Residuation-form and meet-form prime ideal tests disagree."""
 
 
 class PrimeNotQuasiPrime(FalsificationError):

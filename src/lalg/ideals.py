@@ -15,6 +15,7 @@ throughout; the carrier cap of 64 in :mod:`lalg.core` keeps that honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import FiniteLAlgebra, validate
@@ -189,7 +190,7 @@ def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[
 
 
 class IdealLattice:
-    """All ideals of one algebra with meet, join and residuation tables.
+    """All ideals of one algebra, with meet, join and residuation tables built on first read.
 
     Ideals are deduplicated by mask and sorted by (popcount, mask), so index
     0 is the bottom {1} and the last index is the full carrier.  ``principal``
@@ -197,16 +198,19 @@ class IdealLattice:
     join-irreducible ones among them when the caller has them already (as
     :func:`enumerate_ideals` does); otherwise they are computed here.
 
-    The lattice is data only.  ``downsets[k]`` is the set S_I of
-    ``join_irreducibles`` inside the k-th ideal.  I n J is the intersection,
-    I v J the ideal with down-set S_I u S_J, and I*J the set
-    {x | <x> n I <= J}; each is looked up among the ideals.  A hit is the
-    meet, the join or the greatest K with K n I <= J; a join that misses
-    raises :class:`DistributivityFailure` (only a non-distributive lattice
-    lacks it), a residual that misses :class:`ResiduationNotGreatest`.  The
-    theorems are checked once per algebra, in the laws
-    ``ideal-lattice.distributive``, ``join.witness-form`` and
-    ``residuation.adjunction``.
+    Construction keeps the masks, the principal ideals, the join-irreducibles
+    and ``downsets``: ``downsets[k]`` is the set S_I of ``join_irreducibles``
+    inside the k-th ideal.  ``meet_table``, ``join_table`` and
+    ``residuation_table`` are m x m and are built when first read, so a
+    lattice that only serves its masks and its spectrum never builds them.
+    I n J is the intersection, I v J the ideal with down-set S_I u S_J, and
+    I*J the set {x | <x> n I <= J}; each is looked up among the ideals.  A hit
+    is the meet, the join or the greatest K with K n I <= J; a join that
+    misses raises :class:`DistributivityFailure` (only a non-distributive
+    lattice lacks it), a residual that misses :class:`ResiduationNotGreatest`,
+    each when its table is first read.  The theorems are checked once per
+    algebra, in the laws ``ideal-lattice.distributive``, ``join.witness-form``
+    and ``residuation.adjunction``.
 
     Construction does not check the family.  A hand-built family in which
     two members share a down-set is accepted, and ``join_table`` then keeps
@@ -239,9 +243,6 @@ class IdealLattice:
             join_irreducibles = _join_irreducibles(algebra, principal)
         self.join_irreducibles = tuple(join_irreducibles)
         self.downsets = tuple(_downsets(self.join_irreducibles, self.masks))
-        self.meet_table = self._build_meets()
-        self.join_table = self._build_joins()
-        self.residuation_table = self._build_residuations()
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -258,7 +259,8 @@ class IdealLattice:
     def proper_indices(self) -> Iterator[int]:
         return (k for k in range(len(self.masks)) if k != self.top)
 
-    def _build_meets(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
         m = len(self.masks)
         table = [[0] * m for _ in range(m)]
         for i in range(m):
@@ -269,7 +271,8 @@ class IdealLattice:
                 table[i][j] = table[j][i] = k
         return tuple(tuple(r) for r in table)
 
-    def _build_joins(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
         m = len(self.masks)
         by_downset = {d: k for k, d in enumerate(self.downsets)}
         table = [[0] * m for _ in range(m)]
@@ -297,7 +300,8 @@ class IdealLattice:
                 out |= 1 << x
         return out
 
-    def _build_residuations(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def residuation_table(self) -> tuple[tuple[int, ...], ...]:
         table = []
         for imask in self.masks:
             row = []

@@ -20,6 +20,7 @@ from .core import axiom_violations, meet, partial_product, structure_flags
 from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError
 from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
+    IdealLattice,
     bits,
     certify_distributive,
     close_under_rules,
@@ -55,7 +56,11 @@ class Context:
 
     @cached_property
     def lattice(self):
-        return enumerate_ideals(self.algebra)
+        lat = enumerate_ideals(self.algebra)
+        # the tables are built on first read: read them here, so that their
+        # time is the lattice's and not that of the first law to read one
+        _ = (lat.meet_table, lat.join_table, lat.residuation_table)
+        return lat
 
     @cached_property
     def topology(self):
@@ -466,9 +471,46 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
     return instances, None, None
 
 
+def _is_prime_residuation(lat: IdealLattice, p: int) -> bool:
+    """Proper P with, for every ideal I, I <= P or I*P <= P."""
+    if p == lat.top:
+        return False
+    for i in range(len(lat)):
+        if not lat.leq(i, p) and not lat.leq(lat.residuation_table[i][p], p):
+            return False
+    return True
+
+
+def _is_prime_meet(lat: IdealLattice, p: int) -> bool:
+    """Proper P with I n J <= P only when I <= P or J <= P."""
+    if p == lat.top:
+        return False
+    pmask = lat.masks[p]
+    m = len(lat)
+    for i in range(m):
+        if lat.masks[i] & ~pmask == 0:
+            continue
+        for j in range(i, m):
+            if (lat.masks[i] & lat.masks[j]) & ~pmask == 0 and lat.masks[j] & ~pmask:
+                return False
+    return True
+
+
 def _check_prime_definitions(ctx: Context) -> CheckResult:
-    spec = ctx.topology  # construction compares both definitions pointwise
-    return len(ctx.lattice), None, f"{spec.point_count} points"
+    """Each ideal is a point of the dual spectrum exactly when it is prime by
+    residuation and exactly when it is prime by meets."""
+    lat = ctx.lattice
+    spec = ctx.topology
+    points = set(spec.points)
+    for p in range(len(lat)):
+        verdicts = {
+            "dual_form": p in points,
+            "residuation_form": _is_prime_residuation(lat, p),
+            "meet_form": _is_prime_meet(lat, p),
+        }
+        if len(set(verdicts.values())) > 1:
+            return p + 1, {"ideal": lat.ideals[p].label_set(), **verdicts}, None
+    return len(lat), None, f"{spec.point_count} points"
 
 
 def _check_prime_quotient(ctx: Context) -> CheckResult:

@@ -10,6 +10,12 @@ module materializes that space, verifies its point-set properties (T0,
 sobriety, quasi-compact basis), computes prime and quasi-prime elements with
 their attached prime ideals, and checks that opens and closed sets are again
 spectra: Spec I matches U_I and Spec X/I matches its complement.
+
+The points come from the Birkhoff dual of the (distributive) ideal lattice:
+one prime per join-irreducible ideal, looked up by its down-set, so building
+a spectrum reads none of the lattice's m x m tables and a table miss is
+raised only where a table is first read.  The two textbook definitions of
+primality run once per algebra, in the law ``prime.definitions-agree``.
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ from typing import Iterable
 from .core import FiniteLAlgebra, StructureFlags, meet, structure_flags, subalgebra
 from .errors import (
     BijectionFailure,
+    DistributivityFailure,
     MaximalAvoiderNotPrime,
     NonUniqueAttachment,
-    PrimeDefinitionMismatch,
     PrimeNotQuasiPrime,
     SpatialityFailure,
 )
-from .ideals import Ideal, IdealLattice, bits, enumerate_ideals, is_ideal, quotient
+from .ideals import Ideal, IdealLattice, bits, enumerate_ideals, is_ideal, mask_of, quotient
 
 
 @dataclass(frozen=True)
@@ -71,55 +77,36 @@ class SpectrumTopology:
         return mask
 
 
-def _is_prime_residuation(lat: IdealLattice, p: int) -> bool:
-    """Proper P with, for every ideal I, I <= P or I*P <= P."""
-    if p == lat.top:
-        return False
-    for i in range(len(lat)):
-        if not lat.leq(i, p) and not lat.leq(lat.residuation_table[i][p], p):
-            return False
-    return True
-
-
-def _is_prime_meet(lat: IdealLattice, p: int) -> bool:
-    """Proper P with I n J <= P only when I <= P or J <= P."""
-    if p == lat.top:
-        return False
-    pmask = lat.masks[p]
-    m = len(lat)
-    for i in range(m):
-        if lat.masks[i] & ~pmask == 0:
-            continue
-        for j in range(i, m):
-            if (lat.masks[i] & lat.masks[j]) & ~pmask == 0 and lat.masks[j] & ~pmask:
-                return False
-    return True
-
-
 def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
-    """Compute the spectrum, requiring both prime-ideal definitions to agree.
+    """The spectrum, read off the join-irreducibles by Birkhoff duality.
 
-    Primality is evaluated once through residuation and once through
-    meet-irreducibility; a disagreement falsifies their equivalence and
-    raises :class:`PrimeDefinitionMismatch`.
+    In a finite distributive lattice the prime ideals are exactly the P_j,
+    one for each join-irreducible j, whose down-set S_P holds every
+    join-irreducible not above j (Birkhoff; Davey & Priestley, ch. 5 and 10).
+    Each P_j is looked up by its down-set and the points are sorted by
+    lattice index; no table is read.  A j without P_j raises
+    :class:`DistributivityFailure` naming j.  That these points are the
+    primes of both definitions (residuation and meet) is the law
+    ``prime.definitions-agree``.
     """
     alg = lat.algebra
+    joinirr = lat.join_irreducibles
+    every = (1 << len(joinirr)) - 1
+    by_downset = {d: k for k, d in enumerate(lat.downsets)}
     points = []
-    for p in range(len(lat)):
-        via_res = _is_prime_residuation(lat, p)
-        via_meet = _is_prime_meet(lat, p)
-        if via_res != via_meet:
-            raise PrimeDefinitionMismatch(
-                f"{alg.name}: prime ideal definitions disagree",
+    for jmask in joinirr:
+        above = mask_of(b for b, q in enumerate(joinirr) if jmask & ~q == 0)
+        p = by_downset.get(every & ~above)
+        if p is None:
+            raise DistributivityFailure(
+                f"{alg.name}: no ideal has the join-irreducibles not above j as its down-set",
                 witness={
                     "algebra": alg.name,
-                    "ideal": lat.ideals[p].label_set(),
-                    "residuation_form": via_res,
-                    "meet_form": via_meet,
+                    "join_irreducible": [alg.label(x) for x in bits(jmask)],
                 },
             )
-        if via_res:
-            points.append(p)
+        points.append(p)
+    points.sort()
     position = {p: k for k, p in enumerate(points)}
     opens = []
     for i in range(len(lat)):
@@ -291,12 +278,14 @@ def attach_prime_ideal(
     lat: IdealLattice,
     x: int,
     topology: SpectrumTopology | None = None,
+    quasi: tuple[int, ...] | None = None,
 ) -> tuple[Ideal, ...]:
     """All ideals maximal among those avoiding x; each must be prime.
 
     For quasi-prime x the maximal avoider is unique and the attachment map
     x -> P_x is well defined; several maximal avoiders are legal for other
-    elements and are all returned.
+    elements and are all returned.  ``quasi`` takes the quasi-prime elements
+    when the caller has them already; otherwise they are computed here.
     """
     if x == alg.unit:
         raise ValueError(f"{alg.name}: the unit is contained in every ideal")
@@ -317,7 +306,9 @@ def attach_prime_ideal(
                     "ideal": lat.ideals[k].label_set(),
                 },
             )
-    if x in quasi_prime_elements(alg, lat) and len(maximal) != 1:
+    if quasi is None:
+        quasi = quasi_prime_elements(alg, lat)
+    if x in quasi and len(maximal) != 1:
         raise NonUniqueAttachment(
             f"{alg.name}: quasi-prime {alg.label(x)} has {len(maximal)} maximal avoiders",
             witness={
@@ -362,7 +353,7 @@ def prime_element_report(
     for x in range(alg.n):
         if x == alg.unit:
             continue
-        ideals = attach_prime_ideal(alg, lat, x, topology=spec)
+        ideals = attach_prime_ideal(alg, lat, x, topology=spec, quasi=quasi)
         attachments.append(
             Attachment(
                 element=x,
@@ -500,9 +491,9 @@ def relative_spectrum(
         for new, old in enumerate(elems):
             if (restricted >> old) & 1:
                 sub_mask |= 1 << new
-        if sub_mask not in sub_lat.masks:
+        sub_index = sub_lat._index.get(sub_mask)
+        if sub_index is None:
             raise fail("Q n I is not an ideal of I")
-        sub_index = sub_lat.index(sub_mask)
         if sub_index not in sub_spec.points:
             raise fail("Q n I is not prime in I")
         back = lat.residuation_table[i_index][lat.index(restricted)]
@@ -527,9 +518,9 @@ def relative_spectrum(
         for x in range(alg.n):
             if (rmask >> proj[x]) & 1:
                 pullback |= 1 << x
-        if pullback not in lat.masks:
+        k = lat._index.get(pullback)
+        if k is None:
             raise fail("pullback of a quotient prime is not an ideal")
-        k = lat.index(pullback)
         if k not in complement:
             raise fail("pullback of a quotient prime misses the closed set")
         pulled.add(k)

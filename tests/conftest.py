@@ -37,3 +37,13 @@ def omega3(algebras):
 def small_corpus():
     """Every L-algebra with at most 3 elements (unit at index 0)."""
     return [a for n in (1, 2, 3) for a in enumerate_all(n)]
+
+
+@pytest.fixture(scope="session")
+def corpus_to_five(algebras):
+    """The fixtures, every labelled table with n <= 4 and the 632 classes at n = 5."""
+    corpus = list(algebras.values())
+    corpus += [a for n in (1, 2, 3, 4) for a in enumerate_all(n)]
+    iso5 = list(enumerate_all(5, up_to_iso=True))
+    assert len(iso5) == 632
+    return corpus + iso5

@@ -105,7 +105,7 @@ def test_criterion_03_prime_iff_quotient_irreducible(corpus, lattices):
     mismatches = 0
     for alg in corpus:
         lat = lattices[alg.name]
-        spec = prime_ideals(lat)  # raises if the two definitions disagree
+        spec = prime_ideals(lat)  # the points of the Birkhoff dual
         for p in lat.proper_indices():
             quot, _ = quotient(alg, lat.ideals[p])
             si = subdirectly_irreducible(quot, enumerate_ideals(quot))

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from lalg.constructions import Fixture
+from lalg.constructions import Fixture, enumerate_all
 from lalg.core import (
     FiniteLAlgebra,
     axiom_violations,
@@ -52,6 +54,39 @@ def test_validate_collects_multiple_axioms():
     violations = axiom_violations(table, 1)
     kinds = {v.axiom for v in violations}
     assert "antisymmetry" in kinds
+
+
+def _exchange_violations_by_triples(table):
+    """Oracle: the exchange identity checked at every (x, y, z), in that order."""
+    n = len(table)
+    return [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if table[table[x][y]][table[x][z]] != table[table[y][x]][table[y][z]]
+    ]
+
+
+def test_row_wise_exchange_check_matches_the_triple_loop():
+    # random tables, and L-algebras with one or two entries changed, so that
+    # the lists range from empty through a few triples to most of them
+    rng = random.Random(7)
+    valid = [a.table for n in (2, 3, 4) for a in enumerate_all(n)]
+    tables = []
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        tables.append([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    for _ in range(1500):
+        table = [list(row) for row in rng.choice(valid)]
+        n = len(table)
+        for _ in range(rng.randint(1, 2)):
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        tables.append(table)
+    for table in tables:
+        unit = 0
+        found = [v.witness for v in axiom_violations(table, unit) if v.axiom == "exchange"]
+        assert found == _exchange_violations_by_triples(table), table
 
 
 def test_malformed_tables():

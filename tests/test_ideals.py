@@ -112,19 +112,11 @@ def _residuation_by_triples(lat):
     )
 
 
-def _corpus_to_five(algebras):
-    corpus = list(algebras.values())
-    corpus += [a for n in (1, 2, 3, 4) for a in enumerate_all(n)]
-    iso5 = list(enumerate_all(5, up_to_iso=True))
-    assert len(iso5) == 632
-    return corpus + iso5
-
-
-def test_join_irreducible_route_matches_subset_filter(algebras):
+def test_join_irreducible_route_matches_subset_filter(corpus_to_five):
     # the ideals against the subset filter, and the join and residuation
     # tables read off the join-irreducibles against the closure join and
     # the greatest-ideal scan
-    for alg in _corpus_to_five(algebras):
+    for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
         assert sorted(lat.masks) == _ideal_masks_by_filter(alg), alg.name
         m = len(lat)
@@ -138,11 +130,11 @@ def test_join_irreducible_route_matches_subset_filter(algebras):
 CERTIFIED = ("ideal-lattice.distributive", "join.witness-form", "residuation.adjunction")
 
 
-def test_certified_laws_agree_with_the_triple_oracles(algebras):
+def test_certified_laws_agree_with_the_triple_oracles(corpus_to_five):
     # the certificate-based rows against the m^3 loops they replace; each
     # row also counts what it checked: m down-sets and k joins, m(m+1)/2
     # pairs, and (k+1) m^2 triples over the bottom and the join-irreducibles
-    for alg in _corpus_to_five(algebras):
+    for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
         m, k = len(lat), len(lat.join_irreducibles)
         rows = {r.law: r for r in run_suite([Fixture(alg.name, alg)], laws=CERTIFIED)}
@@ -343,18 +335,20 @@ def test_residuation_cross_check_trips_on_wrong_values(monkeypatch, b2):
 
 
 def test_residual_outside_the_family_raises(monkeypatch, b2):
-    # an element-wise residual that is not an ideal misses the index
+    # an element-wise residual that is not an ideal misses the index, when
+    # the table is first read: construction does not build it
     monkeypatch.setattr(
         IdealLattice, "_residuation_mask", lambda self, imask, jmask: 1 << (1 - b2.unit)
     )
+    lat = enumerate_ideals(b2)
     with pytest.raises(ResiduationNotGreatest):
-        enumerate_ideals(b2)
+        lat.residuation_table
 
 
 def test_join_outside_the_family_raises(monkeypatch, algebras):
     # plant a wrong down-set on the top of B2xB2: the union of the two atoms'
     # down-sets then names no ideal, which only a non-distributive lattice
-    # allows
+    # allows; the miss raises when the join table is first read
     alg = algebras["B2xB2"]
     masks = enumerate_ideals(alg).masks
     real = ideals._downsets
@@ -364,8 +358,9 @@ def test_join_outside_the_family_raises(monkeypatch, algebras):
         return out[:-1] + [out[-1] | 1 << len(joinirr)]
 
     monkeypatch.setattr(ideals, "_downsets", planted)
+    lat = IdealLattice(alg, masks)
     with pytest.raises(DistributivityFailure):
-        IdealLattice(alg, masks)
+        lat.join_table
 
 
 def test_congruence_classes_chain3(chain3):

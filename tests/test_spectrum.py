@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from lalg.constructions import PosetSpec, poset_algebra
+from lalg import laws, spectrum
+from lalg.constructions import Fixture, PosetSpec, poset_algebra
 from lalg.core import validate
 from lalg.errors import NonUniqueAttachment
 from lalg.ideals import enumerate_ideals
+from lalg.laws import _is_prime_meet, _is_prime_residuation, replay, run_law
 from lalg.spectrum import (
     attach_prime_ideal,
     check_frame_map,
@@ -40,6 +44,62 @@ def test_spectrum_b2xb2(algebras):
         frozenset({"(1,1)", "(0,1)"}),
         frozenset({"(1,1)", "(1,0)"}),
     }
+
+
+def test_dual_points_are_the_primes_of_both_definitions(corpus_to_five):
+    # the points read off the join-irreducibles against a scan of every
+    # ideal with the residuation form and with the meet form
+    for alg in corpus_to_five:
+        lat = enumerate_ideals(alg)
+        points = prime_ideals(lat).points
+        assert points == tuple(p for p in range(len(lat)) if _is_prime_residuation(lat, p)), alg.name
+        assert points == tuple(p for p in range(len(lat)) if _is_prime_meet(lat, p)), alg.name
+
+
+def test_dropped_dual_point_fails_the_definitions_law(monkeypatch, algebras):
+    # drop the first point of the dual spectrum: the law must name that
+    # ideal, with all three verdicts, in a witness that replays
+    alg = algebras["B2xB2"]
+    real = laws.prime_ideals
+
+    def dropped_first(lat):
+        spec = real(lat)
+        return replace(spec, points=spec.points[1:])
+
+    monkeypatch.setattr(laws, "prime_ideals", dropped_first)
+    report = run_law("prime.definitions-agree", Fixture(alg.name, alg))
+    assert report.verdict == "fail"
+    lat = enumerate_ideals(alg)
+    dropped = real(lat).points[0]
+    assert report.instances == dropped + 1
+    assert report.witness["ideal"] == lat.ideals[dropped].label_set()
+    assert (
+        report.witness["dual_form"],
+        report.witness["residuation_form"],
+        report.witness["meet_form"],
+    ) == (False, True, True)
+    assert "algebra_document" in report.witness
+    assert replay(report).verdict == "fail"
+
+
+def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
+    # prime_ideals reads no table; relative_spectrum and prime_quotient_oracle
+    # build lattices of ideals and quotients only for their masks and spectra
+    tables = {"meet_table", "join_table", "residuation_table"}
+    built = []
+    real = spectrum.enumerate_ideals
+    monkeypatch.setattr(spectrum, "enumerate_ideals", lambda a: built.append(real(a)) or built[-1])
+    for name in ("B2xB2", "chain3", "omega3", "diamond"):
+        alg = algebras[name]
+        lat = enumerate_ideals(alg)
+        prime_ideals(lat)
+        assert not tables & set(vars(lat)), name
+        for ideal in lat.ideals:
+            relative_spectrum(alg, lat, ideal)
+        prime_quotient_oracle(alg, lat)
+    assert len(built) > 4
+    for sub in built:
+        assert not tables & set(vars(sub)), sub.algebra.name
 
 
 def test_spectrum_sizes_match_fixtures(algebras, fixture_map):
