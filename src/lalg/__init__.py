@@ -21,7 +21,6 @@ from .core import (
 from .errors import (
     AxiomViolation,
     BijectionFailure,
-    CongruenceFailure,
     DistributivityFailure,
     FalsificationError,
     JoinWitnessMismatch,
@@ -31,8 +30,6 @@ from .errors import (
     NonUniqueAttachment,
     NonUniqueProduct,
     ParseError,
-    PrimeNotQuasiPrime,
-    QuotientNotWellDefined,
     ResiduationNotGreatest,
     SizeTooLarge,
     SpatialityFailure,

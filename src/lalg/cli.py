@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import constructions
-from .core import structure_flags
+from .core import structure_flags, validate
 from .errors import (
     AxiomViolation, LAlgebraError, MalformedTable, ParseError, SizeTooLarge, UnwritableLabel
 )
@@ -188,7 +188,10 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.construction == "poset":
         spec = parse_poset_text(Path(args.posetfile).read_text(encoding="utf-8"))
-        alg = constructions.poset_algebra(spec)
+        try:
+            alg = constructions.poset_algebra(spec)
+        except ValueError as exc:  # PosetSpec.leq_matrix: not a poset with that top
+            raise _Usage(f"{args.posetfile}: {exc}") from None
     else:
         left = load_algebra(args.left)
         right = load_algebra(args.right)
@@ -218,6 +221,8 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         )
         return 1
     quot, _ = quotient(alg, generate_ideal(alg, members))
+    # files the tool writes must read back, so this one quotient is validated
+    quot = validate(quot.table, quot.unit, labels=quot.labels, name=quot.name)
     save_algebra(quot, args.output)
     print(f"wrote {quot.name} ({quot.n} elements) to {args.output}")
     return 0

@@ -17,7 +17,6 @@ from typing import Iterator, Mapping
 
 from .core import FiniteLAlgebra, validate
 from .errors import SizeTooLarge
-from .ideals import enumerate_ideals
 
 
 @dataclass(frozen=True)
@@ -60,30 +59,12 @@ class PosetSpec:
         return leq
 
 
-def upper_set_masks(spec: PosetSpec) -> set[int]:
-    """Masks of all non-empty upward-closed subsets (each contains the top)."""
-    leq = spec.leq_matrix()
-    n = len(spec.elements)
-    out = set()
-    for mask in range(1 << n):
-        if mask and all(
-            (mask >> j) & 1
-            for i in range(n)
-            if (mask >> i) & 1
-            for j in range(n)
-            if leq[i][j]
-        ):
-            out.add(mask)
-    return out
-
-
-def poset_algebra(spec: PosetSpec, verify_ideals: bool | None = None) -> FiniteLAlgebra:
+def poset_algebra(spec: PosetSpec) -> FiniteLAlgebra:
     """Implication algebra of a poset: x*y = 1 when x <= y, else y.
 
     The ideals of such an algebra are exactly the non-empty upper sets;
-    that identity is asserted here for carriers up to 12 elements (or on
-    demand via ``verify_ideals``), comparing the ideal enumeration against
-    a direct upper-set sweep.
+    the tests compare the ideal enumeration against a direct upper-set
+    sweep, and nothing beyond the axioms is checked here.
     """
     leq = spec.leq_matrix()
     n = len(spec.elements)
@@ -92,15 +73,7 @@ def poset_algebra(spec: PosetSpec, verify_ideals: bool | None = None) -> FiniteL
         [unit if leq[i][j] else j for j in range(n)]
         for i in range(n)
     ]
-    alg = validate(table, unit, labels=spec.elements, name=f"poset({spec.top})")
-    if verify_ideals is None:
-        verify_ideals = n <= 12
-    if verify_ideals:
-        ideal_masks = set(enumerate_ideals(alg).masks)
-        assert ideal_masks == upper_set_masks(spec), (
-            "poset algebra ideals differ from the upper sets"
-        )
-    return alg
+    return validate(table, unit, labels=spec.elements, name=f"poset({spec.top})")
 
 
 def product(x: FiniteLAlgebra, y: FiniteLAlgebra, name: str | None = None) -> FiniteLAlgebra:

@@ -207,9 +207,9 @@ def validate(
     """Validate a raw table and return the algebra, or raise with all violations.
 
     Raises :class:`MalformedTable` for shape problems and
-    :class:`AxiomViolation` carrying every violated axiom instance.  On
-    success the partial-product uniqueness cross-check also runs; it can only
-    fire on tables that slipped past the axioms, i.e. never.
+    :class:`AxiomViolation` carrying every violated axiom instance.  Nothing
+    beyond the axioms is checked here; that partial products are unique is
+    the law ``product.uniqueness``.
     """
     _check_shape(table, unit, labels)
     violations = axiom_violations(table, unit)
@@ -217,38 +217,12 @@ def validate(
         raise AxiomViolation(violations)
     if labels is None:
         labels = tuple(str(i) for i in range(len(table)))
-    alg = FiniteLAlgebra(
+    return FiniteLAlgebra(
         name=name,
         labels=tuple(labels),
         unit=unit,
         table=tuple(tuple(row) for row in table),
     )
-    _assert_products_unique(alg)
-    return alg
-
-
-def _assert_products_unique(alg: FiniteLAlgebra) -> None:
-    """Each y*(-) must be injective on the downset of y."""
-    n = alg.n
-    t = alg.table
-    for y in range(n):
-        seen: dict[int, int] = {}
-        for z in range(n):
-            if t[z][y] != alg.unit:  # z <= y fails
-                continue
-            x = t[y][z]
-            if x in seen:
-                raise NonUniqueProduct(
-                    f"{alg.name}: product of {alg.label(x)} and {alg.label(y)} "
-                    f"has witnesses {alg.label(seen[x])} and {alg.label(z)}",
-                    witness={
-                        "algebra": alg.name,
-                        "x": alg.label(x),
-                        "y": alg.label(y),
-                        "witnesses": [alg.label(seen[x]), alg.label(z)],
-                    },
-                )
-            seen[x] = z
 
 
 def derive_order(alg: FiniteLAlgebra) -> OrderRelation:

@@ -7,6 +7,12 @@ failed on a concrete finite instance.  Those claims are theorems, so a
 falsification error firing on validated input means either a bug in this
 code or a counterexample to the theory; either way it must surface with a
 replayable witness and is never repaired or swallowed.
+
+Builders (``validate``, ``quotient``, ``congruence_of``, ``poset_algebra``,
+``quasi_prime_elements``) do not re-prove theorems.  A falsification error
+is raised by the checks that the laws run, or where a computation has no
+single answer to return: a partial product with two witnesses, a lattice
+table entry missing from the ideal family, an ambiguous attachment.
 """
 
 from __future__ import annotations
@@ -74,18 +80,6 @@ class JoinWitnessMismatch(FalsificationError):
 
 class ResiduationNotGreatest(FalsificationError):
     """Element-wise I*J is not the greatest ideal K with K n I inside J."""
-
-
-class CongruenceFailure(FalsificationError):
-    """Relation induced by an ideal is not a compatible congruence."""
-
-
-class QuotientNotWellDefined(FalsificationError):
-    """Quotient table value depends on the chosen class representatives."""
-
-
-class PrimeNotQuasiPrime(FalsificationError):
-    """A prime element failed the quasi-prime implication."""
 
 
 class MaximalAvoiderNotPrime(FalsificationError):

@@ -291,6 +291,8 @@ def parse_poset_text(text: str) -> PosetSpec:
                 raise ParseError(lineno, col, "elements line lists no labels")
             elements = tuple(t for t, _ in toks[1:])
         elif head == "top:":
+            if top is not None:
+                raise ParseError(lineno, col, "duplicate top line")
             if len(toks) != 2:
                 raise ParseError(lineno, col, "top takes exactly one label")
             top = toks[1][0]

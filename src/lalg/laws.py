@@ -16,10 +16,11 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .constructions import Fixture, product_injections
-from .core import axiom_violations, meet, partial_product, structure_flags
+from .core import FiniteLAlgebra, axiom_violations, meet, partial_product, structure_flags
 from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError
 from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
+    Congruence,
     IdealLattice,
     bits,
     certify_distributive,
@@ -33,11 +34,9 @@ from .ideals import (
 from .spectrum import (
     check_frame_map,
     prime_element_report,
-    prime_elements,
     prime_ideals,
     prime_quotient_oracle,
     principal_open_map,
-    quasi_prime_elements,
     relative_spectrum,
     spatiality_check,
     topology_report,
@@ -73,6 +72,12 @@ class Context:
     @cached_property
     def topology_report(self):
         return topology_report(self.topology)
+
+    @cached_property
+    def prime_element_report(self):
+        # shared by both prime-element laws; an attachment failure that it
+        # raises fails both rows
+        return prime_element_report(self.algebra, self.lattice, self.topology)
 
 
 @dataclass(frozen=True)
@@ -366,12 +371,50 @@ def _partition_key(classes: Sequence[int]) -> tuple[int, ...]:
 
 
 #: Above this carrier size the exhaustive set-partition sweep (Bell numbers)
-#: is dropped and only the ideal -> congruence -> ideal round trip runs.
+#: is dropped and only the per-ideal checks run.
 _PARTITION_SWEEP_LIMIT = 8
 
 
+def _incompatible(
+    t: Sequence[Sequence[int]], class_of: Sequence[int], classes: Sequence[Sequence[int]]
+) -> tuple[int, int, int] | None:
+    """The first (x, rep, z) where x and the first member rep of its class
+    multiply z, on either side, into different classes; None if compatible."""
+    for cls in classes:
+        rep = cls[0]
+        for x in cls[1:]:
+            for z in range(len(t)):
+                if (
+                    class_of[t[z][x]] != class_of[t[z][rep]]
+                    or class_of[t[x][z]] != class_of[t[rep][z]]
+                ):
+                    return x, rep, z
+    return None
+
+
+def _congruence_problem(a: FiniteLAlgebra, imask: int, cong: Congruence) -> dict | None:
+    """Is x ~ y (x*y and y*x in I) the same-class relation of ``cong``, and
+    is every class compatible with the operation on both sides?"""
+    t = a.table
+    class_of = cong.class_of
+    for x in range(a.n):
+        for y in range(a.n):
+            related = (imask >> t[x][y]) & 1 and (imask >> t[y][x]) & 1
+            if bool(related) != (class_of[x] == class_of[y]):
+                return {"pair": [a.label(x), a.label(y)], "problem": "not an equivalence"}
+    triple = _incompatible(t, class_of, [list(bits(cls)) for cls in cong.classes])
+    if triple is not None:
+        return {"triple": [a.label(v) for v in triple], "problem": "not compatible"}
+    return None
+
+
 def _check_congruence_bijection(ctx: Context) -> CheckResult:
-    """Ideals and congruences determine each other, both ways round."""
+    """Ideals and congruences determine each other, both ways round.
+
+    For every ideal I, the relation of :func:`congruence_of` is a compatible
+    equivalence whose unit class is I; up to ``_PARTITION_SWEEP_LIMIT``
+    elements, every compatible partition with an L-algebra quotient is also
+    one of these."""
     a = ctx.algebra
     lat = ctx.lattice
     t = a.table
@@ -381,8 +424,15 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
     for ideal in lat.ideals:
         cong = congruence_of(a, ideal)
         instances += 1
+        problem = _congruence_problem(a, ideal.members, cong)
+        if problem is not None:
+            return instances, {"ideal": ideal.label_set(), **problem}, None
         if ideal_of_congruence(cong).members != ideal.members:
-            return instances, {"ideal": ideal.label_set()}, None
+            return (
+                instances,
+                {"ideal": ideal.label_set(), "problem": "unit class is not the ideal"},
+                None,
+            )
         from_ideals[_partition_key(cong.classes)] = ideal.members
 
     if a.n > _PARTITION_SWEEP_LIMIT:
@@ -399,21 +449,7 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
         for k, cls in enumerate(classes):
             for x in cls:
                 class_of[x] = k
-        ok = True
-        for cls in classes:
-            rep = cls[0]
-            for x in cls[1:]:
-                for z in range(a.n):
-                    if (
-                        class_of[t[z][x]] != class_of[t[z][rep]]
-                        or class_of[t[x][z]] != class_of[t[rep][z]]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+        ok = _incompatible(t, class_of, classes) is None
         if ok:
             # a compatible equivalence is only a congruence when the quotient
             # is again an L-algebra; the unit laws and the exchange identity
@@ -456,6 +492,13 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
     instances = 0
     for ideal in lat.ideals:
         quot, proj = quotient(a, ideal)
+        violations = axiom_violations(quot.table, quot.unit)
+        if violations:
+            return (
+                instances,
+                {"ideal": ideal.label_set(), "violations": [str(v) for v in violations]},
+                None,
+            )
         for x in range(a.n):
             for y in range(a.n):
                 instances += 1
@@ -539,9 +582,24 @@ def _check_t0_sober(ctx: Context) -> CheckResult:
 
 
 def _check_compact_basis(ctx: Context) -> CheckResult:
+    """Each open U_I is the union of the opens U_<x> over x in I, so the
+    principal (quasi-compact) opens form a basis."""
+    lat = ctx.lattice
+    opens = ctx.topology.opens
+    for i, imask in enumerate(lat.masks):
+        union = 0
+        for x in bits(imask):
+            union |= opens[lat.principal[x]]
+        if union != opens[i]:
+            return (
+                i + 1,
+                {
+                    "ideal": lat.ideals[i].label_set(),
+                    "problem": "U_I is not the union of its principal opens",
+                },
+                None,
+            )
     rep = ctx.topology_report
-    if not (rep.quasi_compact_opens and rep.generalized_spectral):
-        return len(ctx.lattice), {"min_generators": list(rep.min_generators)}, None
     biggest = max(rep.min_generators, default=0)
     return (
         len(ctx.lattice),
@@ -565,8 +623,11 @@ def _check_spatial(ctx: Context) -> CheckResult:
 
 def _check_quasiprime(ctx: Context) -> CheckResult:
     a = ctx.algebra
-    quasi = quasi_prime_elements(a, ctx.lattice)  # raises if a prime escapes
-    primes = prime_elements(a)
+    report = ctx.prime_element_report
+    primes, quasi = report.primes, report.quasi_primes
+    for p in primes:
+        if p not in quasi:
+            return a.n, {"element": a.label(p), "problem": "prime but not quasi-prime"}, None
     detail = (
         f"primes {{{','.join(a.label(p) for p in primes)}}}"
         f" <= quasi-primes {{{','.join(a.label(q) for q in quasi)}}}"
@@ -575,7 +636,7 @@ def _check_quasiprime(ctx: Context) -> CheckResult:
 
 
 def _check_attachment(ctx: Context) -> CheckResult:
-    report = prime_element_report(ctx.algebra, ctx.lattice, ctx.topology)
+    report = ctx.prime_element_report
     non_unique = sum(1 for att in report.attachments if not att.unique)
     return (
         max(ctx.algebra.n - 1, 0),

@@ -47,3 +47,21 @@ def corpus_to_five(algebras):
     iso5 = list(enumerate_all(5, up_to_iso=True))
     assert len(iso5) == 632
     return corpus + iso5
+
+
+def _upper_set_masks(spec):
+    """Masks of all non-empty upward-closed subsets of a poset (each holds the top)."""
+    leq = spec.leq_matrix()
+    n = len(spec.elements)
+    assert n <= 12, "the oracle sweeps all 2^n subsets"
+    return {
+        mask
+        for mask in range(1, 1 << n)
+        if all((mask >> j) & 1 for i in range(n) if (mask >> i) & 1 for j in range(n) if leq[i][j])
+    }
+
+
+@pytest.fixture(scope="session")
+def upper_set_masks():
+    """Test-only oracle for poset algebras: their ideals are the non-empty upper sets."""
+    return _upper_set_masks

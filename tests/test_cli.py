@@ -172,10 +172,53 @@ def test_construct_poset(tmp_path, capsys):
     assert main(["validate", str(out_file)]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elements: 1 a\ntop: 1\ncover a < z\n", "cover ('a', 'z') uses unknown labels"),
+        ("elements: 1 a b\ntop: 1\ncover a < b\ncover b < a\n", "covers are cyclic"),
+        ("elements: 1 a\ntop: 1\n", "'1' is not above 'a'"),
+        ("elements: 1 a\ntop: 1\ntop: a\ncover a < 1\n", "line 3, col 1: duplicate top line"),
+    ],
+    ids=["unknown-label", "cyclic", "top-not-above", "duplicate-top"],
+)
+def test_construct_poset_rejects_a_malformed_poset(tmp_path, capsys, text, message):
+    poset = tmp_path / "bad.poset"
+    poset.write_text(text)
+    out_file = tmp_path / "bad.lalg"
+    assert main(["construct", "poset", str(poset), "-o", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+    assert not out_file.exists()
+
+
 def test_quotient_by_ideal(diamond_file, tmp_path, capsys):
     out_file = tmp_path / "quot.lalg"
     assert main(["quotient", diamond_file, "--ideal", "1,p,q,0", "-o", str(out_file)]) == 0
     assert "1 elements" in capsys.readouterr().out
+
+
+def test_quotient_validates_the_algebra_it_writes(monkeypatch, diamond_file, tmp_path, capsys):
+    # quotient() does not validate; the command does, so a broken quotient
+    # table is refused and nothing is written
+    from dataclasses import replace
+
+    import lalg.cli as cli
+
+    real = cli.quotient
+
+    def broken(alg, ideal):
+        quot, proj = real(alg, ideal)
+        table = [list(row) for row in quot.table]
+        table[1][1] = 1  # p*p = p, not 1
+        return replace(quot, table=tuple(map(tuple, table))), proj
+
+    monkeypatch.setattr(cli, "quotient", broken)
+    out_file = tmp_path / "quot.lalg"
+    assert main(["quotient", diamond_file, "--ideal", "1", "-o", str(out_file)]) == 1
+    assert "not an L-algebra" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_quotient_rejects_non_ideal(diamond_file, tmp_path, capsys):

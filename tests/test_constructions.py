@@ -7,7 +7,6 @@ from lalg.constructions import (
     product,
     product_injections,
     product_pairs,
-    upper_set_masks,
 )
 from lalg.core import structure_flags, validate
 from lalg.ideals import enumerate_ideals, generate_ideal
@@ -98,7 +97,7 @@ def test_poset_algebra_two_chain_is_b2(b2):
     assert alg.table == b2.table
 
 
-def test_poset_algebra_ideals_are_upper_sets():
+def test_poset_algebra_ideals_are_upper_sets(upper_set_masks):
     spec = PosetSpec(
         elements=("1", "p", "q", "0"),
         covers=(("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")),

@@ -4,7 +4,6 @@ from lalg import ideals, laws
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import FiniteLAlgebra
 from lalg.errors import (
-    CongruenceFailure,
     DistributivityFailure,
     JoinWitnessMismatch,
     ResiduationNotGreatest,
@@ -175,9 +174,7 @@ def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
         + tuple((f"b{i}", f"b{i+1}") for i in range(5))
         + tuple((f"b{i}", f"a{i}") for i in range(6))
     )
-    alg = poset_algebra(
-        PosetSpec(elements=elements, covers=covers, top="a5"), verify_ideals=False
-    )
+    alg = poset_algebra(PosetSpec(elements=elements, covers=covers, top="a5"))
     assert sorted(enumerate_ideals(alg).masks) == _ideal_masks_by_filter(alg)
 
 
@@ -391,17 +388,20 @@ def test_congruence_round_trip(algebras):
 
 def test_congruence_failure_on_magma():
     # mod {1}: a ~ b and b ~ c but not a ~ c, so the relation is not even
-    # an equivalence; only possible on a table that is not an L-algebra
-    from lalg.ideals import Ideal
-
+    # an equivalence; only possible on a table that is not an L-algebra.
+    # The lattice builds ({1} and X); the law finds the fault on {1}.
     magma = FiniteLAlgebra(
         "magma",
         ("1", "a", "b", "c"),
         0,
         ((0, 1, 2, 3), (0, 0, 0, 3), (0, 0, 0, 0), (0, 1, 0, 0)),
     )
-    with pytest.raises(CongruenceFailure):
-        congruence_of(magma, Ideal(magma, 0b0001))
+    assert [i.label_set() for i in enumerate_ideals(magma).ideals] == [("1",), ("1", "a", "b", "c")]
+    report = run_law("congruence.bijection", Fixture("magma", magma))
+    assert report.verdict == "fail"
+    assert report.instances == 1
+    assert report.witness["ideal"] == ("1",)
+    assert report.witness["problem"] == "not an equivalence"
 
 
 def test_quotient_by_bottom_is_identity(algebras):

@@ -172,3 +172,104 @@ def test_lattice_is_algebra_law_fails_on_planted_residuals(monkeypatch, b2):
     report = run_law("ideal-lattice.is-l-algebra", Fixture("B2", b2))
     assert report.verdict == "fail"
     assert report.witness["error"] == "AxiomViolation"
+
+
+def test_non_unique_product_fails_the_uniqueness_law():
+    # b*a = b*b = 1 with a <= b and b <= b: two witnesses for the product
+    # of 1 and b; validate does not look for this, product.uniqueness does
+    bad = FiniteLAlgebra("bad", ("1", "a", "b"), 0, ((0, 1, 2), (0, 0, 0), (0, 0, 0)))
+    report = run_law("product.uniqueness", Fixture("bad", bad))
+    assert report.verdict == "fail"
+    assert report.witness["error"] == "NonUniqueProduct"
+    assert report.witness["witnesses"] == ["a", "b"]
+
+
+def test_quotient_law_fails_on_a_planted_axiom_break(monkeypatch, b2):
+    # quotient does not validate its table; quotient.morphism runs the
+    # axioms on every quotient and names the violations before comparing
+    # the projection
+    from dataclasses import replace
+
+    from lalg import laws
+
+    real = laws.quotient
+
+    def broken(alg, ideal):
+        quot, proj = real(alg, ideal)
+        x = next(i for i in range(quot.n) if i != quot.unit)
+        table = [list(row) for row in quot.table]
+        table[x][x] = x  # x*x = 1 fails
+        return replace(quot, table=tuple(map(tuple, table))), proj
+
+    monkeypatch.setattr(laws, "quotient", broken)
+    report = run_law("quotient.morphism", Fixture("B2", b2))
+    assert report.verdict == "fail"
+    assert report.witness["ideal"] == ("1",)
+    assert report.witness["violations"] == ["[unit] x*x != 1 at x=0"]
+
+
+def test_congruence_law_fails_on_an_incompatible_congruence_above_the_sweep_limit(algebras):
+    # chain3 x chain3 with (1,a)*(1,b) set to the unit: modulo {(1,1)} the
+    # relation is still an equivalence ((1,a) ~ (1,b)), but (a,a)*(1,a) and
+    # (a,a)*(1,b) fall into different classes; n = 9 skips the partition
+    # sweep, so only the per-ideal check can see it
+    from lalg.constructions import product
+
+    base = product(algebras["chain3"], algebras["chain3"])
+    assert base.n == 9 and base.labels[1:3] == ("(1,a)", "(1,b)")
+    table = [list(row) for row in base.table]
+    table[1][2] = base.unit
+    planted = FiniteLAlgebra("planted", base.labels, base.unit, tuple(map(tuple, table)))
+    report = run_law("congruence.bijection", Fixture("planted", planted))
+    assert report.verdict == "fail"
+    assert report.instances == 1
+    assert report.witness["ideal"] == ("(1,1)",)
+    assert report.witness["problem"] == "not compatible"
+    assert report.witness["triple"] == ["(1,b)", "(1,a)", "(a,a)"]
+
+
+def test_quasiprime_law_fails_when_a_prime_is_not_quasi_prime(monkeypatch, chain3):
+    # every non-top element of chain3 is prime; report none as quasi-prime
+    import lalg.spectrum as spectrum_module
+
+    monkeypatch.setattr(spectrum_module, "quasi_prime_elements", lambda alg, lat: ())
+    report = run_law("prime-elements.quasiprime", Fixture("chain3", chain3))
+    assert report.verdict == "fail"
+    assert report.witness["element"] == "a"
+    assert report.witness["problem"] == "prime but not quasi-prime"
+
+
+def test_compact_basis_law_fails_on_a_planted_open(monkeypatch, omega3):
+    # U_X emptied: it is no longer the union of the principal opens inside X
+    from dataclasses import replace
+
+    from lalg import laws
+
+    real = laws.prime_ideals
+
+    def planted(lat):
+        spec = real(lat)
+        opens = list(spec.opens)
+        opens[lat.top] = 0
+        return replace(spec, opens=tuple(opens))
+
+    monkeypatch.setattr(laws, "prime_ideals", planted)
+    report = run_law("spectrum.compact-basis", Fixture("omega3", omega3))
+    assert report.verdict == "fail"
+    assert report.instances == 7
+    assert report.witness["ideal"] == tuple(omega3.labels[i] for i in range(omega3.n))
+
+
+def test_prime_element_report_is_built_once_per_algebra(monkeypatch, omega3):
+    import lalg.spectrum as spectrum_module
+
+    calls = []
+    real = spectrum_module.quasi_prime_elements
+    monkeypatch.setattr(
+        spectrum_module, "quasi_prime_elements", lambda alg, lat: calls.append(1) or real(alg, lat)
+    )
+    reports = run_suite(
+        [Fixture("omega3", omega3)], laws=["prime-elements.quasiprime", "prime-elements.attachment"]
+    )
+    assert [r.verdict for r in reports] == ["pass", "pass"]
+    assert len(calls) == 1

@@ -13,7 +13,6 @@ from lalg.constructions import (
     ordered_sum,
     poset_algebra,
     product,
-    upper_set_masks,
 )
 from lalg.core import validate
 from lalg.errors import UnwritableLabel
@@ -97,8 +96,8 @@ def posets(draw):
 
 @given(spec=posets())
 @settings(max_examples=80, deadline=None)
-def test_poset_algebra_ideals_are_upper_sets(spec):
-    alg = poset_algebra(spec, verify_ideals=False)
+def test_poset_algebra_ideals_are_upper_sets(upper_set_masks, spec):
+    alg = poset_algebra(spec)
     assert set(enumerate_ideals(alg).masks) == upper_set_masks(spec)
 
 

@@ -1,12 +1,13 @@
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from lalg import laws, spectrum
-from lalg.constructions import Fixture, PosetSpec, poset_algebra
+from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import validate
 from lalg.errors import NonUniqueAttachment
-from lalg.ideals import enumerate_ideals
+from lalg.ideals import close_under_rules, enumerate_ideals
 from lalg.laws import _is_prime_meet, _is_prime_residuation, replay, run_law
 from lalg.spectrum import (
     attach_prime_ideal,
@@ -110,12 +111,12 @@ def test_spectrum_sizes_match_fixtures(algebras, fixture_map):
             assert spec.point_count == expected, name
 
 
-def test_topology_reports(algebras):
-    for alg in algebras.values():
-        spec = prime_ideals(enumerate_ideals(alg))
+def test_topology_reports(fixture_map):
+    for fixture in fixture_map.values():
+        spec = prime_ideals(enumerate_ideals(fixture.algebra))
         rep = topology_report(spec)
         assert rep.t0 and rep.sober and rep.closure_is_point_bijection
-        assert rep.quasi_compact_opens and rep.generalized_spectral
+        assert run_law("spectrum.compact-basis", fixture).verdict == "pass"
 
 
 def test_point_closures_are_superset_sets(algebras):
@@ -154,6 +155,24 @@ def test_minimal_generators_b2xb2(algebras):
     lat = enumerate_ideals(algebras["B2xB2"])
     assert topology_report(prime_ideals(lat)).min_generators == (0, 1, 1, 1)
     assert len(lat.join_irreducibles) == 2
+
+
+def _smallest_generating_subset(alg, mask):
+    """Oracle: the least k such that some k members of the ideal generate it."""
+    members = [x for x in range(alg.n) if (mask >> x) & 1]
+    for k in range(len(members) + 1):
+        for gens in combinations(members, k):
+            if close_under_rules(alg, sum(1 << x for x in gens)) == mask:
+                return k
+    raise AssertionError("an ideal generates itself")
+
+
+def test_minimal_generators_match_the_subset_oracle(algebras):
+    corpus = list(algebras.values()) + [a for n in (1, 2, 3, 4) for a in enumerate_all(n)]
+    for alg in corpus:
+        lat = enumerate_ideals(alg)
+        counts = topology_report(prime_ideals(lat)).min_generators
+        assert counts == tuple(_smallest_generating_subset(alg, m) for m in lat.masks), alg.name
 
 
 def test_prime_elements_poset_algebras(chain3, omega3):
