@@ -25,7 +25,7 @@ from .formats import (
 )
 from .ideals import enumerate_ideals, generate_ideal, is_ideal, mask_of, quotient
 from .laws import all_pass, run_suite
-from .spectrum import prime_ideals, topology_report
+from .spectrum import compact_basis_failure, prime_ideals, topology_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,11 +128,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         rep = topology_report(spec)
         print(f"T0: {'yes' if rep.t0 else 'NO'}")
         print(f"sober: {'yes' if rep.sober else 'NO'}")
+        bad = compact_basis_failure(spec)
         biggest = max(rep.min_generators, default=0)
-        print(f"quasi-compact basis: yes (largest minimal generating set: {biggest})")
+        print(f"quasi-compact basis: {'yes' if bad is None else 'NO'} (largest minimal generating set: {biggest})")
         for w in rep.witnesses:
             print(f"  problem: {w}")
-        return 0 if rep.t0 and rep.sober else 1
+        if bad is not None:
+            ideal = ",".join(lat.ideals[bad].label_set())
+            print(f"  problem: U_I is not the union of its principal opens for I = {{{ideal}}}")
+        return 0 if rep.t0 and rep.sober and bad is None else 1
     return 0
 
 

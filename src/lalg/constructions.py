@@ -3,8 +3,8 @@
 The enumerator generates every operation table of a given size satisfying
 the axioms, by backtracking over the cells that the unit laws leave free,
 with constraint propagation on the exchange identity and antisymmetry; up
-to isomorphism it keeps the least table over the unit-fixing relabelings,
-decided by early exit.  The regression fixtures are the concrete algebras
+to isomorphism it cuts every partial table that a unit-fixing relabeling
+already makes smaller.  The regression fixtures are the concrete algebras
 the law harness grew up on; each carries the facts it is expected to
 reproduce.
 """
@@ -297,9 +297,10 @@ def enumerate_all(n: int, up_to_iso: bool = False) -> Iterator[FiniteLAlgebra]:
     The unit sits at index 0 (relabelings add nothing; the count contract
     and the canonical form both pin it there).  With ``up_to_iso`` only the
     lexicographically least table over the unit-fixing relabelings of each
-    isomorphism class is emitted: a table is kept when no relabeling makes
-    it smaller, which :func:`_is_canonical` decides cell by cell, stopping
-    at the first cell where the two differ.
+    isomorphism class is emitted.  The search prunes at partial tables: a
+    subtree is cut as soon as some relabeling reads smaller on the cells
+    decided so far (:func:`_is_canonical`), so every table it completes is
+    the least of its class.
     """
     if n < 1:
         raise ValueError("carrier size must be at least 1")
@@ -307,13 +308,9 @@ def enumerate_all(n: int, up_to_iso: bool = False) -> Iterator[FiniteLAlgebra]:
         raise SizeTooLarge(f"exhaustive enumeration is capped at {ENUMERATION_LIMIT}")
     labels = _ENUM_LABELS[:n]
     relabelings = _relabelings(n) if up_to_iso else []
-    count = 0
-    for flat in _search_tables(n):
-        if not _is_canonical(flat, relabelings):
-            continue
+    for count, flat in enumerate(_search_tables(n, relabelings)):
         table = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
         yield validate(table, 0, labels=labels, name=f"enum{n}-{count:05d}")
-        count += 1
 
 
 def _relabelings(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
@@ -334,26 +331,37 @@ def _relabelings(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], .
     return out
 
 
-def _is_canonical(flat: tuple[int, ...], relabelings) -> bool:
-    """True when no relabeling gives a lexicographically smaller table."""
+def _is_canonical(t: list[int], relabelings) -> bool:
+    """False when some relabeling already reads smaller on the decided cells.
+
+    ``t`` may be partial (-1 marks an unassigned cell); each relabeling is
+    read up to its first undecided cell.  Assigned cells never change
+    further down the search, so a beaten prefix stays beaten in every
+    completion; on a complete table this is the full canonicity test.
+    """
     for p, cells in relabelings:
         for k, s in cells:
-            v = p[flat[s]]
-            if v != flat[k]:
-                if v < flat[k]:
+            if t[s] < 0 or t[k] < 0:
+                break
+            v = p[t[s]]
+            if v != t[k]:
+                if v < t[k]:
                     return False
                 break
     return True
 
 
-def _search_tables(n: int) -> Iterator[tuple[int, ...]]:
+def _search_tables(n: int, relabelings) -> Iterator[tuple[int, ...]]:
     """Backtracking over free cells with forced-move propagation.
 
     The unit laws pre-fill row 0, column 0 and the diagonal.  After each
     assignment the exchange constraints are re-closed: a constraint with all
     four inner cells known and one outer cell known forces the other outer
     cell; fully-known constraints are checked.  Antisymmetry prunes unit
-    values on mirror cells as they appear.
+    values on mirror cells as they appear.  A partial table that one of
+    ``relabelings`` already beats (:func:`_is_canonical`) is cut with its
+    subtree, so only the least table of each isomorphism class is yielded
+    (every table, given no relabelings).
     """
     t = [-1] * (n * n)
     for j in range(n):
@@ -419,7 +427,7 @@ def _search_tables(n: int) -> Iterator[tuple[int, ...]]:
         pos = free[k]
         for value in range(n):
             trail: list[int] = []
-            if assign(pos, value, trail) and propagate(trail):
+            if assign(pos, value, trail) and propagate(trail) and _is_canonical(t, relabelings):
                 yield from solve(k + 1)
             for p in trail:
                 t[p] = -1

@@ -33,6 +33,7 @@ from .ideals import (
 )
 from .spectrum import (
     check_frame_map,
+    compact_basis_failure,
     prime_element_report,
     prime_ideals,
     prime_quotient_oracle,
@@ -78,6 +79,11 @@ class Context:
         # shared by both prime-element laws; an attachment failure that it
         # raises fails both rows
         return prime_element_report(self.algebra, self.lattice, self.topology)
+
+    @cached_property
+    def point_map(self):
+        # shared by principal-ideals.meet-join and point-map.brouwerian
+        return principal_open_map(self.algebra, self.lattice, self.topology, self.flags)
 
 
 @dataclass(frozen=True)
@@ -584,21 +590,10 @@ def _check_t0_sober(ctx: Context) -> CheckResult:
 def _check_compact_basis(ctx: Context) -> CheckResult:
     """Each open U_I is the union of the opens U_<x> over x in I, so the
     principal (quasi-compact) opens form a basis."""
-    lat = ctx.lattice
-    opens = ctx.topology.opens
-    for i, imask in enumerate(lat.masks):
-        union = 0
-        for x in bits(imask):
-            union |= opens[lat.principal[x]]
-        if union != opens[i]:
-            return (
-                i + 1,
-                {
-                    "ideal": lat.ideals[i].label_set(),
-                    "problem": "U_I is not the union of its principal opens",
-                },
-                None,
-            )
+    i = compact_basis_failure(ctx.topology)
+    if i is not None:
+        problem = "U_I is not the union of its principal opens"
+        return i + 1, {"ideal": ctx.lattice.ideals[i].label_set(), "problem": problem}, None
     rep = ctx.topology_report
     biggest = max(rep.min_generators, default=0)
     return (
@@ -653,7 +648,7 @@ def _check_relative_spectrum(ctx: Context) -> CheckResult:
 
 
 def _check_principal_meet_join(ctx: Context) -> CheckResult:
-    rep = principal_open_map(ctx.algebra, ctx.lattice, ctx.topology, ctx.flags)
+    rep = ctx.point_map
     if rep.meet_join_instances < 0:
         return 0, {"problem": "join of principal ideals is not the principal ideal of the meet"}, None
     if ctx.flags.meet_closed:
@@ -666,7 +661,7 @@ def _check_principal_meet_join(ctx: Context) -> CheckResult:
 
 
 def _check_point_map(ctx: Context) -> CheckResult:
-    rep = principal_open_map(ctx.algebra, ctx.lattice, ctx.topology, ctx.flags)
+    rep = ctx.point_map
     if not rep.antitone:
         return ctx.algebra.n, {"problem": "element map is not order-reversing"}, None
     if ctx.flags.meet_closed and rep.bijective != rep.brouwerian:

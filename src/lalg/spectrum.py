@@ -124,7 +124,6 @@ class TopologyReport:
     irreducible_closed_count: int
     closure_is_point_bijection: bool
     min_generators: tuple[int, ...]
-    notes: tuple[str, ...] = ()
     witnesses: tuple[str, ...] = ()
 
 
@@ -159,8 +158,7 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
     Both are theorems; failures land in the report (and its witnesses)
     rather than raising, so a law run can flag them loudly with full context.
     An empty spectrum passes everything vacuously.  That the principal
-    (quasi-compact) opens form a basis is checked by the law
-    ``spectrum.compact-basis``.
+    (quasi-compact) opens form a basis is :func:`compact_basis_failure`.
     """
     lat = spec.lattice
     npts = spec.point_count
@@ -200,20 +198,27 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
             )
     bijection = sober and sorted(closures) == sorted(irr) and len(set(closures)) == npts
 
-    notes = (
-        "every ideal of a finite algebra is finitely generated, so every open "
-        "set is quasi-compact and their intersections stay quasi-compact; "
-        "losing that requires an infinite algebra",
-    )
     return TopologyReport(
         t0=t0,
         sober=sober,
         irreducible_closed_count=len(irr),
         closure_is_point_bijection=bijection,
         min_generators=_minimal_generator_counts(lat),
-        notes=notes,
         witnesses=tuple(witnesses),
     )
+
+
+def compact_basis_failure(spec: SpectrumTopology) -> int | None:
+    """Index of the first ideal I whose U_I is not the union of the U_<x>,
+    x in I; None when the principal (quasi-compact) opens form a basis."""
+    lat = spec.lattice
+    for i, imask in enumerate(lat.masks):
+        union = 0
+        for x in bits(imask):
+            union |= spec.opens[lat.principal[x]]
+        if union != spec.opens[i]:
+            return i
+    return None
 
 
 def prime_elements(alg: FiniteLAlgebra) -> tuple[int, ...]:

@@ -14,6 +14,15 @@ row q: 1 0 1 0
 row 0: 1 1 1 1
 """
 
+CHAIN3 = """\
+name: chain3
+elements: 1 a b
+unit: 1
+row 1: 1 a b
+row a: 1 1 b
+row b: 1 1 1
+"""
+
 BROKEN = """\
 elements: 0 1
 unit: 1
@@ -83,6 +92,30 @@ def test_spectrum_topology(diamond_file, capsys):
     assert "1 point(s)" in out
     assert "T0: yes" in out
     assert "sober: yes" in out
+
+
+def test_spectrum_topology_reports_a_planted_open(monkeypatch, tmp_path, capsys):
+    # U_X emptied on chain3: it is no longer the union of the principal
+    # opens inside X
+    from dataclasses import replace
+
+    import lalg.cli as cli
+
+    real = cli.prime_ideals
+
+    def planted(lat):
+        spec = real(lat)
+        opens = list(spec.opens)
+        opens[lat.top] = 0
+        return replace(spec, opens=tuple(opens))
+
+    monkeypatch.setattr(cli, "prime_ideals", planted)
+    f = tmp_path / "chain3.lalg"
+    f.write_text(CHAIN3)
+    assert main(["spectrum", str(f), "--topology"]) == 1
+    out = capsys.readouterr().out
+    assert "quasi-compact basis: NO" in out
+    assert "problem: U_I is not the union of its principal opens for I = {1,a,b}" in out
 
 
 def test_laws_on_files(diamond_file, capsys):

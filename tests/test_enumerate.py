@@ -4,8 +4,10 @@ The independent oracle filters every raw table (all n^(n*n) of them at
 n <= 3, all unit-skeleton completions at n = 4) through the axiom checker;
 the backtracking generator must produce exactly the same tables.  Counts
 below the oracle line are frozen from cross-validated runs.  The isomorphism
-filter is checked against a canonical-form oracle that builds every
-relabelled table in full.
+search prunes at partial tables; it is checked against a canonical-form
+oracle that builds every relabelled table in full and filters the labelled
+tables, and the prefix test it prunes with is checked on partial tables cut
+out of every table at n = 4.
 """
 
 from functools import cache
@@ -14,7 +16,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from lalg.constructions import enumerate_all
+from lalg.constructions import _is_canonical, _relabelings, _search_tables, enumerate_all
 from lalg.core import axiom_violations, validate
 from lalg.errors import SizeTooLarge
 
@@ -144,6 +146,33 @@ def test_iso_enumeration_is_the_oracle_filter_in_order(n):
     kept = [flat for flat, form in _labelled_with_forms(n) if form == flat]
     expected = [(flat, f"enum{n}-{k:05d}") for k, flat in enumerate(kept)]
     assert [(_flat(a), a.name) for a in enumerate_all(n, up_to_iso=True)] == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pruned_search_completes_only_canonical_tables(n):
+    leaves = list(_search_tables(n, _relabelings(n)))
+    assert len(leaves) == FROZEN_COUNTS[n][1]
+    assert all(_canonical_form(flat, n) == flat for flat in leaves)
+    assert sum(1 for _ in _search_tables(n, [])) == FROZEN_COUNTS[n][0]
+
+
+def test_prefix_test_on_partial_tables_at_four():
+    # Blank every subset of the free cells of every labelled table: a
+    # canonical table is never beaten on a part of it, and a complete
+    # non-canonical table always is.
+    n = 4
+    relabelings = _relabelings(n)
+    free = [i * n + j for i in range(1, n) for j in range(1, n) if i != j]
+    for flat, form in _labelled_with_forms(n):
+        assert _is_canonical(list(flat), relabelings) == (form == flat)
+        if form != flat:
+            continue
+        for chosen in iproduct((False, True), repeat=len(free)):
+            t = list(flat)
+            for pos, blank in zip(free, chosen):
+                if blank:
+                    t[pos] = -1
+            assert _is_canonical(t, relabelings)
 
 
 def test_names_are_deterministic():

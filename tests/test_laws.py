@@ -273,3 +273,18 @@ def test_prime_element_report_is_built_once_per_algebra(monkeypatch, omega3):
     )
     assert [r.verdict for r in reports] == ["pass", "pass"]
     assert len(calls) == 1
+
+
+def test_point_map_is_built_once_per_algebra(monkeypatch, omega3):
+    from lalg import laws
+
+    calls = []
+    real = laws.principal_open_map
+    monkeypatch.setattr(
+        laws, "principal_open_map", lambda *args: calls.append(1) or real(*args)
+    )
+    reports = run_suite(
+        [Fixture("omega3", omega3)], laws=["principal-ideals.meet-join", "point-map.brouwerian"]
+    )
+    assert [r.verdict for r in reports] == ["pass", "pass"]
+    assert len(calls) == 1
