@@ -14,7 +14,7 @@ immutable operation table; labels are I/O-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -45,7 +45,7 @@ class FiniteLAlgebra:
     unit: int
     table: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
@@ -71,6 +71,19 @@ class FiniteLAlgebra:
     @cached_property
     def order(self) -> "OrderRelation":
         return derive_order(self)
+
+    @cached_property
+    def closure_kernel(self) -> tuple[int, ...]:
+        """Entry x is the mask of (x*y)*y, y*x and y*(x*y) over all y: what
+        lifting and absorption add to an ideal that holds x."""
+        t = self.table
+        out = []
+        for x, row in enumerate(t):
+            k = 0
+            for y, xy in enumerate(row):
+                k |= 1 << t[xy][y] | 1 << t[y][x] | 1 << t[y][xy]
+            out.append(k)
+        return tuple(out)
 
     def __repr__(self) -> str:  # table omitted on purpose; can be large
         return f"FiniteLAlgebra({self.name!r}, n={self.n})"
@@ -111,6 +124,7 @@ class OrderRelation:
 class StructureFlags:
     """Structural predicates of one algebra.
 
+    ``meets[a][b]`` is :func:`meet` of a and b, None where it is undefined.
     ``diagnostics`` records pairs where the two product-form meet candidates
     exist but disagree, or agree without being a greatest lower bound; the
     meet is then reported undefined rather than raising, because the symmetric
@@ -122,6 +136,7 @@ class StructureFlags:
     brouwerian: bool
     meet_closed: bool
     self_similar: bool
+    meets: tuple[tuple[int | None, ...], ...] = field(repr=False)
     diagnostics: tuple[str, ...] = ()
 
 
@@ -280,9 +295,12 @@ def meet(alg: FiniteLAlgebra, a: int, b: int) -> int | None:
     """
     za = partial_product(alg, alg.table[a][b], a)
     zb = partial_product(alg, alg.table[b][a], b)
-    if za is None or zb is None or za != zb:
-        return None
-    if not _is_glb(alg, za, a, b):
+    return _meet_of(alg, za, zb, a, b)
+
+
+def _meet_of(alg: FiniteLAlgebra, za: int | None, zb: int | None, a: int, b: int) -> int | None:
+    """:func:`meet` from its two candidates za = (a*b)a and zb = (b*a)b."""
+    if za is None or zb is None or za != zb or not _is_glb(alg, za, a, b):
         return None
     return za
 
@@ -295,13 +313,15 @@ def _is_glb(alg: FiniteLAlgebra, z: int, a: int, b: int) -> bool:
     return common & ~order.below[z] == 0
 
 
-def _meet_diagnostics(alg: FiniteLAlgebra) -> tuple[str, ...]:
-    """Pairs where the two meet candidates exist but fail the contract."""
+def _meet_diagnostics(alg: FiniteLAlgebra, cand: list[list[int | None]]) -> tuple[str, ...]:
+    """Pairs where the two meet candidates exist but fail the contract.
+
+    ``cand[a][b]`` is the product (a*b)a, or None.
+    """
     notes: list[str] = []
     for a in range(alg.n):
         for b in range(a + 1, alg.n):
-            za = partial_product(alg, alg.table[a][b], a)
-            zb = partial_product(alg, alg.table[b][a], b)
+            za, zb = cand[a][b], cand[b][a]
             if za is None or zb is None:
                 continue
             la, lb = alg.label(a), alg.label(b)
@@ -326,17 +346,18 @@ def structure_flags(alg: FiniteLAlgebra) -> StructureFlags:
     sharp = all(t[x][t[x][y]] == t[x][y] for x in range(n) for y in range(n))
     discrete = all(x == unit or order.is_maximal(x) for x in range(n))
 
-    meets: dict[tuple[int, int], int | None] = {}
-    for a in range(n):
-        for b in range(n):
-            meets[a, b] = meet(alg, a, b)
-    meet_closed = all(v is not None for v in meets.values())
+    # each product (a*b)a once: the meets and the diagnostics both read it
+    cand = [[partial_product(alg, t[a][b], a) for b in range(n)] for a in range(n)]
+    meets = tuple(
+        tuple(_meet_of(alg, cand[a][b], cand[b][a], a, b) for b in range(n)) for a in range(n)
+    )
+    meet_closed = all(v is not None for row in meets for v in row)
 
     brouwerian = meet_closed
     if meet_closed:
         for x in range(n):
             for y in range(n):
-                m = meets[x, y]
+                m = meets[x][y]
                 assert m is not None
                 for z in range(n):
                     if order.leq(m, z) != order.leq(x, t[y][z]):
@@ -360,7 +381,8 @@ def structure_flags(alg: FiniteLAlgebra) -> StructureFlags:
         brouwerian=brouwerian,
         meet_closed=meet_closed,
         self_similar=self_similar,
-        diagnostics=_meet_diagnostics(alg),
+        meets=meets,
+        diagnostics=_meet_diagnostics(alg, cand),
     )
 
 

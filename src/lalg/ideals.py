@@ -10,6 +10,9 @@ closed under three rules:
 Ideals are upper sets and subalgebras, and they biject with congruences via
 x ~ y iff x*y and y*x both lie in I.  Subsets are machine-word bitmasks
 throughout; the carrier cap of 64 in :mod:`lalg.core` keeps that honest.
+:func:`close_under_rules` and :func:`is_ideal` read each member x once:
+``FiniteLAlgebra.closure_kernel[x]`` is everything lifting and absorption
+derive from x, and x's row gives detachment.
 """
 
 from __future__ import annotations
@@ -64,20 +67,23 @@ class Ideal:
 
 
 def is_ideal(alg: FiniteLAlgebra, mask: int) -> bool:
-    """Does the subset contain the unit and satisfy all three closure rules?"""
+    """Does the subset contain the unit and satisfy all three closure rules?
+
+    Each member x is tested once: its entry of ``closure_kernel`` must lie
+    inside the subset (lifting and absorption), and no y outside it may have
+    x*y inside (detachment).
+    """
     if not (mask >> alg.unit) & 1:
         return False
     t = alg.table
-    n = alg.n
+    kernel = alg.closure_kernel
+    outside = [y for y in range(alg.n) if not (mask >> y) & 1]
     for x in bits(mask):
+        if kernel[x] & ~mask:
+            return False
         row = t[x]
-        for y in range(n):
-            xy = row[y]
-            if (mask >> xy) & 1 and not (mask >> y) & 1:
-                return False
-            if not (mask >> t[xy][y]) & 1:
-                return False
-            if not (mask >> t[y][x]) & 1 or not (mask >> t[y][xy]) & 1:
+        for y in outside:
+            if (mask >> row[y]) & 1:
                 return False
     return True
 
@@ -85,38 +91,29 @@ def is_ideal(alg: FiniteLAlgebra, mask: int) -> bool:
 def close_under_rules(alg: FiniteLAlgebra, seed_mask: int) -> int:
     """Least ideal mask containing the seed.
 
-    Fixpoint iteration applies detachment, then lifting, then absorption,
-    and repeats until stable.  The rules are monotone, so the result does
-    not depend on this order; fixing it just makes iteration counts (and
-    logs) reproducible.
+    A worklist fixpoint that reads each member once, in the pass after it
+    joins: its ``closure_kernel`` entry adds what lifting and absorption
+    give, and its row adds every y outside with x*y inside (detachment).
+    A value v = x*y that joins after x needs no second look at x's row:
+    lifting put v*y = (x*y)*y in when x joined, so v's own row adds y.  The
+    rules are monotone, so this reaches the same least fixpoint as applying
+    them in any order.
     """
     t = alg.table
-    n = alg.n
-    m = seed_mask | (1 << alg.unit)
-    while True:
-        before = m
+    kernel = alg.closure_kernel
+    m = new = seed_mask | 1 << alg.unit
+    while new:
         add = 0
-        for x in bits(m):
+        outside = [y for y in range(alg.n) if not (m >> y) & 1]
+        for x in bits(new):
+            add |= kernel[x]
             row = t[x]
-            for y in range(n):
+            for y in outside:
                 if (m >> row[y]) & 1:
                     add |= 1 << y
-        m |= add
-        add = 0
-        for x in bits(m):
-            row = t[x]
-            for y in range(n):
-                add |= 1 << t[row[y]][y]
-        m |= add
-        add = 0
-        for x in bits(m):
-            row = t[x]
-            for y in range(n):
-                add |= 1 << t[y][x]
-                add |= 1 << t[y][row[y]]
-        m |= add
-        if m == before:
-            return m
+        new = add & ~m
+        m |= new
+    return m
 
 
 def generate_ideal(alg: FiniteLAlgebra, seed: Iterable[int] | int) -> Ideal:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .constructions import Fixture, product_injections
-from .core import FiniteLAlgebra, axiom_violations, meet, partial_product, structure_flags
+from .core import FiniteLAlgebra, axiom_violations, partial_product, structure_flags
 from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError
 from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
@@ -194,9 +194,10 @@ def _brute_glb(ctx: Context, x: int, y: int) -> int | None:
 
 def _check_meet_glb(ctx: Context) -> CheckResult:
     a = ctx.algebra
+    meets = ctx.flags.meets
     for x in range(a.n):
         for y in range(a.n):
-            m = meet(a, x, y)
+            m = meets[x][y]
             g = _brute_glb(ctx, x, y)
             if m is not None and m != g:
                 return (
@@ -218,13 +219,13 @@ def _check_meet_distributes(ctx: Context) -> CheckResult:
         return 0, None, "not Brouwerian, nothing to check"
     a = ctx.algebra
     t = a.table
-    meets = {(x, y): meet(a, x, y) for x in range(a.n) for y in range(a.n)}
+    meets = ctx.flags.meets
     instances = 0
     for x in range(a.n):
         for y in range(a.n):
             for z in range(a.n):
                 instances += 1
-                lhs = t[meets[x, y]][z]
+                lhs = t[meets[x][y]][z]
                 rhs = t[t[x][y]][t[x][z]]
                 if lhs != rhs:
                     return (
@@ -232,8 +233,8 @@ def _check_meet_distributes(ctx: Context) -> CheckResult:
                         {"triple": [a.label(x), a.label(y), a.label(z)], "law": "meet-out"},
                         None,
                     )
-                lhs2 = t[x][meets[y, z]]
-                rhs2 = meets[t[x][y], t[x][z]]
+                lhs2 = t[x][meets[y][z]]
+                rhs2 = meets[t[x][y]][t[x][z]]
                 if lhs2 != rhs2:
                     return (
                         instances,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLAlgebra, StructureFlags, meet, structure_flags, subalgebra
+from .core import FiniteLAlgebra, StructureFlags, structure_flags, subalgebra
 from .errors import (
     BijectionFailure,
     DistributivityFailure,
@@ -588,7 +588,7 @@ def principal_open_map(
     meet_join_instances = 0
     for x in range(alg.n):
         for y in range(alg.n):
-            w = meet(alg, x, y)
+            w = fl.meets[x][y]
             if w is None:
                 continue
             join = lat.join_table[lat.principal[x]][lat.principal[y]]

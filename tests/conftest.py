@@ -1,6 +1,7 @@
 import pytest
 
 from lalg.constructions import enumerate_all, fixtures
+from lalg.core import FiniteLAlgebra
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +48,29 @@ def corpus_to_five(algebras):
     iso5 = list(enumerate_all(5, up_to_iso=True))
     assert len(iso5) == 632
     return corpus + iso5
+
+
+@pytest.fixture(scope="session")
+def magma():
+    """A table that is not an L-algebra: modulo {1}, a ~ b and b ~ c but not a ~ c."""
+    return FiniteLAlgebra(
+        "magma",
+        ("1", "a", "b", "c"),
+        0,
+        ((0, 1, 2, 3), (0, 0, 0, 3), (0, 0, 0, 0), (0, 1, 0, 0)),
+    )
+
+
+@pytest.fixture(scope="session")
+def absorption_magma():
+    """A table that is not an L-algebra: b*(a*b) = c is the one rule
+    instance that leads out of {1, a}, and c then detaches everything."""
+    return FiniteLAlgebra(
+        "absorption-magma",
+        ("1", "a", "b", "c"),
+        0,
+        ((0, 1, 2, 3), (0, 0, 3, 3), (0, 0, 0, 3), (0, 0, 0, 0)),
+    )
 
 
 def _upper_set_masks(spec):

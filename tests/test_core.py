@@ -212,9 +212,11 @@ def _glb_oracle(alg, a, b):
 
 def test_meet_agrees_with_glb_oracle(algebras):
     for alg in algebras.values():
+        meets = structure_flags(alg).meets
         for a in range(alg.n):
             for b in range(alg.n):
                 m = meet(alg, a, b)
+                assert meets[a][b] == m
                 if m is not None:
                     assert m == _glb_oracle(alg, a, b)
 

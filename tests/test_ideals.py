@@ -62,12 +62,49 @@ def test_ideal_counts(algebras, fixture_map):
             assert len(enumerate_ideals(alg)) == expected, name
 
 
+def _is_ideal_by_rules(alg, mask):
+    """Oracle: the unit, then detachment, lifting and absorption on every
+    pair (x, y) with x in the subset."""
+    if not (mask >> alg.unit) & 1:
+        return False
+    t = alg.table
+    for x in range(alg.n):
+        if not (mask >> x) & 1:
+            continue
+        row = t[x]
+        for y in range(alg.n):
+            xy = row[y]
+            if (mask >> xy) & 1 and not (mask >> y) & 1:
+                return False
+            if not (mask >> t[xy][y]) & 1:
+                return False
+            if not (mask >> t[y][x]) & 1 or not (mask >> t[y][xy]) & 1:
+                return False
+    return True
+
+
+def test_is_ideal_matches_the_rule_oracle_on_every_mask(corpus_to_five, magma, absorption_magma):
+    # one kernel mask test and one row scan per member against the four
+    # checks on every pair, on every subset; the magmas are not L-algebras
+    for alg in corpus_to_five + [magma, absorption_magma]:
+        for mask in range(1 << alg.n):
+            assert is_ideal(alg, mask) == _is_ideal_by_rules(alg, mask), (alg.name, mask)
+
+
+def test_second_absorption_term_is_applied(absorption_magma):
+    # on the L-algebras with n <= 5 the term y*(x*y) never adds anything
+    # the other rules miss; on this table it is what leaves {1, a}
+    alg = absorption_magma
+    assert close_under_rules(alg, 1 << alg.index_of("a")) == alg.full_mask
+    assert not is_ideal(alg, mask_of([alg.unit, alg.index_of("a")]))
+
+
 def _ideal_masks_by_filter(alg):
-    """Oracle: every unit-containing subset that passes ``is_ideal``."""
+    """Oracle: every unit-containing subset that passes ``_is_ideal_by_rules``."""
     assert alg.n <= 12, "the subset filter tries 2^(n-1) candidates"
     unit_bit = 1 << alg.unit
     return sorted(
-        m for m in range(1 << alg.n) if m & unit_bit and is_ideal(alg, m)
+        m for m in range(1 << alg.n) if m & unit_bit and _is_ideal_by_rules(alg, m)
     )
 
 
@@ -386,16 +423,10 @@ def test_congruence_round_trip(algebras):
             assert ideal_of_congruence(cong).members == ideal.members
 
 
-def test_congruence_failure_on_magma():
+def test_congruence_failure_on_magma(magma):
     # mod {1}: a ~ b and b ~ c but not a ~ c, so the relation is not even
     # an equivalence; only possible on a table that is not an L-algebra.
     # The lattice builds ({1} and X); the law finds the fault on {1}.
-    magma = FiniteLAlgebra(
-        "magma",
-        ("1", "a", "b", "c"),
-        0,
-        ((0, 1, 2, 3), (0, 0, 0, 3), (0, 0, 0, 0), (0, 1, 0, 0)),
-    )
     assert [i.label_set() for i in enumerate_ideals(magma).ideals] == [("1",), ("1", "a", "b", "c")]
     report = run_law("congruence.bijection", Fixture("magma", magma))
     assert report.verdict == "fail"

@@ -288,3 +288,24 @@ def test_point_map_is_built_once_per_algebra(monkeypatch, omega3):
     )
     assert [r.verdict for r in reports] == ["pass", "pass"]
     assert len(calls) == 1
+
+
+def test_meets_are_computed_once_per_algebra(monkeypatch, algebras):
+    # the meet laws and the point map read the meet table of structure_flags,
+    # which finds each product (a*b)a once
+    from lalg import core
+
+    calls = []
+    real = core.partial_product
+    monkeypatch.setattr(core, "partial_product", lambda *args: calls.append(1) or real(*args))
+    meet_laws = [
+        "meet.glb",
+        "meet.brouwerian-distributive",
+        "principal-ideals.meet-join",
+        "point-map.brouwerian",
+    ]
+    for name, alg in algebras.items():
+        reports = run_suite([Fixture(name, alg)], laws=meet_laws)
+        assert all(r.verdict == "pass" for r in reports), name
+        assert len(calls) == alg.n * alg.n, name
+        calls.clear()
