@@ -192,8 +192,10 @@ class IdealLattice:
     Construction keeps the masks, the principal ideals, the join-irreducibles
     and ``downsets``: ``downsets[k]`` is the set S_I of ``join_irreducibles``
     inside the k-th ideal.  ``meet_table``, ``join_table`` and
-    ``residuation_table`` are m x m and are built when first read, so a
-    lattice that only serves its masks and its spectrum never builds them.
+    ``residuation_table`` are m x m and are built when first read, as is
+    the tuple of :class:`Ideal` objects in ``ideals``, so a lattice that
+    only serves its masks and its spectrum (the sub-algebra and quotient
+    lattices of the spectrum laws) never builds them.
     I n J is the intersection, I v J the ideal with down-set S_I u S_J, and
     I*J the set {x | <x> n I <= J}; each is looked up among the ideals.  A hit
     is the meet, the join or the greatest K with K n I <= J; a join that
@@ -220,7 +222,6 @@ class IdealLattice:
         self.masks: tuple[int, ...] = tuple(
             sorted(set(masks), key=lambda m: (m.bit_count(), m))
         )
-        self.ideals: tuple[Ideal, ...] = tuple(Ideal(algebra, m) for m in self.masks)
         self._index: dict[int, int] = {m: k for k, m in enumerate(self.masks)}
         self.bottom = 0
         self.top = len(self.masks) - 1
@@ -237,6 +238,10 @@ class IdealLattice:
 
     def __len__(self) -> int:
         return len(self.masks)
+
+    @cached_property
+    def ideals(self) -> tuple[Ideal, ...]:
+        return tuple(Ideal(self.algebra, m) for m in self.masks)
 
     def __iter__(self) -> Iterator[Ideal]:
         return iter(self.ideals)
@@ -293,11 +298,16 @@ class IdealLattice:
 
     @cached_property
     def residuation_table(self) -> tuple[tuple[int, ...], ...]:
+        # I*J depends on I \ J only: one scan per distinct difference
+        by_outside: dict[int, int] = {}
         table = []
         for imask in self.masks:
             row = []
             for jmask in self.masks:
-                r = self._residuation_mask(imask, jmask)
+                outside = imask & ~jmask
+                r = by_outside.get(outside)
+                if r is None:
+                    r = by_outside[outside] = self._residuation_mask(imask, jmask)
                 k = self._index.get(r)
                 if k is None:
                     raise ResiduationNotGreatest(
@@ -512,3 +522,28 @@ def quotient(
         table=table,
     )
     return quot, cong.class_of
+
+
+@dataclass(frozen=True)
+class Quotient:
+    """X/I with its projection; the ideal lattice of X/I is built on first read.
+
+    ``projection`` is the class map of :func:`congruence_of`, as
+    :func:`quotient` returns it, so ``congruence`` is that partition again.
+    One object per ideal lets every law that reads X/I share one build.
+    """
+
+    source: FiniteLAlgebra
+    algebra: FiniteLAlgebra
+    projection: tuple[int, ...]
+
+    @cached_property
+    def lattice(self) -> IdealLattice:
+        return enumerate_ideals(self.algebra)
+
+    @cached_property
+    def congruence(self) -> Congruence:
+        classes = [0] * self.algebra.n
+        for x, c in enumerate(self.projection):
+            classes[c] |= 1 << x
+        return Congruence(self.source, self.projection, tuple(classes))

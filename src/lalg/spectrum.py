@@ -21,6 +21,7 @@ primality run once per algebra, in the law ``prime.definitions-agree``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import FiniteLAlgebra, StructureFlags, structure_flags, subalgebra
 from .errors import (
@@ -30,7 +31,17 @@ from .errors import (
     NonUniqueAttachment,
     SpatialityFailure,
 )
-from .ideals import Ideal, IdealLattice, bits, enumerate_ideals, is_ideal, mask_of, quotient
+from .ideals import (
+    Ideal,
+    IdealLattice,
+    Quotient,
+    bits,
+    close_under_rules,
+    enumerate_ideals,
+    is_ideal,
+    mask_of,
+    quotient,
+)
 
 
 @dataclass(frozen=True)
@@ -238,24 +249,23 @@ def quasi_prime_elements(alg: FiniteLAlgebra, lat: IdealLattice) -> tuple[int, .
     """Elements q < 1 that no join of ideals can capture without a factor.
 
     q is quasi-prime when q in I v J implies q in I or q in J for every pair
+    of ideals.  In any finite lattice of ideals that holds exactly when q
+    lies outside the join of all ideals without q: every join of two ideals
+    without q lies below that join, and when q is quasi-prime, joining the
+    ideals without q one at a time never adds q.  So each q costs one union
+    of masks and one :func:`close_under_rules`, not a scan over all pairs
     of ideals.  That every prime element qualifies is the law
     ``prime-elements.quasiprime``; nothing is checked here.
     """
     out = []
-    m = len(lat)
     for q in range(alg.n):
         if q == alg.unit:
             continue
-        ok = True
-        for i in range(m):
-            if not ok:
-                break
-            for j in range(i, m):
-                in_join = (lat.masks[lat.join_table[i][j]] >> q) & 1
-                if in_join and not ((lat.masks[i] >> q) & 1 or (lat.masks[j] >> q) & 1):
-                    ok = False
-                    break
-        if ok:
+        rest = 0
+        for mask in lat.masks:
+            if not (mask >> q) & 1:
+                rest |= mask
+        if not (close_under_rules(alg, rest) >> q) & 1:
             out.append(q)
     return tuple(out)
 
@@ -382,19 +392,26 @@ class PrimeQuotientRow:
 
 
 def prime_quotient_oracle(
-    alg: FiniteLAlgebra, lat: IdealLattice, topology: SpectrumTopology | None = None
+    alg: FiniteLAlgebra,
+    lat: IdealLattice,
+    topology: SpectrumTopology | None = None,
+    quotient_by: Callable[[int], Quotient] | None = None,
 ) -> tuple[PrimeQuotientRow, ...]:
-    """For every proper ideal P: P prime iff X/P is subdirectly irreducible."""
+    """For every proper ideal P: P prime iff X/P is subdirectly irreducible.
+
+    ``quotient_by`` takes a lattice index to X/P with its ideal lattice when
+    the caller holds them already (the law harness builds one per ideal);
+    otherwise each is built here.
+    """
     spec = topology if topology is not None else prime_ideals(lat)
     rows = []
     for p in lat.proper_indices():
-        quot, _ = quotient(alg, lat.ideals[p])
-        qlat = enumerate_ideals(quot)
+        quot = quotient_by(p) if quotient_by else Quotient(alg, *quotient(alg, lat.ideals[p]))
         rows.append(
             PrimeQuotientRow(
                 ideal_index=p,
                 prime=p in spec.points,
-                quotient_subdirectly_irreducible=subdirectly_irreducible(quot, qlat),
+                quotient_subdirectly_irreducible=subdirectly_irreducible(quot.algebra, quot.lattice),
             )
         )
     return tuple(rows)
@@ -420,6 +437,7 @@ def relative_spectrum(
     lat: IdealLattice,
     ideal: Ideal,
     topology: SpectrumTopology | None = None,
+    quot: Quotient | None = None,
 ) -> RelativeSpectrumReport:
     """Check that P -> I*P and Q -> Q n I invert between Spec I and U_I.
 
@@ -427,6 +445,9 @@ def relative_spectrum(
     its primes must land exactly on the open set U_I of the ambient spectrum,
     and the primes of X/I must pull back exactly onto the complement.  Any
     failure raises :class:`BijectionFailure` with the offending piece named.
+    ``quot`` takes X/I with its ideal lattice when the caller holds them
+    already (the law harness builds one per ideal); otherwise it is built
+    here.
     """
     spec = topology if topology is not None else prime_ideals(lat)
     i_index = lat.index(ideal.members)
@@ -490,8 +511,10 @@ def relative_spectrum(
             raise fail("a point of U_I is not hit by any prime of I")
 
     # closed part: Spec X/I against the complement A_I
-    quot, proj = quotient(alg, ideal)
-    q_lat = enumerate_ideals(quot)
+    if quot is None:
+        quot = Quotient(alg, *quotient(alg, ideal))
+    proj = quot.projection
+    q_lat = quot.lattice
     q_spec = prime_ideals(q_lat)
     complement = {
         spec.points[k]
@@ -644,6 +667,7 @@ def check_frame_map(spec: SpectrumTopology) -> tuple[int, str | None]:
     Returns (instances checked, failure description or None).
     """
     lat = spec.lattice
+    masks = lat.masks
     m = len(lat)
     instances = 0
     if len(set(spec.opens)) != m:
@@ -655,7 +679,7 @@ def check_frame_map(spec: SpectrumTopology) -> tuple[int, str | None]:
     for i in range(m):
         for j in range(i, m):
             instances += 1
-            if spec.opens[lat.meet_table[i][j]] != spec.opens[i] & spec.opens[j]:
+            if spec.opens[lat.index(masks[i] & masks[j])] != spec.opens[i] & spec.opens[j]:
                 return instances, "U_(I n J) != U_I n U_J"
             if spec.opens[lat.join_table[i][j]] != spec.opens[i] | spec.opens[j]:
                 return instances, "U_(I v J) != U_I u U_J"

@@ -87,6 +87,10 @@ def test_row_wise_exchange_check_matches_the_triple_loop():
         unit = 0
         found = [v.witness for v in axiom_violations(table, unit) if v.axiom == "exchange"]
         assert found == _exchange_violations_by_triples(table), table
+        # restricted to some columns z, the same triples with z among them
+        columns = sorted(rng.sample(range(len(table)), rng.randint(1, len(table))))
+        found = [v.witness for v in axiom_violations(table, unit, columns) if v.axiom == "exchange"]
+        assert found == [t for t in _exchange_violations_by_triples(table) if t[2] in columns]
 
 
 def test_malformed_tables():

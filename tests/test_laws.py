@@ -3,6 +3,7 @@ import pytest
 from lalg.constructions import Fixture, PosetSpec, fixtures, poset_algebra, product_pairs
 from lalg.core import FiniteLAlgebra
 from lalg.formats import algebra_to_document, document_from_json_object
+from lalg.ideals import enumerate_ideals
 from lalg.laws import (
     LAWS,
     all_pass,
@@ -309,3 +310,87 @@ def test_meets_are_computed_once_per_algebra(monkeypatch, algebras):
         assert all(r.verdict == "pass" for r in reports), name
         assert len(calls) == alg.n * alg.n, name
         calls.clear()
+
+
+def test_lattice_is_algebra_law_falls_back_to_every_column_without_the_adjunction(
+    monkeypatch, algebras
+):
+    # B2xB2 has four ideals: {1}, two atoms and X; the atoms are the
+    # meet-irreducibles.  Setting A*{1} to {1} for the first atom A (it is
+    # the other atom) keeps the unit laws, antisymmetry, the order and the
+    # exchange identity at z = X and at both atoms; the identity breaks only
+    # at z = {1}.  The residual is no longer a right adjoint, so
+    # residuation.adjunction fails and is-l-algebra checks every column.
+    from lalg.core import axiom_violations
+    from lalg.ideals import IdealLattice
+    from lalg.laws import _meet_irreducibles
+
+    real = IdealLattice.residuation_table.func
+
+    def planted(self):
+        table = [list(row) for row in real(self)]
+        table[1][0] = 0
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(IdealLattice, "residuation_table", property(planted))
+    fixture = Fixture("B2xB2", algebras["B2xB2"])
+    lat = enumerate_ideals(fixture.algebra)
+    assert _meet_irreducibles(lat.masks, fixture.algebra.full_mask) == [1, 2]
+    assert not axiom_violations(lat.residuation_table, lat.top, [lat.top, 1, 2])
+    violations = axiom_violations(lat.residuation_table, lat.top)
+    assert violations and all(v.axiom == "exchange" and v.witness[2] == 0 for v in violations)
+
+    assert run_law("residuation.adjunction", fixture).verdict == "fail"
+    report = run_law("ideal-lattice.is-l-algebra", fixture)
+    assert report.verdict == "fail"
+    assert report.witness["error"] == "AxiomViolation"
+    assert report.witness["violations"] == [str(v) for v in violations]
+
+
+def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five):
+    # on every fixture, every table with n <= 4 and the 632 classes at n = 5
+    # the k + 1 columns give the verdict of the full axiom check
+    from lalg.core import axiom_violations
+    from lalg.laws import _meet_irreducibles
+
+    for alg in corpus_to_five:
+        lat = enumerate_ideals(alg)
+        table = lat.residuation_table
+        columns = [lat.top, *_meet_irreducibles(lat.masks, alg.full_mask)]
+        assert len(columns) == len(lat.join_irreducibles) + 1, alg.name
+        reduced = axiom_violations(table, lat.top, columns)
+        assert reduced == axiom_violations(table, lat.top), alg.name
+
+
+def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
+    # quotient.morphism, congruence.bijection, prime.iff-quotient-irreducible
+    # and relative-spectrum.bijection share X/I and its ideal lattice: one
+    # quotient, one congruence and one quotient lattice per (algebra, ideal)
+    from lalg import ideals, laws
+
+    quotients, congruences, lattices = [], [], []
+    real_quotient, real_congruence, real_enumerate = (
+        laws.quotient,
+        ideals.congruence_of,
+        ideals.enumerate_ideals,
+    )
+
+    def counted_quotient(alg, ideal):
+        quot, proj = real_quotient(alg, ideal)
+        quotients.append((alg.name, ideal.members, quot))
+        return quot, proj
+
+    def counted_enumerate(alg):
+        if any(alg is quot for _, _, quot in quotients):
+            lattices.append(alg)
+        return real_enumerate(alg)
+
+    monkeypatch.setattr(laws, "quotient", counted_quotient)
+    monkeypatch.setattr(ideals, "congruence_of", lambda *a: congruences.append(1) or real_congruence(*a))
+    monkeypatch.setattr(ideals, "enumerate_ideals", counted_enumerate)
+    reports = run_suite(full_corpus)
+    assert all_pass(reports)
+    pairs = {(name, members) for name, members, _ in quotients}
+    assert len(pairs) == len(quotients) == 80
+    assert len(congruences) == 80
+    assert len({id(quot) for quot in lattices}) == len(lattices) == 80

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from lalg import laws, spectrum
+from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import validate
 from lalg.errors import NonUniqueAttachment
@@ -90,6 +90,8 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
     built = []
     real = spectrum.enumerate_ideals
     monkeypatch.setattr(spectrum, "enumerate_ideals", lambda a: built.append(real(a)) or built[-1])
+    # the lattices of quotients are built by ideals.Quotient
+    monkeypatch.setattr(ideals, "enumerate_ideals", lambda a: built.append(real(a)) or built[-1])
     for name in ("B2xB2", "chain3", "omega3", "diamond"):
         alg = algebras[name]
         lat = enumerate_ideals(alg)
@@ -201,6 +203,31 @@ def test_quasi_primes(b2, diamond, chain3):
     assert {
         chain3.label(i) for i in quasi_prime_elements(chain3, enumerate_ideals(chain3))
     } == {"a", "b"}
+
+
+def _quasi_primes_by_pairs(alg, lat):
+    """Test-only oracle: q < 1 with q in I v J only when q in I or q in J,
+    over every pair of ideals read off ``join_table``."""
+    out = []
+    m = len(lat)
+    for q in range(alg.n):
+        if q == alg.unit:
+            continue
+        if all(
+            not (lat.masks[lat.join_table[i][j]] >> q) & 1
+            or (lat.masks[i] >> q) & 1
+            or (lat.masks[j] >> q) & 1
+            for i in range(m)
+            for j in range(i, m)
+        ):
+            out.append(q)
+    return tuple(out)
+
+
+def test_quasi_primes_by_one_join_match_the_pair_scan(corpus_to_five):
+    for alg in corpus_to_five:
+        lat = enumerate_ideals(alg)
+        assert quasi_prime_elements(alg, lat) == _quasi_primes_by_pairs(alg, lat), alg.name
 
 
 def test_primes_subset_quasi_primes(algebras, small_corpus):
