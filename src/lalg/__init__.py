@@ -45,10 +45,8 @@ from .ideals import (
     generate_ideal,
     ideal_of_congruence,
     is_ideal,
-    join_via_witness,
     principal_ideal,
     quotient,
-    residuation,
 )
 from . import constructions, formats, laws, spectrum  # noqa: E402  (submodule access)
 

@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list the registered laws and exit")
     p.add_argument("--json", action="store_true")
     p.add_argument("--no-timing", action="store_true", help="omit timing for stable output")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
 
     p = sub.add_parser("construct", help="build derived algebras")
     csub = p.add_subparsers(dest="construction", required=True)
@@ -122,8 +121,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     lat = enumerate_ideals(alg)
     spec = prime_ideals(lat)
     print(f"{alg.name}: {spec.point_count} point(s)")
-    for k in range(spec.point_count):
-        print(f"  {{{','.join(spec.point_ideal(k).label_set())}}}")
+    for p in sorted(spec.points):
+        print(f"  {{{','.join(lat.ideals[p].label_set())}}}")
     if args.topology:
         rep = topology_report(spec)
         print(f"T0: {'yes' if rep.t0 else 'NO'}")
@@ -174,7 +173,7 @@ def _cmd_laws(args: argparse.Namespace) -> int:
         return 0
     corpus = _laws_corpus(args)
     try:
-        reports = run_suite(corpus, laws=args.law_selection, jobs=args.jobs)
+        reports = run_suite(corpus, laws=args.law_selection)
     except KeyError as exc:
         raise _Usage(f"{exc.args[0]}; see `lalg laws --list`") from None
     out = serialize_report(

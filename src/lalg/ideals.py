@@ -191,22 +191,20 @@ class IdealLattice:
 
     Construction keeps the masks, the principal ideals, the join-irreducibles
     and ``downsets``: ``downsets[k]`` is the set S_I of ``join_irreducibles``
-    inside the k-th ideal.  ``meet_table``, ``join_table`` and
-    ``residuation_table`` are m x m and are built when first read, as is
-    the tuple of :class:`Ideal` objects in ``ideals``, so a lattice that
-    only serves its masks and its spectrum (the sub-algebra and quotient
-    lattices of the spectrum laws) never builds them.
-    I n J is the intersection, I v J the ideal with down-set S_I u S_J, and
-    I*J the set {x | <x> n I <= J}; each is looked up among the ideals.  A hit
+    inside the k-th ideal.  ``by_downset``, the one index from down-set to
+    ideal, ``meet_table``, ``join_table`` and ``residuation_table`` (m x m)
+    and the :class:`Ideal` objects in ``ideals`` are built when first read,
+    so the lattices that serve only masks and spectra never build a table.
+    I n J is the intersection, I v J (:meth:`join`) the ideal with down-set
+    S_I u S_J, and I*J the set {x | <x> n I <= J}; each is looked up.  A hit
     is the meet, the join or the greatest K with K n I <= J; a join that
     misses raises :class:`DistributivityFailure` (only a non-distributive
-    lattice lacks it), a residual that misses :class:`ResiduationNotGreatest`,
-    each when its table is first read.  The theorems are checked once per
-    algebra, in the laws ``ideal-lattice.distributive``, ``join.witness-form``
-    and ``residuation.adjunction``.
+    lattice lacks it), a residual :class:`ResiduationNotGreatest`.  The
+    theorems are checked in the laws ``ideal-lattice.distributive``,
+    ``join.witness-form`` and ``residuation.adjunction``.
 
     Construction does not check the family.  A hand-built family in which
-    two members share a down-set is accepted, and ``join_table`` then keeps
+    two members share a down-set is accepted, and ``by_downset`` then keeps
     the last of them; the injectivity check of :func:`certify_distributive`,
     run by ``ideal-lattice.distributive``, names both.
     """
@@ -268,23 +266,30 @@ class IdealLattice:
         return tuple(tuple(r) for r in table)
 
     @cached_property
+    def by_downset(self) -> dict[int, int]:
+        return {d: k for k, d in enumerate(self.downsets)}
+
+    def join(self, i: int, j: int) -> int:
+        """Index of I v J: the ideal whose down-set is S_I u S_J."""
+        k = self.by_downset.get(self.downsets[i] | self.downsets[j])
+        if k is None:
+            raise DistributivityFailure(
+                f"{self.algebra.name}: no ideal has S_I u S_J as its down-set",
+                witness={
+                    "algebra": self.algebra.name,
+                    "I": _labels(self.algebra, self.masks[i]),
+                    "J": _labels(self.algebra, self.masks[j]),
+                },
+            )
+        return k
+
+    @cached_property
     def join_table(self) -> tuple[tuple[int, ...], ...]:
         m = len(self.masks)
-        by_downset = {d: k for k, d in enumerate(self.downsets)}
         table = [[0] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
-                k = by_downset.get(self.downsets[i] | self.downsets[j])
-                if k is None:
-                    raise DistributivityFailure(
-                        f"{self.algebra.name}: no ideal has S_I u S_J as its down-set",
-                        witness={
-                            "algebra": self.algebra.name,
-                            "I": _labels(self.algebra, self.masks[i]),
-                            "J": _labels(self.algebra, self.masks[j]),
-                        },
-                    )
-                table[i][j] = table[j][i] = k
+                table[i][j] = table[j][i] = self.join(i, j)
         return tuple(tuple(r) for r in table)
 
     def _residuation_mask(self, imask: int, jmask: int) -> int:
@@ -429,31 +434,6 @@ def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> It
                 },
             )
         yield w
-
-
-def join_via_witness(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:
-    """Join via congruence witnesses: y is in I v J iff some x in I has x*y
-    and y*x in J.
-
-    The witness join must equal the closure of I u J and the entry of
-    ``join_table`` (see :func:`witness_joins`); a mismatch raises
-    :class:`JoinWitnessMismatch` with all three instead of returning one of
-    them.
-    """
-    pair = (lattice.index(left.members), lattice.index(right.members))
-    return Ideal(lattice.algebra, next(witness_joins(lattice, [pair])))
-
-
-def residuation(lattice: IdealLattice, left: Ideal, right: Ideal) -> Ideal:
-    """I*J: the greatest ideal K with K n I inside J.
-
-    Read from ``residuation_table``, which holds the element-wise
-    {x | <x> n I <= J}; the law ``residuation.adjunction`` checks that it is
-    the greatest.
-    """
-    i = lattice.index(left.members)
-    j = lattice.index(right.members)
-    return lattice.ideals[lattice.residuation_table[i][j]]
 
 
 @dataclass(frozen=True)

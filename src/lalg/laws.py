@@ -10,7 +10,6 @@ ideals or elements, enough to reproduce the verdict with :func:`replay`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -881,30 +880,16 @@ def _laws_for(selection: Sequence[str] | None) -> tuple[Law, ...]:
     return tuple(_LAW_BY_ID[s] for s in selection)
 
 
-def _run_fixture(args: tuple[Fixture, tuple[str, ...] | None]) -> list[LawReport]:
-    fixture, selection = args
-    ctx = Context(fixture)
-    return [_run_one(law, ctx, fixture.name) for law in _laws_for(selection)]
-
-
-def run_suite(
-    corpus: Sequence[Fixture],
-    laws: Sequence[str] | None = None,
-    jobs: int = 1,
-) -> list[LawReport]:
+def run_suite(corpus: Sequence[Fixture], laws: Sequence[str] | None = None) -> list[LawReport]:
     """Evaluate the selected laws on every corpus algebra.
 
-    Rows come back sorted by (law id, corpus id) regardless of evaluation
-    order, so parallel runs merge deterministically.
+    Rows come back sorted by (law id, corpus id).
     """
-    selection = tuple(laws) if laws is not None else None
-    _laws_for(selection)  # fail fast on unknown ids
-    if jobs > 1 and len(corpus) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_run_fixture, [(f, selection) for f in corpus])
-            reports = [r for chunk in chunks for r in chunk]
-    else:
-        reports = [r for f in corpus for r in _run_fixture((f, selection))]
+    selected = _laws_for(laws)  # fails fast on unknown ids
+    reports = []
+    for fixture in corpus:
+        ctx = Context(fixture)
+        reports.extend(_run_one(law, ctx, fixture.name) for law in selected)
     reports.sort(key=lambda r: (r.law, r.corpus))
     return reports
 

@@ -12,9 +12,9 @@ their attached prime ideals, and checks that opens and closed sets are again
 spectra: Spec I matches U_I and Spec X/I matches its complement.
 
 The points come from the Birkhoff dual of the (distributive) ideal lattice:
-one prime per join-irreducible ideal, looked up by its down-set, so building
-a spectrum reads none of the lattice's m x m tables and a table miss is
-raised only where a table is first read.  The two textbook definitions of
+one prime P_j per join-irreducible ideal j, looked up by its down-set, and
+the opens are the lattice's down-sets, so a spectrum and its topology report
+read none of the lattice's m x m tables.  The two textbook definitions of
 primality run once per algebra, in the law ``prime.definitions-agree``.
 """
 
@@ -48,9 +48,10 @@ from .ideals import (
 class SpectrumTopology:
     """The prime ideals of one lattice plus open/point incidence.
 
-    ``points`` are lattice indices of the prime ideals, ascending.  Opens are
-    bitmasks over point *positions*: bit k of ``opens[i]`` says that the k-th
-    point lies in U of the i-th ideal.
+    ``points[j]`` is the lattice index of P_j, the prime of the j-th
+    join-irreducible; they are sorted only where printed.  Opens are bitmasks
+    over point *positions*: bit j of ``opens[i]`` says that P_j lies in U of
+    the i-th ideal, which is j in S_I, so ``opens`` is ``lattice.downsets``.
     """
 
     lattice: IdealLattice
@@ -68,21 +69,8 @@ class SpectrumTopology:
     def point_ideal(self, position: int) -> Ideal:
         return self.lattice.ideals[self.points[position]]
 
-    def open_of(self, ideal_index: int) -> int:
-        return self.opens[ideal_index]
-
     def closed_of(self, ideal_index: int) -> int:
         return self.all_points_mask & ~self.opens[ideal_index]
-
-    def closure_of_point(self, position: int) -> int:
-        """Closure of one point, computed directly from the opens."""
-        mask = 0
-        for q in range(len(self.points)):
-            if all(
-                not ((u >> q) & 1) or ((u >> position) & 1) for u in set(self.opens)
-            ):
-                mask |= 1 << q
-        return mask
 
 
 def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
@@ -91,8 +79,9 @@ def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
     In a finite distributive lattice the prime ideals are exactly the P_j,
     one for each join-irreducible j, whose down-set S_P holds every
     join-irreducible not above j (Birkhoff; Davey & Priestley, ch. 5 and 10).
-    Each P_j is looked up by its down-set and the points are sorted by
-    lattice index; no table is read.  A j without P_j raises
+    ``points[j]`` is P_j, looked up in ``lat.by_downset``.  I is not inside
+    P_j exactly when the down-set S_I holds j, so the opens are
+    ``lat.downsets``; no table is read.  A j without P_j raises
     :class:`DistributivityFailure` naming j.  That these points are the
     primes of both definitions (residuation and meet) is the law
     ``prime.definitions-agree``.
@@ -100,11 +89,10 @@ def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
     alg = lat.algebra
     joinirr = lat.join_irreducibles
     every = (1 << len(joinirr)) - 1
-    by_downset = {d: k for k, d in enumerate(lat.downsets)}
     points = []
     for jmask in joinirr:
         above = mask_of(b for b, q in enumerate(joinirr) if jmask & ~q == 0)
-        p = by_downset.get(every & ~above)
+        p = lat.by_downset.get(every & ~above)
         if p is None:
             raise DistributivityFailure(
                 f"{alg.name}: no ideal has the join-irreducibles not above j as its down-set",
@@ -114,16 +102,7 @@ def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
                 },
             )
         points.append(p)
-    points.sort()
-    position = {p: k for k, p in enumerate(points)}
-    opens = []
-    for i in range(len(lat)):
-        u = 0
-        for p in points:
-            if lat.masks[i] & ~lat.masks[p]:  # I not inside P
-                u |= 1 << position[p]
-        opens.append(u)
-    return SpectrumTopology(lattice=lat, points=tuple(points), opens=tuple(opens))
+    return SpectrumTopology(lattice=lat, points=tuple(points), opens=lat.downsets)
 
 
 @dataclass(frozen=True)
@@ -142,8 +121,8 @@ def _minimal_generator_counts(lat: IdealLattice) -> tuple[int, ...]:
     """Size of a smallest generating subset of each ideal, by lattice index.
 
     The ideal generated by a set is the join of its members' principal
-    ideals.  A breadth-first search over ``join_table`` finds, level by
-    level, the ideals that are joins of t principal ideals: level 1 is the
+    ideals.  A breadth-first search over :meth:`IdealLattice.join` finds,
+    level by level, the ideals that are joins of t principal ideals: level 1 is the
     principal ideals, and level t+1 every join of a level-t ideal with a
     principal ideal.  An ideal's count is the first level it appears in, and
     the bottom's (generated by the empty set) is 0.  Finiteness makes every
@@ -158,9 +137,21 @@ def _minimal_generator_counts(lat: IdealLattice) -> tuple[int, ...]:
         fresh = [k for k in level if counts[k] < 0]
         for k in fresh:
             counts[k] = t
-        level = {lat.join_table[k][p] for k in fresh for p in principal}
+        level = {lat.join(k, p) for k in fresh for p in principal}
         t += 1
     return tuple(counts)
+
+
+def point_closures(spec: SpectrumTopology) -> tuple[int, ...]:
+    """cl(p) for every point, in one pass over the opens: q lies in cl(p)
+    when every open that holds q holds p, so cl(p) is the complement of the
+    union of the opens that miss p."""
+    every = spec.all_points_mask
+    missed_by = [0] * spec.point_count
+    for u in spec.opens:
+        for p in bits(every & ~u):
+            missed_by[p] |= u
+    return tuple(every & ~u for u in missed_by)
 
 
 def topology_report(spec: SpectrumTopology) -> TopologyReport:
@@ -170,15 +161,22 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
     rather than raising, so a law run can flag them loudly with full context.
     An empty spectrum passes everything vacuously.  That the principal
     (quasi-compact) opens form a basis is :func:`compact_basis_failure`.
+
+    Both read the :func:`point_closures`: two points are indistinguishable
+    when they share a closure, and a non-empty closed set C is reducible
+    exactly when it is the union of the point closures strictly inside it
+    (if C is the union of two proper closed sets, each p in C lies in one
+    and cl(p) with it).  That is O(k) per closed set, and each is tested.
     """
     lat = spec.lattice
     npts = spec.point_count
     witnesses: list[str] = []
+    closures = point_closures(spec)
 
     t0 = True
     for a in range(npts):
         for b in range(a + 1, npts):
-            if all(((u >> a) & 1) == ((u >> b) & 1) for u in spec.opens):
+            if closures[a] == closures[b]:
                 t0 = False
                 witnesses.append(
                     f"points {spec.point_ideal(a)!r} and {spec.point_ideal(b)!r} "
@@ -186,26 +184,21 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
                 )
 
     closed_sets = sorted(set(spec.closed_of(i) for i in range(len(lat))))
-    closures = [spec.closure_of_point(a) for a in range(npts)]
 
-    def irreducible(a_mask: int) -> bool:
-        if a_mask == 0:
-            return False
-        for b_mask in closed_sets:
-            for c_mask in closed_sets:
-                if a_mask & ~(b_mask | c_mask) == 0:
-                    if a_mask & ~b_mask and a_mask & ~c_mask:
-                        return False
-        return True
+    def irreducible(c_mask: int) -> bool:
+        inside = 0
+        for cl in closures:
+            if cl != c_mask and cl & ~c_mask == 0:
+                inside |= cl
+        return c_mask != 0 and inside != c_mask
 
-    irr = [a for a in closed_sets if irreducible(a)]
+    irr = [c for c in closed_sets if irreducible(c)]
     sober = True
-    for a_mask in irr:
-        generic = [p for p in range(npts) if closures[p] == a_mask]
-        if len(generic) != 1:
+    for c_mask in irr:
+        if closures.count(c_mask) != 1:
             sober = False
             witnesses.append(
-                f"irreducible closed set with {len(generic)} generic points"
+                f"irreducible closed set with {closures.count(c_mask)} generic points"
             )
     bijection = sober and sorted(closures) == sorted(irr) and len(set(closures)) == npts
 
@@ -281,18 +274,20 @@ def attach_prime_ideal(
 
     For quasi-prime x the maximal avoider is unique and the attachment map
     x -> P_x is well defined; several maximal avoiders are legal for other
-    elements and are all returned.  ``quasi`` takes the quasi-prime elements
-    when the caller has them already; otherwise they are computed here.
+    elements and are all returned, ascending.  ``quasi`` takes the quasi-prime
+    elements when the caller has them already; otherwise they are computed.
     """
     if x == alg.unit:
         raise ValueError(f"{alg.name}: the unit is contained in every ideal")
     spec = topology if topology is not None else prime_ideals(lat)
-    avoiders = [k for k in range(len(lat)) if not (lat.masks[k] >> x) & 1]
-    maximal = [
-        k
-        for k in avoiders
-        if not any(other != k and lat.leq(k, other) for other in avoiders)
-    ]
+    # indices follow popcount, so whatever lies strictly above k comes later:
+    # in descending order an avoider is maximal when none found so far holds it
+    maximal: list[int] = []
+    for k in range(len(lat) - 1, -1, -1):
+        mask = lat.masks[k]
+        if not (mask >> x) & 1 and all(mask & ~lat.masks[q] for q in maximal):
+            maximal.append(k)
+    maximal.reverse()
     for k in maximal:
         if k not in spec.points:
             raise MaximalAvoiderNotPrime(
@@ -467,12 +462,13 @@ def relative_spectrum(
     sub_lat = enumerate_ideals(sub)
     sub_spec = prime_ideals(sub_lat)
 
-    u_positions = [k for k in range(spec.point_count) if (spec.opens[i_index] >> k) & 1]
-    u_lattice_indices = {spec.points[k] for k in u_positions}
+    # points visited by ascending lattice index, so the first failure named stays the same
+    u_open = spec.opens[i_index]
+    u_lattice_indices = set(sorted(p for j, p in enumerate(spec.points) if (u_open >> j) & 1))
 
     forward: list[tuple[int, int]] = []
     seen: set[int] = set()
-    for p_pos, p_idx in enumerate(sub_spec.points):
+    for p_pos, p_idx in sorted(enumerate(sub_spec.points), key=lambda e: e[1]):
         lifted = 0
         for b in bits(sub_lat.masks[p_idx]):
             lifted |= 1 << elems[b]
@@ -516,13 +512,9 @@ def relative_spectrum(
     proj = quot.projection
     q_lat = quot.lattice
     q_spec = prime_ideals(q_lat)
-    complement = {
-        spec.points[k]
-        for k in range(spec.point_count)
-        if not (spec.opens[i_index] >> k) & 1
-    }
+    complement = {p for j, p in enumerate(spec.points) if not (u_open >> j) & 1}
     pulled = set()
-    for r_idx in q_spec.points:
+    for r_idx in sorted(q_spec.points):
         rmask = q_lat.masks[r_idx]
         pullback = 0
         for x in range(alg.n):
@@ -664,12 +656,18 @@ def spatiality_check(lat: IdealLattice, spec: SpectrumTopology) -> bool:
 def check_frame_map(spec: SpectrumTopology) -> tuple[int, str | None]:
     """U preserves meets and joins and is a bijection onto the opens.
 
-    Returns (instances checked, failure description or None).
+    The opens of :func:`prime_ideals` are the down-sets, so U_I is first
+    read again off the masks (P_j in U_I iff I not inside P_j), which makes
+    the join check more than the union of down-sets.  Returns (instances
+    checked, failure description or None); the scan counts no instances.
     """
     lat = spec.lattice
     masks = lat.masks
     m = len(lat)
     instances = 0
+    for imask, u in zip(masks, spec.opens):
+        if u != mask_of(j for j, p in enumerate(spec.points) if imask & ~masks[p]):
+            return instances, "U_I is not the set of primes P with I not inside P"
     if len(set(spec.opens)) != m:
         return instances, "I -> U_I is not injective"
     if spec.opens[lat.bottom] != 0:

@@ -67,14 +67,6 @@ def test_reports_deterministic_modulo_timing(full_corpus):
     assert strip(a) == strip(b)
 
 
-def test_parallel_matches_sequential(full_corpus):
-    laws = ["validate.axioms", "order.partial-order", "prime-elements.quasiprime"]
-    seq = run_suite(full_corpus, laws=laws, jobs=1)
-    par = run_suite(full_corpus, laws=laws, jobs=2)
-    strip = lambda rs: [(r.law, r.corpus, r.verdict, r.instances) for r in rs]
-    assert strip(seq) == strip(par)
-
-
 def test_unknown_law_id_rejected(full_corpus):
     with pytest.raises(KeyError):
         run_suite(full_corpus[:1], laws=["no.such.law"])

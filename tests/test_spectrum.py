@@ -7,11 +7,12 @@ from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import validate
 from lalg.errors import NonUniqueAttachment
-from lalg.ideals import close_under_rules, enumerate_ideals
+from lalg.ideals import close_under_rules, enumerate_ideals, mask_of
 from lalg.laws import _is_prime_meet, _is_prime_residuation, replay, run_law
 from lalg.spectrum import (
     attach_prime_ideal,
     check_frame_map,
+    point_closures,
     prime_element_report,
     prime_elements,
     prime_ideals,
@@ -49,10 +50,11 @@ def test_spectrum_b2xb2(algebras):
 
 def test_dual_points_are_the_primes_of_both_definitions(corpus_to_five):
     # the points read off the join-irreducibles against a scan of every
-    # ideal with the residuation form and with the meet form
+    # ideal with the residuation form and with the meet form; the points are
+    # in join-irreducible order, the scans ascend
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
-        points = prime_ideals(lat).points
+        points = tuple(sorted(prime_ideals(lat).points))
         assert points == tuple(p for p in range(len(lat)) if _is_prime_residuation(lat, p)), alg.name
         assert points == tuple(p for p in range(len(lat)) if _is_prime_meet(lat, p)), alg.name
 
@@ -105,6 +107,16 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
         assert not tables & set(vars(sub)), sub.algebra.name
 
 
+def test_topology_report_builds_no_tables(algebras):
+    # the closures, the irreducibility test and the generator search read
+    # the opens and the down-sets only
+    tables = {"meet_table", "join_table", "residuation_table"}
+    for name in ("B2xB2", "chain3", "omega3", "diamondxB2", "omega5"):
+        lat = enumerate_ideals(algebras[name])
+        topology_report(prime_ideals(lat))
+        assert not tables & set(vars(lat)), name
+
+
 def test_spectrum_sizes_match_fixtures(algebras, fixture_map):
     for name, alg in algebras.items():
         expected = fixture_map[name].expected.get("spectrum")
@@ -126,12 +138,93 @@ def test_point_closures_are_superset_sets(algebras):
     for alg in algebras.values():
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
-        for pos in range(spec.point_count):
-            expected = 0
-            for q in range(spec.point_count):
-                if lat.leq(spec.points[pos], spec.points[q]):
-                    expected |= 1 << q
-            assert spec.closure_of_point(pos) == expected
+        closures = point_closures(spec)
+        for pos, p in enumerate(spec.points):
+            expected = mask_of(q for q, other in enumerate(spec.points) if lat.leq(p, other))
+            assert closures[pos] == expected, alg.name
+
+
+def _closure_by_scan(spec, position):
+    """Test-only oracle: q is in cl(p) when every open that holds q holds p."""
+    opens = set(spec.opens)
+    return mask_of(
+        q
+        for q in range(spec.point_count)
+        if all(not (u >> q) & 1 or (u >> position) & 1 for u in opens)
+    )
+
+
+def _topology_by_pairs(spec):
+    """Test-only oracle for (t0, sober, irreducible closed count, closure
+    bijection): T0 compares every pair of points on every open, and a closed
+    set is irreducible when no two closed sets cover it with both missing a
+    part of it."""
+    npts = spec.point_count
+    t0 = all(
+        any((u >> a) & 1 != (u >> b) & 1 for u in spec.opens)
+        for a in range(npts)
+        for b in range(a + 1, npts)
+    )
+    closed = sorted({spec.closed_of(i) for i in range(len(spec.lattice))})
+    irr = [
+        a
+        for a in closed
+        if a and not any(a & ~(b | c) == 0 and a & ~b and a & ~c for b in closed for c in closed)
+    ]
+    closures = [_closure_by_scan(spec, p) for p in range(npts)]
+    sober = all(closures.count(a) == 1 for a in irr)
+    bijection = sober and sorted(closures) == sorted(irr) and len(set(closures)) == npts
+    return t0, sober, len(irr), bijection
+
+
+def _verdicts(rep):
+    return rep.t0, rep.sober, rep.irreducible_closed_count, rep.closure_is_point_bijection
+
+
+def test_topology_report_matches_the_pairwise_oracles(corpus_to_five):
+    for alg in corpus_to_five:
+        spec = prime_ideals(enumerate_ideals(alg))
+        closures = tuple(_closure_by_scan(spec, p) for p in range(spec.point_count))
+        assert point_closures(spec) == closures, alg.name
+        assert _verdicts(topology_report(spec)) == _topology_by_pairs(spec), alg.name
+
+
+def test_indistinguishable_points_fail_t0_and_sobriety(monkeypatch, algebras):
+    # B2xB2 with both points given identical opens: each open holds both
+    # points or neither, so the space is not T0, and its one irreducible
+    # closed set has two generic points
+    alg = algebras["B2xB2"]
+    real = laws.prime_ideals
+
+    def merged(lat):
+        spec = real(lat)
+        return replace(spec, opens=tuple(spec.all_points_mask if u else 0 for u in spec.opens))
+
+    spec = merged(enumerate_ideals(alg))
+    rep = topology_report(spec)
+    assert (rep.t0, rep.sober, rep.closure_is_point_bijection) == (False, False, False)
+    assert _verdicts(rep) == _topology_by_pairs(spec) == (False, False, 1, False)
+    assert rep.witnesses == (
+        f"points {spec.point_ideal(0)!r} and {spec.point_ideal(1)!r} are topologically indistinguishable",
+        "irreducible closed set with 2 generic points",
+    )
+    monkeypatch.setattr(laws, "prime_ideals", merged)
+    assert run_law("spectrum.t0-sober", Fixture(alg.name, alg)).verdict == "fail"
+
+
+def test_reversed_points_fail_the_frame_law(monkeypatch, chain3):
+    # the points reversed and the opens kept: the opens still form a frame
+    # of sets, but bit j no longer says that the j-th point misses the ideal
+    real = laws.prime_ideals
+
+    def reversed_points(lat):
+        spec = real(lat)
+        return replace(spec, points=spec.points[::-1])
+
+    monkeypatch.setattr(laws, "prime_ideals", reversed_points)
+    report = run_law("spectrum.frame-bijection", Fixture("chain3", chain3))
+    assert report.verdict == "fail"
+    assert report.witness["problem"] == "U_I is not the set of primes P with I not inside P"
 
 
 def test_empty_spectrum_is_vacuously_fine(algebras):
@@ -234,6 +327,19 @@ def test_primes_subset_quasi_primes(algebras, small_corpus):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
         assert set(prime_elements(alg)) <= set(quasi_prime_elements(alg, lat))
+
+
+def test_maximal_avoiders_match_the_pair_scan(corpus_to_five):
+    # the descending pass against every pair of avoiders
+    for alg in corpus_to_five:
+        lat = enumerate_ideals(alg)
+        for x in range(alg.n):
+            if x == alg.unit:
+                continue
+            avoiders = [k for k in range(len(lat)) if not (lat.masks[k] >> x) & 1]
+            expected = [k for k in avoiders if not any(o != k and lat.leq(k, o) for o in avoiders)]
+            found = attach_prime_ideal(alg, lat, x)
+            assert [lat.index(i.members) for i in found] == expected, alg.name
 
 
 def test_attachment_diamond(diamond):
