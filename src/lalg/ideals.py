@@ -152,15 +152,20 @@ def _downsets(joinirr: list[int], masks: Iterable[int]) -> list[int]:
     return [mask_of(j for j, q in enumerate(joinirr) if q & ~m == 0) for m in masks]
 
 
-def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[int]) -> list[int]:
-    """All ideal masks, from the join-irreducible principal ideals ``joinirr``.
+def _ideal_masks(
+    alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[int]
+) -> list[tuple[int, int]]:
+    """All ideals as (mask, S_I) pairs, from the join-irreducible principal ideals ``joinirr``.
 
     An ideal I is {x | every join-irreducible inside <x> lies in I}, read
     off the down-set S_I of join-irreducibles inside I; that holds in any
     finite lattice.  Each down-set S of the join-irreducibles gives one
-    candidate of that form, and ``is_ideal`` keeps the candidates that are
-    ideals, so nothing here presupposes the distributivity that the laws
-    check.
+    candidate cand(S) of that form, and ``is_ideal`` keeps the candidates
+    that are ideals, so nothing here presupposes the distributivity that the
+    laws check.  The down-set of a leaf is S_cand(S), as bits over
+    ``joinirr``: each j in S is some <x> with x in cand(S), so j lies inside
+    cand(S), and a join-irreducible <x> inside cand(S) has x in cand(S) and
+    so lies in S.  Distinct leaves thus give distinct masks.
     """
     k = len(joinirr)
     lower = [d ^ 1 << j for j, d in enumerate(_downsets(joinirr, joinirr))]
@@ -172,7 +177,7 @@ def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[
         if j == k:
             cand = mask_of(x for x, nx in enumerate(need) if nx & ~down == 0)
             if is_ideal(alg, cand):
-                out.append(cand)
+                out.append((cand, down))
             continue
         stack.append((j + 1, down))
         if lower[j] & ~down == 0:
@@ -183,25 +188,26 @@ def _ideal_masks(alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[
 class IdealLattice:
     """All ideals of one algebra, with meet, join and residuation tables built on first read.
 
-    Ideals are deduplicated by mask and sorted by (popcount, mask), so index
-    0 is the bottom {1} and the last index is the full carrier.  ``principal``
-    takes the masks of <x> for every element x and ``join_irreducibles`` the
-    join-irreducible ones among them when the caller has them already (as
-    :func:`enumerate_ideals` does); otherwise they are computed here.
+    Built from the (mask, S_I) pairs of :func:`_ideal_masks`, one per ideal,
+    the masks of <x> for every element x (``principal``) and the
+    join-irreducible ones among them (``join_irreducibles``), as
+    :func:`enumerate_ideals` hands them over.  The pairs are sorted by
+    (popcount, mask), so index 0 is the bottom {1} and the last index is the
+    full carrier, and ``downsets[k]`` is the set S_I of
+    ``join_irreducibles`` inside the k-th ideal, as bits.
 
-    Construction keeps the masks, the principal ideals, the join-irreducibles
-    and ``downsets``: ``downsets[k]`` is the set S_I of ``join_irreducibles``
-    inside the k-th ideal.  ``by_downset``, the one index from down-set to
-    ideal, ``meet_table``, ``join_table`` and ``residuation_table`` (m x m)
-    and the :class:`Ideal` objects in ``ideals`` are built when first read,
-    so the lattices that serve only masks and spectra never build a table.
-    I n J is the intersection, I v J (:meth:`join`) the ideal with down-set
-    S_I u S_J, and I*J the set {x | <x> n I <= J}; each is looked up.  A hit
-    is the meet, the join or the greatest K with K n I <= J; a join that
-    misses raises :class:`DistributivityFailure` (only a non-distributive
-    lattice lacks it), a residual :class:`ResiduationNotGreatest`.  The
-    theorems are checked in the laws ``ideal-lattice.distributive``,
-    ``join.witness-form`` and ``residuation.adjunction``.
+    ``by_downset``, the one index from down-set to ideal, ``meet_table``,
+    ``join_table`` and ``residuation_table`` (m x m) and the :class:`Ideal`
+    objects in ``ideals`` are built when first read, so the lattices that
+    serve only masks and spectra never build a table; :meth:`quotient_by`
+    builds X/I once per ideal.  I n J is the intersection, I v J
+    (:meth:`join`) the ideal with down-set S_I u S_J, and I*J the set
+    {x | <x> n I <= J}; each is looked up.  A hit is the meet, the join or
+    the greatest K with K n I <= J; a join that misses raises
+    :class:`DistributivityFailure` (only a non-distributive lattice lacks
+    it), a residual :class:`ResiduationNotGreatest`.  The theorems are
+    checked in the laws ``ideal-lattice.distributive``, ``join.witness-form``
+    and ``residuation.adjunction``.
 
     Construction does not check the family.  A hand-built family in which
     two members share a down-set is accepted, and ``by_downset`` then keeps
@@ -212,27 +218,22 @@ class IdealLattice:
     def __init__(
         self,
         algebra: FiniteLAlgebra,
-        masks: Iterable[int],
-        principal: Iterable[int] | None = None,
-        join_irreducibles: Iterable[int] | None = None,
+        pairs: Iterable[tuple[int, int]],
+        principal: Iterable[int],
+        join_irreducibles: Iterable[int],
     ):
         self.algebra = algebra
-        self.masks: tuple[int, ...] = tuple(
-            sorted(set(masks), key=lambda m: (m.bit_count(), m))
-        )
+        pairs = sorted(pairs, key=lambda pair: (pair[0].bit_count(), pair[0]))
+        self.masks: tuple[int, ...] = tuple(mask for mask, _ in pairs)
+        self.downsets: tuple[int, ...] = tuple(down for _, down in pairs)
         self._index: dict[int, int] = {m: k for k, m in enumerate(self.masks)}
         self.bottom = 0
         self.top = len(self.masks) - 1
-        if principal is None:
-            principal = (close_under_rules(algebra, 1 << x) for x in range(algebra.n))
-        principal = tuple(principal)
         self.principal: tuple[int, ...] = tuple(self._index[p] for p in principal)
         assert self.principal[algebra.unit] == self.bottom
         assert self.masks[self.top] == algebra.full_mask
-        if join_irreducibles is None:
-            join_irreducibles = _join_irreducibles(algebra, principal)
         self.join_irreducibles = tuple(join_irreducibles)
-        self.downsets = tuple(_downsets(self.join_irreducibles, self.masks))
+        self._quotients: dict[int, Quotient] = {}
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -252,6 +253,13 @@ class IdealLattice:
 
     def proper_indices(self) -> Iterator[int]:
         return (k for k in range(len(self.masks)) if k != self.top)
+
+    def quotient_by(self, k: int) -> Quotient:
+        """X/I for the k-th ideal I, built once per ideal through :func:`quotient`."""
+        quot = self._quotients.get(k)
+        if quot is None:
+            quot = self._quotients[k] = Quotient(self.algebra, *quotient(self.algebra, self.ideals[k]))
+        return quot
 
     @cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
@@ -383,7 +391,8 @@ def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
 
     The n principal ideals are closed and the join-irreducible ones found
     once; the ideals are read off the down-sets of the join-irreducibles
-    (see :func:`_ideal_masks`), and the lattice takes the same masks.
+    (see :func:`_ideal_masks`), and the lattice takes each mask with its
+    down-set.
     """
     principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
     joinirr = _join_irreducibles(alg, principal)

@@ -21,13 +21,11 @@ from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
     Congruence,
     IdealLattice,
-    Quotient,
     bits,
     certify_distributive,
     close_under_rules,
     enumerate_ideals,
     ideal_of_congruence,
-    quotient,
     witness_joins,
 )
 from .spectrum import (
@@ -46,13 +44,18 @@ CheckResult = tuple[int, dict | None, str | None]
 
 
 class Context:
-    """Shared derived structures for one corpus algebra."""
+    """Shared derived structures for one corpus algebra, each built on first read.
+
+    The lattice holds the quotients (``ctx.lattice.quotient_by(k)``), the
+    spectrum its lattice, and the spectrum functions read what they need off
+    those, so every law that reads X/I, the spectrum or a report reads the
+    one copy built here.
+    """
 
     def __init__(self, fixture: Fixture):
         self.fixture = fixture
         self.algebra = fixture.algebra
         self.factors = fixture.factors
-        self._quotients: dict[int, Quotient] = {}
 
     @cached_property
     def lattice(self):
@@ -68,16 +71,6 @@ class Context:
         # the verdict of residuation.adjunction, which ideal-lattice.is-l-algebra
         # also reads
         return _residuation_adjunction(self)
-
-    def quotient_by(self, i: int) -> Quotient:
-        """X/I for the i-th ideal, built once per ideal (through this module's
-        ``quotient``) and shared by every law that reads it."""
-        quot = self._quotients.get(i)
-        if quot is None:
-            quot = self._quotients[i] = Quotient(
-                self.algebra, *quotient(self.algebra, self.lattice.ideals[i])
-            )
-        return quot
 
     @cached_property
     def topology(self):
@@ -95,12 +88,12 @@ class Context:
     def prime_element_report(self):
         # shared by both prime-element laws; an attachment failure that it
         # raises fails both rows
-        return prime_element_report(self.algebra, self.lattice, self.topology)
+        return prime_element_report(self.topology)
 
     @cached_property
     def point_map(self):
         # shared by principal-ideals.meet-join and point-map.brouwerian
-        return principal_open_map(self.algebra, self.lattice, self.topology, self.flags)
+        return principal_open_map(self.topology, self.flags)
 
 
 @dataclass(frozen=True)
@@ -493,7 +486,7 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
 
     from_ideals = {}
     for k, ideal in enumerate(lat.ideals):
-        cong = ctx.quotient_by(k).congruence
+        cong = lat.quotient_by(k).congruence
         instances += 1
         problem = _congruence_problem(a, ideal.members, cong)
         if problem is not None:
@@ -562,7 +555,7 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
     lat = ctx.lattice
     instances = 0
     for k, ideal in enumerate(lat.ideals):
-        q = ctx.quotient_by(k)
+        q = lat.quotient_by(k)
         quot, proj = q.algebra, q.projection
         violations = axiom_violations(quot.table, quot.unit)
         if violations:
@@ -629,7 +622,7 @@ def _check_prime_definitions(ctx: Context) -> CheckResult:
 
 
 def _check_prime_quotient(ctx: Context) -> CheckResult:
-    rows = prime_quotient_oracle(ctx.algebra, ctx.lattice, ctx.topology, ctx.quotient_by)
+    rows = prime_quotient_oracle(ctx.topology)
     for row in rows:
         if not row.consistent:
             return (
@@ -648,7 +641,7 @@ def _check_t0_sober(ctx: Context) -> CheckResult:
     rep = ctx.topology_report
     npts = ctx.topology.point_count
     instances = npts * npts + rep.irreducible_closed_count
-    if not (rep.t0 and rep.sober and rep.closure_is_point_bijection):
+    if not (rep.t0 and rep.sober):
         return instances, {"witnesses": list(rep.witnesses)}, None
     return instances, None, f"{npts} points, {rep.irreducible_closed_count} irreducible closed sets"
 
@@ -678,7 +671,7 @@ def _check_frame(ctx: Context) -> CheckResult:
 
 
 def _check_spatial(ctx: Context) -> CheckResult:
-    spatiality_check(ctx.lattice, ctx.topology)
+    spatiality_check(ctx.topology)
     return len(ctx.lattice), None, None
 
 
@@ -708,8 +701,8 @@ def _check_attachment(ctx: Context) -> CheckResult:
 
 def _check_relative_spectrum(ctx: Context) -> CheckResult:
     lat = ctx.lattice
-    for k, ideal in enumerate(lat.ideals):
-        relative_spectrum(ctx.algebra, lat, ideal, ctx.topology, ctx.quotient_by(k))
+    for k in range(len(lat)):
+        relative_spectrum(ctx.topology, k)
     return len(lat), None, None
 
 

@@ -16,14 +16,18 @@ one prime P_j per join-irreducible ideal j, looked up by its down-set, and
 the opens are the lattice's down-sets, so a spectrum and its topology report
 read none of the lattice's m x m tables.  The two textbook definitions of
 primality run once per algebra, in the law ``prime.definitions-agree``.
+
+Each function takes what it reads and nothing else: a spectrum carries its
+lattice (``spec.lattice``), and a lattice its algebra (``lat.algebra``) and
+its quotients (:meth:`IdealLattice.quotient_by`), so there is one way to
+call each and no fallback that builds a second copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import FiniteLAlgebra, StructureFlags, structure_flags, subalgebra
+from .core import FiniteLAlgebra, StructureFlags, subalgebra
 from .errors import (
     BijectionFailure,
     DistributivityFailure,
@@ -34,13 +38,11 @@ from .errors import (
 from .ideals import (
     Ideal,
     IdealLattice,
-    Quotient,
     bits,
     close_under_rules,
     enumerate_ideals,
     is_ideal,
     mask_of,
-    quotient,
 )
 
 
@@ -112,7 +114,6 @@ class TopologyReport:
     t0: bool
     sober: bool
     irreducible_closed_count: int
-    closure_is_point_bijection: bool
     min_generators: tuple[int, ...]
     witnesses: tuple[str, ...] = ()
 
@@ -167,6 +168,10 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
     exactly when it is the union of the point closures strictly inside it
     (if C is the union of two proper closed sets, each p in C lies in one
     and cl(p) with it).  That is O(k) per closed set, and each is tested.
+    Every point closure is irreducible (p lies in cl(p) and in no point
+    closure strictly inside it), so "each irreducible closed set has exactly
+    one generic point" already makes p -> cl(p) a bijection onto the
+    irreducible closed sets: ``sober`` says both.
     """
     lat = spec.lattice
     npts = spec.point_count
@@ -200,13 +205,11 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
             witnesses.append(
                 f"irreducible closed set with {closures.count(c_mask)} generic points"
             )
-    bijection = sober and sorted(closures) == sorted(irr) and len(set(closures)) == npts
 
     return TopologyReport(
         t0=t0,
         sober=sober,
         irreducible_closed_count=len(irr),
-        closure_is_point_bijection=bijection,
         min_generators=_minimal_generator_counts(lat),
         witnesses=tuple(witnesses),
     )
@@ -238,7 +241,7 @@ def prime_elements(alg: FiniteLAlgebra) -> tuple[int, ...]:
     return tuple(out)
 
 
-def quasi_prime_elements(alg: FiniteLAlgebra, lat: IdealLattice) -> tuple[int, ...]:
+def quasi_prime_elements(lat: IdealLattice) -> tuple[int, ...]:
     """Elements q < 1 that no join of ideals can capture without a factor.
 
     q is quasi-prime when q in I v J implies q in I or q in J for every pair
@@ -250,6 +253,7 @@ def quasi_prime_elements(alg: FiniteLAlgebra, lat: IdealLattice) -> tuple[int, .
     of ideals.  That every prime element qualifies is the law
     ``prime-elements.quasiprime``; nothing is checked here.
     """
+    alg = lat.algebra
     out = []
     for q in range(alg.n):
         if q == alg.unit:
@@ -264,22 +268,19 @@ def quasi_prime_elements(alg: FiniteLAlgebra, lat: IdealLattice) -> tuple[int, .
 
 
 def attach_prime_ideal(
-    alg: FiniteLAlgebra,
-    lat: IdealLattice,
-    x: int,
-    topology: SpectrumTopology | None = None,
-    quasi: tuple[int, ...] | None = None,
+    spec: SpectrumTopology, x: int, quasi: tuple[int, ...]
 ) -> tuple[Ideal, ...]:
-    """All ideals maximal among those avoiding x; each must be prime.
+    """All ideals maximal among those avoiding x; each must be a point of ``spec``.
 
-    For quasi-prime x the maximal avoider is unique and the attachment map
-    x -> P_x is well defined; several maximal avoiders are legal for other
-    elements and are all returned, ascending.  ``quasi`` takes the quasi-prime
-    elements when the caller has them already; otherwise they are computed.
+    For quasi-prime x (``quasi`` holds the :func:`quasi_prime_elements`) the
+    maximal avoider is unique and the attachment map x -> P_x is well
+    defined; several maximal avoiders are legal for other elements and are
+    all returned, ascending.
     """
+    lat = spec.lattice
+    alg = lat.algebra
     if x == alg.unit:
         raise ValueError(f"{alg.name}: the unit is contained in every ideal")
-    spec = topology if topology is not None else prime_ideals(lat)
     # indices follow popcount, so whatever lies strictly above k comes later:
     # in descending order an avoider is maximal when none found so far holds it
     maximal: list[int] = []
@@ -298,8 +299,6 @@ def attach_prime_ideal(
                     "ideal": lat.ideals[k].label_set(),
                 },
             )
-    if quasi is None:
-        quasi = quasi_prime_elements(alg, lat)
     if x in quasi and len(maximal) != 1:
         raise NonUniqueAttachment(
             f"{alg.name}: quasi-prime {alg.label(x)} has {len(maximal)} maximal avoiders",
@@ -335,17 +334,18 @@ class PrimeElementReport:
         raise KeyError(x)
 
 
-def prime_element_report(
-    alg: FiniteLAlgebra, lat: IdealLattice, topology: SpectrumTopology | None = None
-) -> PrimeElementReport:
-    spec = topology if topology is not None else prime_ideals(lat)
+def prime_element_report(spec: SpectrumTopology) -> PrimeElementReport:
+    """Prime and quasi-prime elements of the spectrum's algebra, each element
+    below the unit with its maximal avoiders (:func:`attach_prime_ideal`)."""
+    lat = spec.lattice
+    alg = lat.algebra
     primes = prime_elements(alg)
-    quasi = quasi_prime_elements(alg, lat)
+    quasi = quasi_prime_elements(lat)
     attachments = []
     for x in range(alg.n):
         if x == alg.unit:
             continue
-        ideals = attach_prime_ideal(alg, lat, x, topology=spec, quasi=quasi)
+        ideals = attach_prime_ideal(spec, x, quasi)
         attachments.append(
             Attachment(
                 element=x,
@@ -358,7 +358,7 @@ def prime_element_report(
     )
 
 
-def subdirectly_irreducible(alg: FiniteLAlgebra, lat: IdealLattice) -> bool:
+def subdirectly_irreducible(lat: IdealLattice) -> bool:
     """No two non-trivial ideals may intersect down to the bottom.
 
     Finite criterion: the intersection of all non-trivial ideals (the
@@ -386,27 +386,20 @@ class PrimeQuotientRow:
         return self.prime == self.quotient_subdirectly_irreducible
 
 
-def prime_quotient_oracle(
-    alg: FiniteLAlgebra,
-    lat: IdealLattice,
-    topology: SpectrumTopology | None = None,
-    quotient_by: Callable[[int], Quotient] | None = None,
-) -> tuple[PrimeQuotientRow, ...]:
+def prime_quotient_oracle(spec: SpectrumTopology) -> tuple[PrimeQuotientRow, ...]:
     """For every proper ideal P: P prime iff X/P is subdirectly irreducible.
 
-    ``quotient_by`` takes a lattice index to X/P with its ideal lattice when
-    the caller holds them already (the law harness builds one per ideal);
-    otherwise each is built here.
+    X/P and its ideal lattice come from ``spec.lattice.quotient_by``, so they
+    are built once per ideal and shared with the other laws that read them.
     """
-    spec = topology if topology is not None else prime_ideals(lat)
+    lat = spec.lattice
     rows = []
     for p in lat.proper_indices():
-        quot = quotient_by(p) if quotient_by else Quotient(alg, *quotient(alg, lat.ideals[p]))
         rows.append(
             PrimeQuotientRow(
                 ideal_index=p,
                 prime=p in spec.points,
-                quotient_subdirectly_irreducible=subdirectly_irreducible(quot.algebra, quot.lattice),
+                quotient_subdirectly_irreducible=subdirectly_irreducible(lat.quotient_by(p).lattice),
             )
         )
     return tuple(rows)
@@ -427,25 +420,20 @@ class RelativeSpectrumReport:
         return self.spec_i_size + self.spec_quotient_size == self.spec_x_size
 
 
-def relative_spectrum(
-    alg: FiniteLAlgebra,
-    lat: IdealLattice,
-    ideal: Ideal,
-    topology: SpectrumTopology | None = None,
-    quot: Quotient | None = None,
-) -> RelativeSpectrumReport:
+def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumReport:
     """Check that P -> I*P and Q -> Q n I invert between Spec I and U_I.
 
-    The ideal is an algebra in its own right (ideals are operation-closed);
-    its primes must land exactly on the open set U_I of the ambient spectrum,
-    and the primes of X/I must pull back exactly onto the complement.  Any
+    I is the ideal at lattice index ``i_index``.  It is an algebra in its
+    own right (ideals are operation-closed); its primes must land exactly on
+    the open set U_I of the ambient spectrum, and the primes of X/I (from
+    ``spec.lattice.quotient_by``) must pull back exactly onto the
+    complement.  Points are visited by ascending lattice index, so the first
+    failure named does not depend on the order of ``spec.points``.  Any
     failure raises :class:`BijectionFailure` with the offending piece named.
-    ``quot`` takes X/I with its ideal lattice when the caller holds them
-    already (the law harness builds one per ideal); otherwise it is built
-    here.
     """
-    spec = topology if topology is not None else prime_ideals(lat)
-    i_index = lat.index(ideal.members)
+    lat = spec.lattice
+    alg = lat.algebra
+    ideal = lat.ideals[i_index]
 
     def fail(reason: str, **extra: object) -> BijectionFailure:
         return BijectionFailure(
@@ -462,9 +450,9 @@ def relative_spectrum(
     sub_lat = enumerate_ideals(sub)
     sub_spec = prime_ideals(sub_lat)
 
-    # points visited by ascending lattice index, so the first failure named stays the same
     u_open = spec.opens[i_index]
-    u_lattice_indices = set(sorted(p for j, p in enumerate(spec.points) if (u_open >> j) & 1))
+    u_lattice_indices = sorted(p for j, p in enumerate(spec.points) if (u_open >> j) & 1)
+    u_members = set(u_lattice_indices)
 
     forward: list[tuple[int, int]] = []
     seen: set[int] = set()
@@ -475,7 +463,7 @@ def relative_spectrum(
         if not is_ideal(alg, lifted):
             raise fail("a prime of the ideal is not an ideal of the ambient algebra")
         target = lat.residuation_table[i_index][lat.index(lifted)]
-        if target not in u_lattice_indices:
+        if target not in u_members:
             raise fail(
                 "I*P escaped the open set U_I",
                 prime=[alg.label(e) for e in bits(lifted)],
@@ -507,8 +495,7 @@ def relative_spectrum(
             raise fail("a point of U_I is not hit by any prime of I")
 
     # closed part: Spec X/I against the complement A_I
-    if quot is None:
-        quot = Quotient(alg, *quotient(alg, ideal))
+    quot = lat.quotient_by(i_index)
     proj = quot.projection
     q_lat = quot.lattice
     q_spec = prime_ideals(q_lat)
@@ -572,22 +559,18 @@ class PointMapReport:
         )
 
 
-def principal_open_map(
-    alg: FiniteLAlgebra,
-    lat: IdealLattice,
-    topology: SpectrumTopology | None = None,
-    flags: StructureFlags | None = None,
-) -> PointMapReport:
+def principal_open_map(spec: SpectrumTopology, flags: StructureFlags) -> PointMapReport:
     """Compute x -> U_<x> and check antitonicity plus the meet-closed contract.
 
     The map reverses order for any algebra.  On a meet-closed algebra it is
     onto all opens, every ideal is principal, joins of principal ideals are
     principal via <x> v <y> = <x n y>, and it is bijective exactly when the
-    algebra is Brouwerian.  Checking happens in the law harness; this
-    function gathers the facts.
+    algebra is Brouwerian.  ``flags`` are the algebra's
+    :func:`~lalg.core.structure_flags`.  Checking happens in the law harness;
+    this function gathers the facts.
     """
-    spec = topology if topology is not None else prime_ideals(lat)
-    fl = flags if flags is not None else structure_flags(alg)
+    lat = spec.lattice
+    alg = lat.algebra
     opens = tuple(spec.opens[lat.principal[x]] for x in range(alg.n))
 
     antitone = True
@@ -603,7 +586,7 @@ def principal_open_map(
     meet_join_instances = 0
     for x in range(alg.n):
         for y in range(alg.n):
-            w = fl.meets[x][y]
+            w = flags.meets[x][y]
             if w is None:
                 continue
             join = lat.join_table[lat.principal[x]][lat.principal[y]]
@@ -623,18 +606,19 @@ def principal_open_map(
         surjective=surjective,
         all_principal=all_principal,
         meet_join_instances=meet_join_instances,
-        brouwerian=fl.brouwerian,
-        meet_closed=fl.meet_closed,
+        brouwerian=flags.brouwerian,
+        meet_closed=flags.meet_closed,
     )
 
 
-def spatiality_check(lat: IdealLattice, spec: SpectrumTopology) -> bool:
+def spatiality_check(spec: SpectrumTopology) -> bool:
     """Every ideal is the intersection of the primes above it.
 
     The empty intersection is the full carrier.  A failure raises
     :class:`SpatialityFailure`; the return value exists so callers can count
     the check as an instance.
     """
+    lat = spec.lattice
     alg = lat.algebra
     for i in range(len(lat)):
         inter = alg.full_mask

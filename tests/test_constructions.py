@@ -140,7 +140,7 @@ def test_fixture_expected_facts(fixture_map):
 
                 got = {
                     alg.label(i)
-                    for i in quasi_prime_elements(alg, enumerate_ideals(alg))
+                    for i in quasi_prime_elements(enumerate_ideals(alg))
                 }
                 assert got == set(value), name
             else:

@@ -30,6 +30,7 @@ GOLDEN = {
     "ideals --json unit": (0, "4297796bf2b8f66dde3e10ffadc88b024a688690db373522060d139d3842e7d7"),
     "laws --json --no-timing": (0, "940ead012946684949fc0cb6947f0d51016b23c541662a8553b7d8f33fa4527b"),
     "laws --json --no-timing --enumerate 4": (1, "85bf290e5832c475ed9a063ac456300f086e8f78f863e1c3e722a62acf5f7986"),
+    "laws --json --no-timing --enumerate 5 --iso": (1, "725abd7d5224ea20ec0b77344c5a759196e7bb8db387e2e3be3fb7954d115317"),
     "spectrum --topology B2": (0, "424c580c6ac90253746a9c2c4f5ac5fabf9e64aa254279449ae52fb77d7731d4"),
     "spectrum --topology B2xB2": (0, "742b282f197ad265767c0f038b660178fc4a312b5272576f25ae2596b61392c1"),
     "spectrum --topology chain3": (0, "0931d351c82a5f13db86d0f78aa6a147c38a9a07e8a68dbf3c52c602bc19373b"),

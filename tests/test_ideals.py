@@ -1,7 +1,7 @@
 import pytest
 
 from lalg import ideals, laws
-from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
+from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra, product_pairs
 from lalg.core import FiniteLAlgebra
 from lalg.errors import (
     DistributivityFailure,
@@ -184,8 +184,7 @@ def test_certified_laws_agree_with_the_triple_oracles(corpus_to_five):
 
 
 def test_join_irreducibles_are_found_once_per_lattice(algebras, monkeypatch):
-    # enumerate_ideals hands its join-irreducibles to the lattice; a
-    # hand-built lattice finds the same ones, and the same down-sets, itself
+    # enumerate_ideals hands its join-irreducibles to the lattice
     calls = []
     found = ideals._join_irreducibles
     monkeypatch.setattr(
@@ -193,13 +192,20 @@ def test_join_irreducibles_are_found_once_per_lattice(algebras, monkeypatch):
     )
     corpus = list(algebras.values()) + list(enumerate_all(4))
     for alg in corpus:
-        lat = enumerate_ideals(alg)
+        enumerate_ideals(alg)
         assert len(calls) == 1, alg.name
         calls.clear()
-        again = IdealLattice(alg, lat.masks)
-        assert again.join_irreducibles == lat.join_irreducibles, alg.name
-        assert again.downsets == lat.downsets, alg.name
-        calls.clear()
+
+
+def test_the_walk_hands_over_each_ideals_down_set(corpus_to_five):
+    # the down-set at a leaf of the walk is S_I of the ideal it yields: the
+    # lattice keeps it, and it equals the join-irreducibles found inside
+    # each mask afterwards (the test-only recomputation)
+    corpus = list(corpus_to_five) + [f.algebra for f in product_pairs()]
+    for alg in corpus:
+        lat = enumerate_ideals(alg)
+        recomputed = ideals._downsets(list(lat.join_irreducibles), lat.masks)
+        assert list(lat.downsets) == recomputed, alg.name
 
 
 def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
@@ -320,19 +326,19 @@ def test_distributivity_checker_trips_on_m3():
     assert exc.value.witness["join_irreducible"] == 0b0011
 
 
+def _with_downsets(lat, downsets):
+    """A lattice over the same masks, principal ideals and join-irreducibles,
+    given the planted ``downsets``."""
+    principal = [lat.masks[p] for p in lat.principal]
+    return IdealLattice(lat.algebra, zip(lat.masks, downsets), principal, lat.join_irreducibles)
+
+
 def test_shared_down_set_fails_the_distributivity_law(monkeypatch, chain3):
     # plant the down-set of {1,a} on the top of chain3: construction keeps
     # the last of the two in its join index and raises nothing, so the
     # certificate's injectivity check is what must name both
-    masks = enumerate_ideals(chain3).masks
-    real = ideals._downsets
-
-    def planted(joinirr, family):
-        out = real(joinirr, family)
-        return out[:-1] + [out[-2]]
-
-    monkeypatch.setattr(ideals, "_downsets", planted)
-    lat = IdealLattice(chain3, masks)
+    real = enumerate_ideals(chain3)
+    lat = _with_downsets(real, real.downsets[:-1] + real.downsets[-2:-1])
     monkeypatch.setattr(laws, "enumerate_ideals", lambda alg: lat)
     fixture = Fixture("chain3", chain3)
     report = run_law("ideal-lattice.distributive", fixture)
@@ -351,7 +357,10 @@ def test_join_witness_mismatch_surfaces_on_magma():
     magma = FiniteLAlgebra(
         "magma", ("1", "a", "b"), 0, ((0, 1, 2), (0, 0, 1), (0, 2, 0))
     )
-    lat = IdealLattice(magma, [0b001, 0b011, 0b111])
+    # {1,a} is no ideal and shares the bottom's empty down-set, so the join
+    # of {1,a} and {1} is looked up as {1,a}; <a> = <b> = X, the only
+    # join-irreducible
+    lat = IdealLattice(magma, [(0b001, 0), (0b011, 0), (0b111, 1)], (0b001, 0b111, 0b111), [0b111])
     with pytest.raises(JoinWitnessMismatch):
         next(witness_joins(lat, [(1, 0)]))
 
@@ -379,20 +388,13 @@ def test_residual_outside_the_family_raises(monkeypatch, b2):
         lat.residuation_table
 
 
-def test_join_outside_the_family_raises(monkeypatch, algebras):
+def test_join_outside_the_family_raises(algebras):
     # plant a wrong down-set on the top of B2xB2: the union of the two atoms'
     # down-sets then names no ideal, which only a non-distributive lattice
     # allows; the miss raises when the join table is first read
-    alg = algebras["B2xB2"]
-    masks = enumerate_ideals(alg).masks
-    real = ideals._downsets
-
-    def planted(joinirr, family):
-        out = real(joinirr, family)
-        return out[:-1] + [out[-1] | 1 << len(joinirr)]
-
-    monkeypatch.setattr(ideals, "_downsets", planted)
-    lat = IdealLattice(alg, masks)
+    real = enumerate_ideals(algebras["B2xB2"])
+    wrong_top = real.downsets[-1] | 1 << len(real.join_irreducibles)
+    lat = _with_downsets(real, real.downsets[:-1] + (wrong_top,))
     with pytest.raises(DistributivityFailure):
         lat.join_table
 

@@ -183,9 +183,9 @@ def test_quotient_law_fails_on_a_planted_axiom_break(monkeypatch, b2):
     # the projection
     from dataclasses import replace
 
-    from lalg import laws
+    from lalg import ideals
 
-    real = laws.quotient
+    real = ideals.quotient
 
     def broken(alg, ideal):
         quot, proj = real(alg, ideal)
@@ -194,7 +194,7 @@ def test_quotient_law_fails_on_a_planted_axiom_break(monkeypatch, b2):
         table[x][x] = x  # x*x = 1 fails
         return replace(quot, table=tuple(map(tuple, table))), proj
 
-    monkeypatch.setattr(laws, "quotient", broken)
+    monkeypatch.setattr(ideals, "quotient", broken)
     report = run_law("quotient.morphism", Fixture("B2", b2))
     assert report.verdict == "fail"
     assert report.witness["ideal"] == ("1",)
@@ -225,7 +225,7 @@ def test_quasiprime_law_fails_when_a_prime_is_not_quasi_prime(monkeypatch, chain
     # every non-top element of chain3 is prime; report none as quasi-prime
     import lalg.spectrum as spectrum_module
 
-    monkeypatch.setattr(spectrum_module, "quasi_prime_elements", lambda alg, lat: ())
+    monkeypatch.setattr(spectrum_module, "quasi_prime_elements", lambda lat: ())
     report = run_law("prime-elements.quasiprime", Fixture("chain3", chain3))
     assert report.verdict == "fail"
     assert report.witness["element"] == "a"
@@ -259,7 +259,7 @@ def test_prime_element_report_is_built_once_per_algebra(monkeypatch, omega3):
     calls = []
     real = spectrum_module.quasi_prime_elements
     monkeypatch.setattr(
-        spectrum_module, "quasi_prime_elements", lambda alg, lat: calls.append(1) or real(alg, lat)
+        spectrum_module, "quasi_prime_elements", lambda lat: calls.append(1) or real(lat)
     )
     reports = run_suite(
         [Fixture("omega3", omega3)], laws=["prime-elements.quasiprime", "prime-elements.attachment"]
@@ -358,11 +358,11 @@ def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
     # quotient.morphism, congruence.bijection, prime.iff-quotient-irreducible
     # and relative-spectrum.bijection share X/I and its ideal lattice: one
     # quotient, one congruence and one quotient lattice per (algebra, ideal)
-    from lalg import ideals, laws
+    from lalg import ideals
 
     quotients, congruences, lattices = [], [], []
     real_quotient, real_congruence, real_enumerate = (
-        laws.quotient,
+        ideals.quotient,
         ideals.congruence_of,
         ideals.enumerate_ideals,
     )
@@ -377,7 +377,7 @@ def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
             lattices.append(alg)
         return real_enumerate(alg)
 
-    monkeypatch.setattr(laws, "quotient", counted_quotient)
+    monkeypatch.setattr(ideals, "quotient", counted_quotient)
     monkeypatch.setattr(ideals, "congruence_of", lambda *a: congruences.append(1) or real_congruence(*a))
     monkeypatch.setattr(ideals, "enumerate_ideals", counted_enumerate)
     reports = run_suite(full_corpus)

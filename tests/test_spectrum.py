@@ -5,7 +5,7 @@ import pytest
 
 from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
-from lalg.core import validate
+from lalg.core import structure_flags, validate
 from lalg.errors import NonUniqueAttachment
 from lalg.ideals import close_under_rules, enumerate_ideals, mask_of
 from lalg.laws import _is_prime_meet, _is_prime_residuation, replay, run_law
@@ -97,11 +97,11 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
     for name in ("B2xB2", "chain3", "omega3", "diamond"):
         alg = algebras[name]
         lat = enumerate_ideals(alg)
-        prime_ideals(lat)
+        spec = prime_ideals(lat)
         assert not tables & set(vars(lat)), name
-        for ideal in lat.ideals:
-            relative_spectrum(alg, lat, ideal)
-        prime_quotient_oracle(alg, lat)
+        for k in range(len(lat)):
+            relative_spectrum(spec, k)
+        prime_quotient_oracle(spec)
     assert len(built) > 4
     for sub in built:
         assert not tables & set(vars(sub)), sub.algebra.name
@@ -129,7 +129,7 @@ def test_topology_reports(fixture_map):
     for fixture in fixture_map.values():
         spec = prime_ideals(enumerate_ideals(fixture.algebra))
         rep = topology_report(spec)
-        assert rep.t0 and rep.sober and rep.closure_is_point_bijection
+        assert rep.t0 and rep.sober
         assert run_law("spectrum.compact-basis", fixture).verdict == "pass"
 
 
@@ -178,10 +178,13 @@ def _topology_by_pairs(spec):
 
 
 def _verdicts(rep):
-    return rep.t0, rep.sober, rep.irreducible_closed_count, rep.closure_is_point_bijection
+    # the report has no bijection verdict of its own: every point closure is
+    # irreducible, so sobriety already makes p -> cl(p) that bijection
+    return rep.t0, rep.sober, rep.irreducible_closed_count, rep.sober
 
 
 def test_topology_report_matches_the_pairwise_oracles(corpus_to_five):
+    # the oracle's closure bijection, checked pairwise, equals ``sober``
     for alg in corpus_to_five:
         spec = prime_ideals(enumerate_ideals(alg))
         closures = tuple(_closure_by_scan(spec, p) for p in range(spec.point_count))
@@ -202,7 +205,7 @@ def test_indistinguishable_points_fail_t0_and_sobriety(monkeypatch, algebras):
 
     spec = merged(enumerate_ideals(alg))
     rep = topology_report(spec)
-    assert (rep.t0, rep.sober, rep.closure_is_point_bijection) == (False, False, False)
+    assert (rep.t0, rep.sober) == (False, False)
     assert _verdicts(rep) == _topology_by_pairs(spec) == (False, False, 1, False)
     assert rep.witnesses == (
         f"points {spec.point_ideal(0)!r} and {spec.point_ideal(1)!r} are topologically indistinguishable",
@@ -289,12 +292,12 @@ def test_prime_elements_b2(b2):
 
 
 def test_quasi_primes(b2, diamond, chain3):
-    assert {b2.label(i) for i in quasi_prime_elements(b2, enumerate_ideals(b2))} == {"0"}
+    assert {b2.label(i) for i in quasi_prime_elements(enumerate_ideals(b2))} == {"0"}
     assert {
-        diamond.label(i) for i in quasi_prime_elements(diamond, enumerate_ideals(diamond))
+        diamond.label(i) for i in quasi_prime_elements(enumerate_ideals(diamond))
     } == {"p", "q", "0"}
     assert {
-        chain3.label(i) for i in quasi_prime_elements(chain3, enumerate_ideals(chain3))
+        chain3.label(i) for i in quasi_prime_elements(enumerate_ideals(chain3))
     } == {"a", "b"}
 
 
@@ -320,33 +323,38 @@ def _quasi_primes_by_pairs(alg, lat):
 def test_quasi_primes_by_one_join_match_the_pair_scan(corpus_to_five):
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
-        assert quasi_prime_elements(alg, lat) == _quasi_primes_by_pairs(alg, lat), alg.name
+        assert quasi_prime_elements(lat) == _quasi_primes_by_pairs(alg, lat), alg.name
 
 
 def test_primes_subset_quasi_primes(algebras, small_corpus):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
-        assert set(prime_elements(alg)) <= set(quasi_prime_elements(alg, lat))
+        assert set(prime_elements(alg)) <= set(quasi_prime_elements(lat))
+
+
+def _attach(lat, x):
+    return attach_prime_ideal(prime_ideals(lat), x, quasi_prime_elements(lat))
 
 
 def test_maximal_avoiders_match_the_pair_scan(corpus_to_five):
     # the descending pass against every pair of avoiders
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
+        spec, quasi = prime_ideals(lat), quasi_prime_elements(lat)
         for x in range(alg.n):
             if x == alg.unit:
                 continue
             avoiders = [k for k in range(len(lat)) if not (lat.masks[k] >> x) & 1]
             expected = [k for k in avoiders if not any(o != k and lat.leq(k, o) for o in avoiders)]
-            found = attach_prime_ideal(alg, lat, x)
+            found = attach_prime_ideal(spec, x, quasi)
             assert [lat.index(i.members) for i in found] == expected, alg.name
 
 
 def test_attachment_diamond(diamond):
     lat = enumerate_ideals(diamond)
     p, q = diamond.index_of("p"), diamond.index_of("q")
-    (ideal_p,) = attach_prime_ideal(diamond, lat, p)
-    (ideal_q,) = attach_prime_ideal(diamond, lat, q)
+    (ideal_p,) = _attach(lat, p)
+    (ideal_q,) = _attach(lat, q)
     assert ideal_p.label_set() == ("1",)
     assert ideal_q.label_set() == ("1",)
 
@@ -354,53 +362,46 @@ def test_attachment_diamond(diamond):
 def test_attachment_b2xb2(algebras):
     alg = algebras["B2xB2"]
     lat = enumerate_ideals(alg)
-    (ideal,) = attach_prime_ideal(alg, lat, alg.index_of("(0,1)"))
+    (ideal,) = _attach(lat, alg.index_of("(0,1)"))
     assert set(ideal.label_set()) == {"(1,1)", "(1,0)"}
     # (0,0) is not quasi-prime: both atoms avoid it maximally
-    several = attach_prime_ideal(alg, lat, alg.index_of("(0,0)"))
+    several = _attach(lat, alg.index_of("(0,0)"))
     assert len(several) == 2
 
 
 def test_attachment_b2_zero(b2):
-    (ideal,) = attach_prime_ideal(b2, enumerate_ideals(b2), b2.index_of("0"))
+    (ideal,) = _attach(enumerate_ideals(b2), b2.index_of("0"))
     assert ideal.label_set() == ("1",)
 
 
 def test_attachment_unit_rejected(b2):
     with pytest.raises(ValueError):
-        attach_prime_ideal(b2, enumerate_ideals(b2), b2.unit)
+        _attach(enumerate_ideals(b2), b2.unit)
 
 
-def test_non_unique_attachment_guard_fires(monkeypatch, algebras):
+def test_non_unique_attachment_guard_fires(algebras):
     # several maximal avoiders are legal for a non-quasi-prime element; if
     # the element were quasi-prime that would falsify uniqueness, so force
     # the classification and watch the guard trip
-    import lalg.spectrum as spectrum_module
-
     alg = algebras["B2xB2"]
     lat = enumerate_ideals(alg)
     x = alg.index_of("(0,0)")
-    monkeypatch.setattr(
-        spectrum_module, "quasi_prime_elements", lambda a, l: (x,)
-    )
     with pytest.raises(NonUniqueAttachment):
-        attach_prime_ideal(alg, lat, x)
+        attach_prime_ideal(prime_ideals(lat), x, (x,))
 
 
 def test_prime_element_report(diamond):
     lat = enumerate_ideals(diamond)
-    report = prime_element_report(diamond, lat)
+    report = prime_element_report(prime_ideals(lat))
     assert all(att.unique for att in report.attachments)
     assert set(report.primes) <= set(report.quasi_primes)
 
 
 def test_subdirectly_irreducible(b2, diamond, algebras, small_corpus):
-    assert subdirectly_irreducible(b2, enumerate_ideals(b2))
-    assert subdirectly_irreducible(diamond, enumerate_ideals(diamond))
-    assert not subdirectly_irreducible(
-        algebras["B2xB2"], enumerate_ideals(algebras["B2xB2"])
-    )
-    assert subdirectly_irreducible(algebras["unit"], enumerate_ideals(algebras["unit"]))
+    assert subdirectly_irreducible(enumerate_ideals(b2))
+    assert subdirectly_irreducible(enumerate_ideals(diamond))
+    assert not subdirectly_irreducible(enumerate_ideals(algebras["B2xB2"]))
+    assert subdirectly_irreducible(enumerate_ideals(algebras["unit"]))
     # the monolith criterion agrees with the pairwise definition everywhere
     for alg in small_corpus + list(algebras.values()):
         lat = enumerate_ideals(alg)
@@ -409,13 +410,13 @@ def test_subdirectly_irreducible(b2, diamond, algebras, small_corpus):
         pairwise = not any(
             a & b == bottom for a in nontrivial for b in nontrivial
         )
-        assert subdirectly_irreducible(alg, lat) == pairwise
+        assert subdirectly_irreducible(lat) == pairwise
 
 
 def test_prime_quotient_oracle(algebras, small_corpus):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
-        for row in prime_quotient_oracle(alg, lat):
+        for row in prime_quotient_oracle(prime_ideals(lat)):
             assert row.consistent
 
 
@@ -423,9 +424,9 @@ def test_relative_spectrum_b2xb2(algebras):
     alg = algebras["B2xB2"]
     lat = enumerate_ideals(alg)
     left = next(
-        i for i in lat.ideals if set(i.label_set()) == {"(1,1)", "(0,1)"}
+        k for k, i in enumerate(lat.ideals) if set(i.label_set()) == {"(1,1)", "(0,1)"}
     )
-    report = relative_spectrum(alg, lat, left)
+    report = relative_spectrum(prime_ideals(lat), left)
     assert report.spec_i_size == 1
     assert report.spec_quotient_size == 1
     assert report.spec_x_size == 2
@@ -434,18 +435,38 @@ def test_relative_spectrum_b2xb2(algebras):
 
 def test_relative_spectrum_trivial_ideals(diamond):
     lat = enumerate_ideals(diamond)
-    bottom = relative_spectrum(diamond, lat, lat.ideals[lat.bottom])
+    spec = prime_ideals(lat)
+    bottom = relative_spectrum(spec, lat.bottom)
     assert bottom.spec_i_size == 0
-    full = relative_spectrum(diamond, lat, lat.ideals[lat.top])
+    full = relative_spectrum(spec, lat.top)
     assert full.spec_i_size == full.spec_x_size
 
 
 def test_relative_spectrum_all_fixture_ideals(algebras):
     for alg in algebras.values():
         lat = enumerate_ideals(alg)
-        for ideal in lat.ideals:
-            report = relative_spectrum(alg, lat, ideal)
+        spec = prime_ideals(lat)
+        for k in range(len(lat)):
+            report = relative_spectrum(spec, k)
             assert report.counts_add_up
+
+
+def test_relative_spectrum_visits_the_points_of_u_i_in_ascending_order(monkeypatch, algebras):
+    # on omega5 the points of U_I for the ideal at index 4 are, in
+    # join-irreducible order, [0, 9, 2]; the check of U_I against Spec I
+    # looks up Q n I for each point Q, and must do so by ascending lattice
+    # index, so that the first failure it names does not depend on that order
+    lat = enumerate_ideals(algebras["omega5"])
+    spec = prime_ideals(lat)
+    i = 4
+    u_points = [p for j, p in enumerate(spec.points) if (spec.opens[i] >> j) & 1]
+    assert u_points == [0, 9, 2]
+    looked_up = []
+    real = lat.index
+    monkeypatch.setattr(lat, "index", lambda mask: looked_up.append(mask) or real(mask))
+    relative_spectrum(spec, i)
+    expected = [lat.masks[q] & lat.masks[i] for q in sorted(u_points)]
+    assert looked_up[-len(expected):] == expected
 
 
 def test_relative_spectrum_counterexample_at_four_elements():
@@ -466,20 +487,20 @@ def test_relative_spectrum_counterexample_at_four_elements():
         name="boundary",
     )
     lat = enumerate_ideals(alg)
-    ideal = next(i for i in lat.ideals if set(i.label_set()) == {"1", "b", "c"})
+    ideal = next(k for k, i in enumerate(lat.ideals) if set(i.label_set()) == {"1", "b", "c"})
     with pytest.raises(BijectionFailure):
-        relative_spectrum(alg, lat, ideal)
+        relative_spectrum(prime_ideals(lat), ideal)
 
 
 def test_point_map_b2_bijective(b2):
-    rep = principal_open_map(b2, enumerate_ideals(b2))
+    rep = principal_open_map(prime_ideals(enumerate_ideals(b2)), structure_flags(b2))
     assert rep.bijective and rep.brouwerian
     assert len(set(rep.open_of_element)) == 2
 
 
 def test_point_map_diamond_surjective_not_injective(diamond):
     lat = enumerate_ideals(diamond)
-    rep = principal_open_map(diamond, lat)
+    rep = principal_open_map(prime_ideals(lat), structure_flags(diamond))
     assert rep.surjective and not rep.injective and not rep.brouwerian
     p, q = diamond.index_of("p"), diamond.index_of("q")
     assert rep.open_of_element[p] == rep.open_of_element[q]
@@ -488,7 +509,7 @@ def test_point_map_diamond_surjective_not_injective(diamond):
 
 def test_point_map_chain3_three_to_three(chain3):
     lat = enumerate_ideals(chain3)
-    rep = principal_open_map(chain3, lat)
+    rep = principal_open_map(prime_ideals(lat), structure_flags(chain3))
     assert rep.bijective and rep.brouwerian
     assert len(set(rep.open_of_element)) == 3 == len(lat)
 
@@ -497,7 +518,7 @@ def test_spatiality_and_frame(algebras, small_corpus):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
-        assert spatiality_check(lat, spec)
+        assert spatiality_check(spec)
         instances, problem = check_frame_map(spec)
         assert problem is None
 
