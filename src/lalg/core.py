@@ -401,7 +401,9 @@ def subalgebra(
 
     Returns the restricted algebra plus the tuple mapping new indices to old.
     Raises ValueError when the subset is not operation-closed or misses the
-    unit.
+    unit.  The axioms are not checked again: they are universal sentences,
+    so an operation-closed subset of an L-algebra satisfies them, and the law
+    ``ideal.upper-subalgebra`` checks that every ideal is closed.
     """
     elems = [i for i in range(alg.n) if (member_mask >> i) & 1]
     if alg.unit not in elems:
@@ -418,12 +420,12 @@ def subalgebra(
                     f"({alg.label(a)}*{alg.label(b)} = {alg.label(v)} escapes)"
                 )
             row.append(old_to_new[v])
-        table.append(row)
-    sub = validate(
-        table,
-        old_to_new[alg.unit],
-        labels=[alg.labels[i] for i in elems],
+        table.append(tuple(row))
+    sub = FiniteLAlgebra(
         name=name or f"{alg.name}|{{{','.join(alg.labels[i] for i in elems)}}}",
+        labels=tuple(alg.labels[i] for i in elems),
+        unit=old_to_new[alg.unit],
+        table=tuple(table),
     )
     return sub, tuple(elems)
 

@@ -17,7 +17,7 @@ derive from x, and x's row gives detachment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -126,7 +126,7 @@ def principal_ideal(alg: FiniteLAlgebra, x: int) -> Ideal:
     return generate_ideal(alg, (x,))
 
 
-def _join_irreducibles(alg: FiniteLAlgebra, principal: Iterable[int]) -> list[int]:
+def _join_irreducibles(alg: FiniteLAlgebra, principal: Iterable[int]) -> tuple[int, ...]:
     """The join-irreducible ideals, as masks in (popcount, mask) order.
 
     Every ideal is the join of the principal ideals of its members, so the
@@ -144,16 +144,16 @@ def _join_irreducibles(alg: FiniteLAlgebra, principal: Iterable[int]) -> list[in
                 below |= q
         if below != p and close_under_rules(alg, below) != p:
             out.append(p)
-    return out
+    return tuple(out)
 
 
-def _downsets(joinirr: list[int], masks: Iterable[int]) -> list[int]:
+def _downsets(joinirr: Sequence[int], masks: Iterable[int]) -> list[int]:
     """For each mask, the join-irreducibles inside it, as bits over ``joinirr``."""
     return [mask_of(j for j, q in enumerate(joinirr) if q & ~m == 0) for m in masks]
 
 
 def _ideal_masks(
-    alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: list[int]
+    alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: tuple[int, ...]
 ) -> list[tuple[int, int]]:
     """All ideals as (mask, S_I) pairs, from the join-irreducible principal ideals ``joinirr``.
 
@@ -185,6 +185,15 @@ def _ideal_masks(
     return out
 
 
+#: What :func:`enumerate_ideals` builds for one operation table, keyed by
+#: ``(alg.unit, alg.table)``: the (mask, S_I) pairs of :func:`_ideal_masks`,
+#: the principal masks and the join-irreducibles.  None of it carries a label.
+TableMemo = dict[
+    tuple[int, tuple[tuple[int, ...], ...]],
+    tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]],
+]
+
+
 class IdealLattice:
     """All ideals of one algebra, with meet, join and residuation tables built on first read.
 
@@ -209,6 +218,9 @@ class IdealLattice:
     checked in the laws ``ideal-lattice.distributive``, ``join.witness-form``
     and ``residuation.adjunction``.
 
+    A lattice built through a :data:`TableMemo` keeps it (``memo``), and
+    the lattices of its quotients are built through the same one.
+
     Construction does not check the family.  A hand-built family in which
     two members share a down-set is accepted, and ``by_downset`` then keeps
     the last of them; the injectivity check of :func:`certify_distributive`,
@@ -221,8 +233,10 @@ class IdealLattice:
         pairs: Iterable[tuple[int, int]],
         principal: Iterable[int],
         join_irreducibles: Iterable[int],
+        memo: TableMemo | None = None,
     ):
         self.algebra = algebra
+        self.memo = memo
         pairs = sorted(pairs, key=lambda pair: (pair[0].bit_count(), pair[0]))
         self.masks: tuple[int, ...] = tuple(mask for mask, _ in pairs)
         self.downsets: tuple[int, ...] = tuple(down for _, down in pairs)
@@ -258,7 +272,9 @@ class IdealLattice:
         """X/I for the k-th ideal I, built once per ideal through :func:`quotient`."""
         quot = self._quotients.get(k)
         if quot is None:
-            quot = self._quotients[k] = Quotient(self.algebra, *quotient(self.algebra, self.ideals[k]))
+            quot = self._quotients[k] = Quotient(
+                self.algebra, *quotient(self.algebra, self.ideals[k]), memo=self.memo
+            )
         return quot
 
     @cached_property
@@ -386,17 +402,30 @@ def _labels(alg: FiniteLAlgebra, mask: int) -> list[str]:
     return [alg.label(i) for i in bits(mask)]
 
 
-def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
+def enumerate_ideals(alg: FiniteLAlgebra, memo: TableMemo | None = None) -> IdealLattice:
     """Materialize the full ideal lattice.
 
     The n principal ideals are closed and the join-irreducible ones found
     once; the ideals are read off the down-sets of the join-irreducibles
     (see :func:`_ideal_masks`), and the lattice takes each mask with its
     down-set.
+
+    With a ``memo``, an operation table whose ideals it already holds is not
+    enumerated again: the lattice is built from the stored pairs, principal
+    masks and join-irreducibles, bound to ``alg``, so its ideals carry
+    ``alg``'s names and labels.  The lattice keeps the memo for the lattices
+    of its quotients.  A law run holds one memo for its length (see
+    :func:`lalg.laws.run_suite`); without one, every call enumerates.
     """
-    principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
-    joinirr = _join_irreducibles(alg, principal)
-    return IdealLattice(alg, _ideal_masks(alg, principal, joinirr), principal, joinirr)
+    key = (alg.unit, alg.table)
+    built = None if memo is None else memo.get(key)
+    if built is None:
+        principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
+        joinirr = _join_irreducibles(alg, principal)
+        built = (tuple(_ideal_masks(alg, principal, joinirr)), principal, joinirr)
+        if memo is not None:
+            memo[key] = built
+    return IdealLattice(alg, *built, memo=memo)
 
 
 def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
@@ -519,16 +548,19 @@ class Quotient:
 
     ``projection`` is the class map of :func:`congruence_of`, as
     :func:`quotient` returns it, so ``congruence`` is that partition again.
-    One object per ideal lets every law that reads X/I share one build.
+    One object per ideal lets every law that reads X/I share one build, and
+    ``memo``, the source lattice's, lets quotients with one table share one
+    enumeration.
     """
 
     source: FiniteLAlgebra
     algebra: FiniteLAlgebra
     projection: tuple[int, ...]
+    memo: TableMemo | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def lattice(self) -> IdealLattice:
-        return enumerate_ideals(self.algebra)
+        return enumerate_ideals(self.algebra, self.memo)
 
     @cached_property
     def congruence(self) -> Congruence:

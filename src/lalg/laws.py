@@ -21,6 +21,7 @@ from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
     Congruence,
     IdealLattice,
+    TableMemo,
     bits,
     certify_distributive,
     close_under_rules,
@@ -49,17 +50,21 @@ class Context:
     The lattice holds the quotients (``ctx.lattice.quotient_by(k)``), the
     spectrum its lattice, and the spectrum functions read what they need off
     those, so every law that reads X/I, the spectrum or a report reads the
-    one copy built here.
+    one copy built here.  ``memo`` is the :data:`~lalg.ideals.TableMemo` of
+    the run: the lattices of X, of its quotients and sub-algebras and of its
+    factors are built through it, so each operation table's ideals are
+    enumerated once per run.
     """
 
-    def __init__(self, fixture: Fixture):
+    def __init__(self, fixture: Fixture, memo: TableMemo):
         self.fixture = fixture
         self.algebra = fixture.algebra
         self.factors = fixture.factors
+        self.memo = memo
 
     @cached_property
     def lattice(self):
-        lat = enumerate_ideals(self.algebra)
+        lat = enumerate_ideals(self.algebra, self.memo)
         # the tables the laws read are built on first read: read them here,
         # so that their time is the lattice's and not that of the first law
         # to read one (no law reads the meet table)
@@ -742,8 +747,8 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
     a = ctx.algebra
     left, right = product_injections(x, y)
     lat = ctx.lattice
-    lat_x = enumerate_ideals(x)
-    lat_y = enumerate_ideals(y)
+    lat_x = enumerate_ideals(x, ctx.memo)
+    lat_y = enumerate_ideals(y, ctx.memo)
     instances = 0
 
     pairs = set()
@@ -876,12 +881,16 @@ def _laws_for(selection: Sequence[str] | None) -> tuple[Law, ...]:
 def run_suite(corpus: Sequence[Fixture], laws: Sequence[str] | None = None) -> list[LawReport]:
     """Evaluate the selected laws on every corpus algebra.
 
-    Rows come back sorted by (law id, corpus id).
+    Rows come back sorted by (law id, corpus id).  One
+    :data:`~lalg.ideals.TableMemo` serves the whole call and goes with it:
+    a memo kept across calls would hand a later run the enumerations of an
+    earlier one, which a single run from the command line never gets.
     """
     selected = _laws_for(laws)  # fails fast on unknown ids
+    memo: TableMemo = {}
     reports = []
     for fixture in corpus:
-        ctx = Context(fixture)
+        ctx = Context(fixture, memo)
         reports.extend(_run_one(law, ctx, fixture.name) for law in selected)
     reports.sort(key=lambda r: (r.law, r.corpus))
     return reports
@@ -890,7 +899,7 @@ def run_suite(corpus: Sequence[Fixture], laws: Sequence[str] | None = None) -> l
 def run_law(law_id: str, fixture: Fixture) -> LawReport:
     """Evaluate a single law on a single algebra (used by witness replay)."""
     (law,) = _laws_for([law_id])
-    return _run_one(law, Context(fixture), fixture.name)
+    return _run_one(law, Context(fixture, {}), fixture.name)
 
 
 def replay(report: LawReport) -> LawReport:

@@ -424,7 +424,8 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
     """Check that P -> I*P and Q -> Q n I invert between Spec I and U_I.
 
     I is the ideal at lattice index ``i_index``.  It is an algebra in its
-    own right (ideals are operation-closed); its primes must land exactly on
+    own right (ideals are operation-closed), whose lattice is built through
+    ``spec.lattice.memo`` when there is one; its primes must land exactly on
     the open set U_I of the ambient spectrum, and the primes of X/I (from
     ``spec.lattice.quotient_by``) must pull back exactly onto the
     complement.  Points are visited by ascending lattice index, so the first
@@ -447,7 +448,7 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
         )
 
     sub, elems = subalgebra(alg, ideal.members)
-    sub_lat = enumerate_ideals(sub)
+    sub_lat = enumerate_ideals(sub, lat.memo)
     sub_spec = prime_ideals(sub_lat)
 
     u_open = spec.opens[i_index]

@@ -2,7 +2,7 @@ import pytest
 
 from lalg import ideals, laws
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra, product_pairs
-from lalg.core import FiniteLAlgebra
+from lalg.core import FiniteLAlgebra, subalgebra
 from lalg.errors import (
     DistributivityFailure,
     JoinWitnessMismatch,
@@ -208,6 +208,64 @@ def test_the_walk_hands_over_each_ideals_down_set(corpus_to_five):
         assert list(lat.downsets) == recomputed, alg.name
 
 
+def _relabelled(alg):
+    """The same unit and table under other labels and another name."""
+    labels = tuple(f"{label}'" for label in alg.labels)
+    return FiniteLAlgebra(f"{alg.name}'", labels, alg.unit, alg.table)
+
+
+def test_a_memo_hit_equals_a_cold_build(monkeypatch, corpus_to_five):
+    # the memo holds each table's lattice, built for a relabelled twin; the
+    # hit enumerates nothing and is the cold lattice, bound to the caller's
+    # algebra and labels, on every algebra of the corpus and every
+    # sub-algebra and quotient of their ideals
+    cold_builds = []
+    real_masks = ideals._ideal_masks
+    monkeypatch.setattr(
+        ideals, "_ideal_masks", lambda alg, *a: cold_builds.append(alg) or real_masks(alg, *a)
+    )
+    corpus = list(corpus_to_five) + [f.algebra for f in product_pairs()]
+    algs = list(corpus)
+    for alg in corpus:
+        for ideal in enumerate_ideals(alg):
+            algs.append(subalgebra(alg, ideal.members)[0])
+            algs.append(quotient(alg, ideal)[0])
+    for alg in algs:
+        cold = enumerate_ideals(alg)
+        memo = {}
+        enumerate_ideals(_relabelled(alg), memo)
+        before = len(cold_builds)
+        hit = enumerate_ideals(alg, memo)
+        assert len(cold_builds) == before, alg.name
+        assert hit.algebra is alg and hit.memo is memo
+        assert hit.masks == cold.masks, alg.name
+        assert hit.downsets == cold.downsets, alg.name
+        assert hit.principal == cold.principal, alg.name
+        assert hit.join_irreducibles == cold.join_irreducibles, alg.name
+        assert [i.label_set() for i in hit] == [i.label_set() for i in cold], alg.name
+
+
+def test_the_memo_keys_on_the_unit_and_the_table(chain3):
+    # chain3's table with the unit moved to a: one table, two lattices
+    moved = FiniteLAlgebra("chain3@a", chain3.labels, chain3.index_of("a"), chain3.table)
+    memo = {}
+    lat = enumerate_ideals(chain3, memo)
+    other = enumerate_ideals(moved, memo)
+    assert len(memo) == 2
+    assert other.masks == enumerate_ideals(moved).masks != lat.masks
+    assert lat.masks == enumerate_ideals(chain3).masks
+
+
+def test_quotient_lattices_are_built_through_the_memo(chain3):
+    memo = {}
+    lat = enumerate_ideals(chain3, memo)
+    for k in range(len(lat)):
+        assert lat.quotient_by(k).lattice.memo is memo
+    # chain3/{1} has chain3's table, and the other two quotients add one each
+    assert len(memo) == 3
+    assert enumerate_ideals(chain3).quotient_by(0).lattice.memo is None
+
+
 def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
     # 2 x 6 grid poset, 12 elements
     elements = tuple(f"a{i}" for i in range(6)) + tuple(f"b{i}" for i in range(6))
@@ -339,7 +397,7 @@ def test_shared_down_set_fails_the_distributivity_law(monkeypatch, chain3):
     # certificate's injectivity check is what must name both
     real = enumerate_ideals(chain3)
     lat = _with_downsets(real, real.downsets[:-1] + real.downsets[-2:-1])
-    monkeypatch.setattr(laws, "enumerate_ideals", lambda alg: lat)
+    monkeypatch.setattr(laws, "enumerate_ideals", lambda alg, memo=None: lat)
     fixture = Fixture("chain3", chain3)
     report = run_law("ideal-lattice.distributive", fixture)
     assert report.verdict == "fail"

@@ -357,14 +357,17 @@ def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five):
 def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
     # quotient.morphism, congruence.bijection, prime.iff-quotient-irreducible
     # and relative-spectrum.bijection share X/I and its ideal lattice: one
-    # quotient, one congruence and one quotient lattice per (algebra, ideal)
+    # quotient, one congruence and one quotient lattice per (algebra, ideal);
+    # the 80 quotients have 14 operation tables not met before in the run
+    # (X/{1} has X's table), and only those are enumerated
     from lalg import ideals
 
-    quotients, congruences, lattices = [], [], []
-    real_quotient, real_congruence, real_enumerate = (
+    quotients, congruences, lattices, cold = [], [], [], []
+    real_quotient, real_congruence, real_enumerate, real_masks = (
         ideals.quotient,
         ideals.congruence_of,
         ideals.enumerate_ideals,
+        ideals._ideal_masks,
     )
 
     def counted_quotient(alg, ideal):
@@ -372,17 +375,65 @@ def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
         quotients.append((alg.name, ideal.members, quot))
         return quot, proj
 
-    def counted_enumerate(alg):
+    def counted_enumerate(alg, memo=None):
         if any(alg is quot for _, _, quot in quotients):
             lattices.append(alg)
-        return real_enumerate(alg)
+        return real_enumerate(alg, memo)
+
+    def counted_masks(alg, *args):
+        if any(alg is quot for _, _, quot in quotients):
+            cold.append(alg)
+        return real_masks(alg, *args)
 
     monkeypatch.setattr(ideals, "quotient", counted_quotient)
     monkeypatch.setattr(ideals, "congruence_of", lambda *a: congruences.append(1) or real_congruence(*a))
     monkeypatch.setattr(ideals, "enumerate_ideals", counted_enumerate)
+    monkeypatch.setattr(ideals, "_ideal_masks", counted_masks)
     reports = run_suite(full_corpus)
     assert all_pass(reports)
     pairs = {(name, members) for name, members, _ in quotients}
     assert len(pairs) == len(quotients) == 80
     assert len(congruences) == 80
     assert len({id(quot) for quot in lattices}) == len(lattices) == 80
+    assert len({(quot.unit, quot.table) for quot in cold}) == len(cold) == 14
+
+
+def test_one_enumeration_per_table_in_a_law_run(monkeypatch, full_corpus):
+    # one run over the default corpus requests 194 ideal lattices, of X, of
+    # its quotients and sub-algebras and of the factors, on 36 operation
+    # tables; the run's memo enumerates each table once
+    from lalg import ideals, laws, spectrum
+
+    requested, cold = [], []
+    real_enumerate, real_masks = ideals.enumerate_ideals, ideals._ideal_masks
+
+    def counted_enumerate(alg, memo=None):
+        requested.append((alg.unit, alg.table))
+        return real_enumerate(alg, memo)
+
+    def counted_masks(alg, *args):
+        cold.append((alg.unit, alg.table))
+        return real_masks(alg, *args)
+
+    for module in (ideals, laws, spectrum):
+        monkeypatch.setattr(module, "enumerate_ideals", counted_enumerate)
+    monkeypatch.setattr(ideals, "_ideal_masks", counted_masks)
+    assert all_pass(run_suite(full_corpus))
+    assert len(requested) == 194
+    assert len(cold) == len(set(cold)) == len(set(requested)) == 36
+
+
+def test_each_law_run_has_its_own_memo(monkeypatch, fixture_map):
+    # nothing is carried from one run_suite to the next: each run builds
+    # the top lattice cold
+    from lalg import ideals
+
+    fixture = fixture_map["omega3"]
+    cold = []
+    real_masks = ideals._ideal_masks
+    monkeypatch.setattr(
+        ideals, "_ideal_masks", lambda alg, *a: cold.append(alg) or real_masks(alg, *a)
+    )
+    for runs in (1, 2):
+        assert all_pass(run_suite([fixture]))
+        assert sum(1 for alg in cold if alg is fixture.algebra) == runs

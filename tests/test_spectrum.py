@@ -91,9 +91,9 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
     tables = {"meet_table", "join_table", "residuation_table"}
     built = []
     real = spectrum.enumerate_ideals
-    monkeypatch.setattr(spectrum, "enumerate_ideals", lambda a: built.append(real(a)) or built[-1])
+    monkeypatch.setattr(spectrum, "enumerate_ideals", lambda a, memo=None: built.append(real(a, memo)) or built[-1])
     # the lattices of quotients are built by ideals.Quotient
-    monkeypatch.setattr(ideals, "enumerate_ideals", lambda a: built.append(real(a)) or built[-1])
+    monkeypatch.setattr(ideals, "enumerate_ideals", lambda a, memo=None: built.append(real(a, memo)) or built[-1])
     for name in ("B2xB2", "chain3", "omega3", "diamond"):
         alg = algebras[name]
         lat = enumerate_ideals(alg)
