@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from functools import cache, cached_property
+from typing import Callable, Sequence
 
 from .constructions import Fixture, product_injections
 from .core import FiniteLAlgebra, axiom_violations, partial_product, structure_flags
@@ -416,31 +416,81 @@ def _check_ideal_shape(ctx: Context) -> CheckResult:
     return instances, None, None
 
 
-def _iter_partitions(n: int) -> Iterator[list[list[int]]]:
-    groups: list[list[int]] = []
-
-    def rec(k: int) -> Iterator[list[list[int]]]:
-        if k == n:
-            yield groups
-            return
-        for g in groups:
-            g.append(k)
-            yield from rec(k + 1)
-            g.pop()
-        groups.append([k])
-        yield from rec(k + 1)
-        groups.pop()
-
-    yield from rec(0)
-
-
 def _partition_key(classes: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(classes))
 
 
-#: Above this carrier size the exhaustive set-partition sweep (Bell numbers)
-#: is dropped and only the per-ideal checks run.
+#: Above this carrier size the set-partition sweep (Bell numbers of
+#: partitions, decided prefix by prefix) is dropped and only the per-ideal
+#: checks run.
 _PARTITION_SWEEP_LIMIT = 8
+
+
+@cache
+def _completions(r: int, g: int) -> int:
+    """The partitions that extend a prefix with ``g`` classes by ``r`` more
+    elements: T(0, g) = 1, T(r, g) = g T(r-1, g) + T(r-1, g+1)."""
+    if r == 0:
+        return 1
+    return g * _completions(r - 1, g) + _completions(r - 1, g + 1)
+
+
+def _compatible_partitions(t: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Every partition of the carrier of ``t`` whose classes are compatible
+    with the operation on both sides, and the number of partitions decided.
+
+    A depth-first sweep places the elements 0, 1, ... in order, each in an
+    open class or a new one; a partition is the tuple of the class of each
+    element, the classes numbered by their least member.  Compatibility is
+    the constraints (x, rep, z): z*x ~ z*rep and x*z ~ rep*z for each x and
+    the least member rep of its class.  After placing k, the sweep tests the
+    constraints that k completes, those whose x, rep, z and four products
+    are all placed and one of them is k; a prefix that breaks one has no
+    compatible extension, and it is decided with all its completions
+    (:func:`_completions`).  So the count is always the Bell number B(n)."""
+    n = len(t)
+    # the last of x, z, z*x and x*z to be placed
+    level = [[max(x, z, t[z][x], t[x][z]) for z in range(n)] for x in range(n)]
+    class_of = [0] * n
+    reps: list[int] = []
+    leaves: list[tuple[int, ...]] = []
+    decided = 0
+
+    def broken(k: int) -> bool:
+        for x in range(1, k + 1):
+            rep = reps[class_of[x]]
+            if rep == x:
+                continue
+            at_x, at_rep, tx, trep = level[x], level[rep], t[x], t[rep]
+            for z in range(k + 1):
+                lx, lr = at_x[z], at_rep[z]
+                # max(lx, lr) == k, without a call on the sweep's hottest line
+                if (lx if lx > lr else lr) == k and (
+                    class_of[t[z][x]] != class_of[t[z][rep]]
+                    or class_of[tx[z]] != class_of[trep[z]]
+                ):
+                    return True
+        return False
+
+    def place(k: int) -> None:
+        nonlocal decided
+        if k == n:
+            decided += 1
+            leaves.append(tuple(class_of))
+            return
+        for g in range(len(reps) + 1):
+            class_of[k] = g
+            if g == len(reps):
+                reps.append(k)
+            if broken(k):
+                decided += _completions(n - k - 1, len(reps))
+            else:
+                place(k + 1)
+            if reps[-1] == k:
+                reps.pop()
+
+    place(0)
+    return decided, leaves
 
 
 def _incompatible(
@@ -483,7 +533,11 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
     that the projection onto the shared X/I induces) is a compatible
     equivalence whose unit class is I; up to ``_PARTITION_SWEEP_LIMIT``
     elements, every compatible partition with an L-algebra quotient is also
-    one of these."""
+    one of these.  The partitions are decided prefix by prefix
+    (:func:`_compatible_partitions`): a prefix that breaks a compatibility
+    constraint it completes is pruned with all its completions, and each
+    compatible partition gets the L-quotient (antisymmetry) filter.  The
+    sweep counts one instance per partition decided, B(n) in all."""
     a = ctx.algebra
     lat = ctx.lattice
     t = a.table
@@ -511,38 +565,29 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
             f"round trip on {len(from_ideals)} ideals; partition sweep skipped at n={a.n}",
         )
 
-    compatible = {}
-    for classes in _iter_partitions(a.n):
-        instances += 1
-        class_of = [0] * a.n
-        for k, cls in enumerate(classes):
-            for x in cls:
-                class_of[x] = k
-        ok = _incompatible(t, class_of, classes) is None
-        if ok:
-            # a compatible equivalence is only a congruence when the quotient
-            # is again an L-algebra; the unit laws and the exchange identity
-            # are equations and survive any quotient, antisymmetry need not
-            reps = [cls[0] for cls in classes]
-            ubar = class_of[a.unit]
-            for x in reps:
-                for y in reps:
-                    if (
-                        class_of[x] != class_of[y]
-                        and class_of[t[x][y]] == ubar
-                        and class_of[t[y][x]] == ubar
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            key = _partition_key(
-                tuple(sum(1 << x for x in cls) for cls in classes)
-            )
-            compatible[key] = True
+    decided, leaves = _compatible_partitions(t)
+    instances += decided
+    compatible = set()
+    for class_of in leaves:
+        # a compatible equivalence is only a congruence when the quotient
+        # is again an L-algebra; the unit laws and the exchange identity
+        # are equations and survive any quotient, antisymmetry need not
+        reps: list[int] = []
+        masks: list[int] = []
+        for x, c in enumerate(class_of):
+            if c == len(reps):
+                reps.append(x)
+                masks.append(0)
+            masks[c] |= 1 << x
+        ubar = class_of[a.unit]
+        if not any(
+            class_of[t[x][y]] == ubar and class_of[t[y][x]] == ubar
+            for i, x in enumerate(reps)
+            for y in reps[i + 1 :]
+        ):
+            compatible.add(_partition_key(masks))
 
-    if set(compatible) != set(from_ideals):
+    if compatible != set(from_ideals):
         return (
             instances,
             {

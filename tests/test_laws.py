@@ -1,11 +1,22 @@
+import itertools
+
 import pytest
 
-from lalg.constructions import Fixture, PosetSpec, fixtures, poset_algebra, product_pairs
+from lalg.constructions import (
+    Fixture,
+    PosetSpec,
+    enumerate_all,
+    fixtures,
+    poset_algebra,
+    product_pairs,
+)
 from lalg.core import FiniteLAlgebra
 from lalg.formats import algebra_to_document, document_from_json_object
 from lalg.ideals import enumerate_ideals
 from lalg.laws import (
     LAWS,
+    _PARTITION_SWEEP_LIMIT,
+    _compatible_partitions,
     all_pass,
     law_ids,
     replay,
@@ -114,6 +125,114 @@ def test_congruence_law_skips_partition_sweep_on_big_carriers(full_reports):
     )
     assert row.verdict == "pass"
     assert "partition sweep skipped" in (row.detail or "")
+
+
+def _iter_partitions(n):
+    """Every set partition of range(n), as lists of classes (test-only oracle)."""
+    groups = []
+
+    def rec(k):
+        if k == n:
+            yield groups
+            return
+        for g in groups:
+            g.append(k)
+            yield from rec(k + 1)
+            g.pop()
+        groups.append([k])
+        yield from rec(k + 1)
+        groups.pop()
+
+    yield from rec(0)
+
+
+def _full_sweep(t):
+    """The unpruned sweep: build all B(n) partitions, keep the compatible ones
+    as the class of each element, the classes numbered by their least member."""
+    n = len(t)
+    count = 0
+    found = set()
+    for classes in _iter_partitions(n):
+        count += 1
+        class_of = [0] * n
+        for c, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = c
+        if all(
+            class_of[t[z][x]] == class_of[t[z][y]] and class_of[t[x][z]] == class_of[t[y][z]]
+            for cls in classes
+            for x in cls
+            for y in cls
+            for z in range(n)
+        ):
+            found.add(tuple(class_of))
+    return count, found
+
+
+def _poset_table(n, leq):
+    """The implication algebra of a poset with its top at 0: x*y = 0 when x <= y, else y."""
+    return tuple(tuple(0 if leq(x, y) else y for y in range(n)) for x in range(n))
+
+
+def _anti_table(k):
+    # k atoms under a top
+    return _poset_table(k + 1, lambda x, y: x == y or y == 0)
+
+
+def _power_table(base, k):
+    # the k-fold direct product, computed componentwise (unit at index 0)
+    elems = list(itertools.product(range(len(base)), repeat=k))
+    index = {e: i for i, e in enumerate(elems)}
+    return tuple(
+        tuple(index[tuple(base[a][b] for a, b in zip(x, y))] for y in elems) for x in elems
+    )
+
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+def test_pruned_partition_sweep_matches_the_full_sweep(full_corpus):
+    tables = [f.algebra.table for f in full_corpus if f.algebra.n <= 8]
+    tables += [_anti_table(k) for k in (5, 6, 7)]
+    tables.append(_power_table(_anti_table(1), 3))  # B2^3
+    tables += [a.table for a in enumerate_all(4)]
+    for t in tables:
+        decided, leaves = _compatible_partitions(t)
+        count, found = _full_sweep(t)
+        assert decided == count == BELL[len(t)]
+        assert len(leaves) == len(set(leaves))
+        assert set(leaves) == found, t
+
+
+def test_congruence_law_decides_every_partition(full_corpus, full_reports):
+    # one instance per ideal and one per set partition, whether it reached a
+    # leaf of the sweep or was decided with a pruned prefix
+    rows = {r.corpus: r for r in full_reports if r.law == "congruence.bijection"}
+    small = [f for f in full_corpus if f.algebra.n <= _PARTITION_SWEEP_LIMIT]
+    assert {f.algebra.n for f in small} >= {1, 2, 3, 4, 5, 6, 7, 8}
+    for f in small:
+        m = len(enumerate_ideals(f.algebra))
+        assert rows[f.name].instances == m + BELL[f.algebra.n], f.name
+
+
+def test_congruence_sweep_fails_when_an_ideal_is_withheld(monkeypatch, chain3):
+    # the law reads a lattice without {1,a}: every per-ideal check still
+    # passes, and only the partition sweep finds a congruence no ideal gives
+    from lalg.ideals import IdealLattice
+
+    real = IdealLattice.ideals.func
+    full = [i.label_set() for i in real(enumerate_ideals(chain3))]
+    withheld = full.index(("1", "a"))
+    monkeypatch.setattr(
+        IdealLattice,
+        "ideals",
+        property(lambda self: tuple(i for k, i in enumerate(real(self)) if k != withheld)),
+    )
+    report = run_law("congruence.bijection", Fixture("chain3", chain3))
+    assert report.verdict == "fail"
+    assert report.instances == len(full) - 1 + BELL[chain3.n]
+    assert report.witness["problem"] == "congruence/ideal families differ"
+    assert (report.witness["congruences"], report.witness["ideals"]) == (len(full), len(full) - 1)
 
 
 def test_exhaustive_small_corpus_all_pass(small_corpus):
