@@ -38,14 +38,10 @@ from .errors import (
 )
 from .ideals import (
     Congruence,
-    Ideal,
     IdealLattice,
     congruence_of,
     enumerate_ideals,
-    generate_ideal,
-    ideal_of_congruence,
     is_ideal,
-    principal_ideal,
     quotient,
 )
 from . import constructions, formats, laws, spectrum  # noqa: E402  (submodule access)

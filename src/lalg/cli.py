@@ -23,7 +23,7 @@ from .formats import (
     serialize_algebra_text,
     serialize_report,
 )
-from .ideals import enumerate_ideals, generate_ideal, is_ideal, mask_of, quotient
+from .ideals import braced, close_under_rules, enumerate_ideals, is_ideal, labels_of, mask_of, quotient
 from .laws import all_pass, run_suite
 from .spectrum import compact_basis_failure, prime_ideals, topology_report
 
@@ -97,22 +97,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_ideals(args: argparse.Namespace) -> int:
     alg = load_algebra(args.file)
     lat = enumerate_ideals(alg)
+    masks = lat.masks
     if args.json:
         import json
 
+        every = range(len(lat))
         payload = {
             "schema": 1,
             "algebra": alg.name,
-            "ideals": [list(i.label_set()) for i in lat.ideals],
-            "meet": [list(r) for r in lat.meet_table],
-            "join": [list(r) for r in lat.join_table],
-            "residuation": [list(r) for r in lat.residuation_table],
+            "ideals": [labels_of(alg, a) for a in masks],
+            "meet": [[lat.index(a & b) for b in masks] for a in masks],
+            "join": [[lat.join(i, j) for j in every] for i in every],
+            "residuation": lat.residuation_table,
         }
         print(json.dumps(payload, separators=(",", ":")))
         return 0
     print(f"{alg.name}: {len(lat)} ideal(s)")
-    for ideal in lat.ideals:
-        print(f"  {{{','.join(ideal.label_set())}}}")
+    for mask in masks:
+        print(f"  {braced(alg, mask)}")
     return 0
 
 
@@ -122,7 +124,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = prime_ideals(lat)
     print(f"{alg.name}: {spec.point_count} point(s)")
     for p in sorted(spec.points):
-        print(f"  {{{','.join(lat.ideals[p].label_set())}}}")
+        print(f"  {braced(alg, lat.masks[p])}")
     if args.topology:
         rep = topology_report(spec)
         print(f"T0: {'yes' if rep.t0 else 'NO'}")
@@ -133,8 +135,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         for w in rep.witnesses:
             print(f"  problem: {w}")
         if bad is not None:
-            ideal = ",".join(lat.ideals[bad].label_set())
-            print(f"  problem: U_I is not the union of its principal opens for I = {{{ideal}}}")
+            print(f"  problem: U_I is not the union of its principal opens for I = {braced(alg, lat.masks[bad])}")
         return 0 if rep.t0 and rep.sober and bad is None else 1
     return 0
 
@@ -216,14 +217,13 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 1
     if not is_ideal(alg, members):
-        closed = generate_ideal(alg, members)
         print(
             f"{{{','.join(labels)}}} is not an ideal of {alg.name}; "
-            f"the least ideal containing it is {{{','.join(closed.label_set())}}}",
+            f"the least ideal containing it is {braced(alg, close_under_rules(alg, members))}",
             file=sys.stderr,
         )
         return 1
-    quot, _ = quotient(alg, generate_ideal(alg, members))
+    quot, _ = quotient(alg, members)
     # files the tool writes must read back, so this one quotient is validated
     quot = validate(quot.table, quot.unit, labels=quot.labels, name=quot.name)
     save_algebra(quot, args.output)

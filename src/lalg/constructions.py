@@ -11,7 +11,7 @@ reproduce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Iterator, Mapping
 
@@ -191,7 +191,7 @@ def _chain3() -> FiniteLAlgebra:
     alg = poset_algebra(
         PosetSpec(elements=("1", "a", "b"), covers=(("b", "a"), ("a", "1")), top="1")
     )
-    return validate(alg.table, alg.unit, labels=alg.labels, name="chain3")
+    return replace(alg, name="chain3")
 
 
 def _omega(depth: int) -> FiniteLAlgebra:
@@ -200,7 +200,7 @@ def _omega(depth: int) -> FiniteLAlgebra:
     covers = [("x", "1"), ("y", "x"), ("x2", "x")]
     covers += [(f"x{k + 1}", f"x{k}") for k in range(2, depth)]
     alg = poset_algebra(PosetSpec(elements=elements, covers=tuple(covers), top="1"))
-    return validate(alg.table, alg.unit, labels=alg.labels, name=f"omega{depth}")
+    return replace(alg, name=f"omega{depth}")
 
 
 def _example5() -> FiniteLAlgebra:
@@ -208,7 +208,7 @@ def _example5() -> FiniteLAlgebra:
         PosetSpec(elements=("1", "p", "q"), covers=(("p", "1"), ("q", "1")), top="1")
     )
     alg = ordered_sum(antichain, _b2())
-    return validate(alg.table, alg.unit, labels=alg.labels, name="example5")
+    return replace(alg, name="example5")
 
 
 def fixtures() -> tuple[Fixture, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     AxiomViolation,
@@ -52,9 +52,6 @@ class FiniteLAlgebra:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def op(self, i: int, j: int) -> int:
-        return self.table[i][j]
 
     def leq(self, i: int, j: int) -> bool:
         return self.table[i][j] == self.unit
@@ -107,12 +104,6 @@ class OrderRelation:
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.above[i] >> j) & 1)
-
-    def downset(self, y: int) -> int:
-        return self.below[y]
-
-    def upset(self, x: int) -> int:
-        return self.above[x]
 
     def is_maximal(self, x: int) -> bool:
         """True when nothing except the unit lies strictly above x."""
@@ -428,7 +419,3 @@ def subalgebra(
         table=tuple(table),
     )
     return sub, tuple(elems)
-
-
-def elements(alg: FiniteLAlgebra) -> Iterable[int]:
-    return range(alg.n)

@@ -8,8 +8,10 @@ closed under three rules:
     (absorption)   x in I                =>  y*x in I  and  y*(x*y) in I
 
 Ideals are upper sets and subalgebras, and they biject with congruences via
-x ~ y iff x*y and y*x both lie in I.  Subsets are machine-word bitmasks
-throughout; the carrier cap of 64 in :mod:`lalg.core` keeps that honest.
+x ~ y iff x*y and y*x both lie in I.  A subset of the carrier (an ideal, a
+prime, a class) is a machine-word bitmask and nothing else; the carrier cap
+of 64 in :mod:`lalg.core` keeps that honest, and :func:`labels_of` and
+:func:`braced` name one for output.
 :func:`close_under_rules` and :func:`is_ideal` read each member x once:
 ``FiniteLAlgebra.closure_kernel[x]`` is everything lifting and absorption
 derive from x, and x's row gives detachment.
@@ -40,30 +42,14 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """A validated ideal: an algebra reference plus a member bitmask."""
+def labels_of(alg: FiniteLAlgebra, mask: int) -> tuple[str, ...]:
+    """The labels of the members of a subset, ascending by index."""
+    return tuple(alg.labels[i] for i in bits(mask))
 
-    algebra: FiniteLAlgebra
-    members: int
 
-    def __contains__(self, i: int) -> bool:
-        return bool((self.members >> i) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return bits(self.members)
-
-    def __len__(self) -> int:
-        return self.members.bit_count()
-
-    def issubset(self, other: "Ideal") -> bool:
-        return self.members & ~other.members == 0
-
-    def label_set(self) -> tuple[str, ...]:
-        return tuple(self.algebra.label(i) for i in self)
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(self.label_set()) + "}"
+def braced(alg: FiniteLAlgebra, mask: int) -> str:
+    """A subset as output prints it: ``{a,b}``."""
+    return "{" + ",".join(labels_of(alg, mask)) + "}"
 
 
 def is_ideal(alg: FiniteLAlgebra, mask: int) -> bool:
@@ -114,16 +100,6 @@ def close_under_rules(alg: FiniteLAlgebra, seed_mask: int) -> int:
         new = add & ~m
         m |= new
     return m
-
-
-def generate_ideal(alg: FiniteLAlgebra, seed: Iterable[int] | int) -> Ideal:
-    """Ideal generated by a set of element indices (or a ready-made mask)."""
-    seed_mask = seed if isinstance(seed, int) else mask_of(seed)
-    return Ideal(alg, close_under_rules(alg, seed_mask))
-
-
-def principal_ideal(alg: FiniteLAlgebra, x: int) -> Ideal:
-    return generate_ideal(alg, (x,))
 
 
 def _join_irreducibles(alg: FiniteLAlgebra, principal: Iterable[int]) -> tuple[int, ...]:
@@ -195,7 +171,7 @@ TableMemo = dict[
 
 
 class IdealLattice:
-    """All ideals of one algebra, with meet, join and residuation tables built on first read.
+    """All ideals of one algebra, as masks, with joins and residuals looked up.
 
     Built from the (mask, S_I) pairs of :func:`_ideal_masks`, one per ideal,
     the masks of <x> for every element x (``principal``) and the
@@ -205,16 +181,15 @@ class IdealLattice:
     full carrier, and ``downsets[k]`` is the set S_I of
     ``join_irreducibles`` inside the k-th ideal, as bits.
 
-    ``by_downset``, the one index from down-set to ideal, ``meet_table``,
-    ``join_table`` and ``residuation_table`` (m x m) and the :class:`Ideal`
-    objects in ``ideals`` are built when first read, so the lattices that
-    serve only masks and spectra never build a table; :meth:`quotient_by`
-    builds X/I once per ideal.  I n J is the intersection, I v J
-    (:meth:`join`) the ideal with down-set S_I u S_J, and I*J the set
-    {x | <x> n I <= J}; each is looked up.  A hit is the meet, the join or
-    the greatest K with K n I <= J; a join that misses raises
+    I n J is the intersection of two masks (``index(a & b)``), I v J
+    (:meth:`join`) the ideal with down-set S_I u S_J, looked up in
+    ``by_downset``, and I*J the set {x | <x> n I <= J}.  A hit is the meet,
+    the join or the greatest K with K n I <= J; a join that misses raises
     :class:`DistributivityFailure` (only a non-distributive lattice lacks
-    it), a residual :class:`ResiduationNotGreatest`.  The theorems are
+    it), a residual :class:`ResiduationNotGreatest`.  ``by_downset`` and
+    ``residuation_table``, the one m x m table, are built when first read,
+    so the lattices that serve only masks and spectra never build it;
+    :meth:`quotient_by` builds X/I once per ideal.  The theorems are
     checked in the laws ``ideal-lattice.distributive``, ``join.witness-form``
     and ``residuation.adjunction``.
 
@@ -252,13 +227,6 @@ class IdealLattice:
     def __len__(self) -> int:
         return len(self.masks)
 
-    @cached_property
-    def ideals(self) -> tuple[Ideal, ...]:
-        return tuple(Ideal(self.algebra, m) for m in self.masks)
-
-    def __iter__(self) -> Iterator[Ideal]:
-        return iter(self.ideals)
-
     def index(self, mask: int) -> int:
         return self._index[mask]
 
@@ -273,21 +241,9 @@ class IdealLattice:
         quot = self._quotients.get(k)
         if quot is None:
             quot = self._quotients[k] = Quotient(
-                self.algebra, *quotient(self.algebra, self.ideals[k]), memo=self.memo
+                self.algebra, *quotient(self.algebra, self.masks[k]), memo=self.memo
             )
         return quot
-
-    @cached_property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self.masks)
-        table = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                inter = self.masks[i] & self.masks[j]
-                k = self._index.get(inter)
-                assert k is not None, "ideal family not closed under intersection"
-                table[i][j] = table[j][i] = k
-        return tuple(tuple(r) for r in table)
 
     @cached_property
     def by_downset(self) -> dict[int, int]:
@@ -301,20 +257,11 @@ class IdealLattice:
                 f"{self.algebra.name}: no ideal has S_I u S_J as its down-set",
                 witness={
                     "algebra": self.algebra.name,
-                    "I": _labels(self.algebra, self.masks[i]),
-                    "J": _labels(self.algebra, self.masks[j]),
+                    "I": labels_of(self.algebra, self.masks[i]),
+                    "J": labels_of(self.algebra, self.masks[j]),
                 },
             )
         return k
-
-    @cached_property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self.masks)
-        table = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                table[i][j] = table[j][i] = self.join(i, j)
-        return tuple(tuple(r) for r in table)
 
     def _residuation_mask(self, imask: int, jmask: int) -> int:
         """Element-wise I*J = {x | <x> n I <= J}."""
@@ -343,9 +290,9 @@ class IdealLattice:
                         f"{self.algebra.name}: element-wise residuation is not an ideal",
                         witness={
                             "algebra": self.algebra.name,
-                            "I": _labels(self.algebra, imask),
-                            "J": _labels(self.algebra, jmask),
-                            "elementwise": _labels(self.algebra, r),
+                            "I": labels_of(self.algebra, imask),
+                            "J": labels_of(self.algebra, jmask),
+                            "elementwise": labels_of(self.algebra, r),
                         },
                     )
                 row.append(k)
@@ -398,10 +345,6 @@ def certify_distributive(
     return len(masks) + len(join_irreducibles)
 
 
-def _labels(alg: FiniteLAlgebra, mask: int) -> list[str]:
-    return [alg.label(i) for i in bits(mask)]
-
-
 def enumerate_ideals(alg: FiniteLAlgebra, memo: TableMemo | None = None) -> IdealLattice:
     """Materialize the full ideal lattice.
 
@@ -412,8 +355,8 @@ def enumerate_ideals(alg: FiniteLAlgebra, memo: TableMemo | None = None) -> Idea
 
     With a ``memo``, an operation table whose ideals it already holds is not
     enumerated again: the lattice is built from the stored pairs, principal
-    masks and join-irreducibles, bound to ``alg``, so its ideals carry
-    ``alg``'s names and labels.  The lattice keeps the memo for the lattices
+    masks and join-irreducibles, bound to ``alg``, so what it names carries
+    ``alg``'s name and labels.  The lattice keeps the memo for the lattices
     of its quotients.  A law run holds one memo for its length (see
     :func:`lalg.laws.run_suite`); without one, every call enumerates.
     """
@@ -435,9 +378,10 @@ def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> It
     in J, so w is the union of one precomputed mask per member of I.  By
     detachment w lies inside every ideal that holds I u J; so w is the
     closure of I u J exactly when it holds I u J and is an ideal.  Each pair
-    checks that and that w is the entry of ``join_table``, with ``is_ideal``
-    run once per entry; a miss computes the closure and raises
-    :class:`JoinWitnessMismatch` with all three.
+    checks that and that w is the lattice's join (:meth:`IdealLattice.join`,
+    read off the down-sets), with ``is_ideal`` run once per join; a miss
+    computes the closure and raises :class:`JoinWitnessMismatch` with all
+    three.
     """
     alg = lattice.algebra
     t = alg.table
@@ -455,7 +399,7 @@ def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> It
         w = 0
         for x in bits(imask):
             w |= wit[x]
-        k = lattice.join_table[i][j]
+        k = lattice.join(i, j)
         if k not in entry_is_ideal:
             entry_is_ideal[k] = is_ideal(alg, masks[k])
         union = imask | jmask
@@ -464,11 +408,11 @@ def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> It
                 f"{alg.name}: witness join, closure join and join table disagree",
                 witness={
                     "algebra": alg.name,
-                    "left": _labels(alg, imask),
-                    "right": _labels(alg, jmask),
-                    "closure_join": _labels(alg, close_under_rules(alg, union)),
-                    "witness_join": _labels(alg, w),
-                    "table_join": _labels(alg, masks[k]),
+                    "left": labels_of(alg, imask),
+                    "right": labels_of(alg, jmask),
+                    "closure_join": labels_of(alg, close_under_rules(alg, union)),
+                    "witness_join": labels_of(alg, w),
+                    "table_join": labels_of(alg, masks[k]),
                 },
             )
         yield w
@@ -490,8 +434,8 @@ class Congruence:
         return self.classes[self.class_of[self.algebra.unit]]
 
 
-def congruence_of(alg: FiniteLAlgebra, ideal: Ideal) -> Congruence:
-    """The partition of x ~ y iff x*y and y*x lie in the ideal.
+def congruence_of(alg: FiniteLAlgebra, imask: int) -> Congruence:
+    """The partition of x ~ y iff x*y and y*x lie in the ideal ``imask``.
 
     Each element's class is the set of elements related to it.  Nothing is
     checked here: that the relation is an equivalence and compatible with
@@ -500,7 +444,6 @@ def congruence_of(alg: FiniteLAlgebra, ideal: Ideal) -> Congruence:
     """
     n = alg.n
     t = alg.table
-    imask = ideal.members
     related = [0] * n
     for x in range(n):
         for y in range(n):
@@ -512,14 +455,8 @@ def congruence_of(alg: FiniteLAlgebra, ideal: Ideal) -> Congruence:
     return Congruence(algebra=alg, class_of=class_of, classes=tuple(class_masks))
 
 
-def ideal_of_congruence(cong: Congruence) -> Ideal:
-    return Ideal(cong.algebra, cong.unit_class())
-
-
-def quotient(
-    alg: FiniteLAlgebra, ideal: Ideal
-) -> tuple[FiniteLAlgebra, tuple[int, ...]]:
-    """The quotient algebra and the projection map (element -> class index).
+def quotient(alg: FiniteLAlgebra, imask: int) -> tuple[FiniteLAlgebra, tuple[int, ...]]:
+    """X/I for the ideal ``imask``, with the projection map (element -> class index).
 
     Class representatives are least member indices and quotient elements
     follow representative order, so serialized output is reproducible.  The
@@ -527,14 +464,13 @@ def quotient(
     does not depend on them and satisfies the axioms is checked by the law
     ``quotient.morphism``.
     """
-    cong = congruence_of(alg, ideal)
+    cong = congruence_of(alg, imask)
     reps = [(m & -m).bit_length() - 1 for m in cong.classes]
     table = tuple(
         tuple(cong.class_of[alg.table[a][b]] for b in reps) for a in reps
     )
-    member_labels = ",".join(alg.label(i) for i in bits(ideal.members))
     quot = FiniteLAlgebra(
-        name=f"{alg.name}/{{{member_labels}}}",
+        name=f"{alg.name}/{braced(alg, imask)}",
         labels=tuple(alg.label(r) for r in reps),
         unit=cong.class_of[alg.unit],
         table=table,

@@ -23,10 +23,12 @@ from .ideals import (
     IdealLattice,
     TableMemo,
     bits,
+    braced,
     certify_distributive,
     close_under_rules,
     enumerate_ideals,
-    ideal_of_congruence,
+    labels_of,
+    mask_of,
     witness_joins,
 )
 from .spectrum import (
@@ -65,10 +67,10 @@ class Context:
     @cached_property
     def lattice(self):
         lat = enumerate_ideals(self.algebra, self.memo)
-        # the tables the laws read are built on first read: read them here,
-        # so that their time is the lattice's and not that of the first law
-        # to read one (no law reads the meet table)
-        _ = (lat.join_table, lat.residuation_table)
+        # the residuation table is built on first read: read it here, so
+        # that its time is the lattice's and not that of the first law to
+        # read it
+        _ = lat.residuation_table
         return lat
 
     @cached_property
@@ -275,7 +277,7 @@ def _certify_distributive(ctx: Context) -> int:
         lat.downsets,
         lambda seed: close_under_rules(a, seed),
         a.name,
-        lambda mask: [a.label(x) for x in bits(mask)],
+        lambda mask: labels_of(a, mask),
     )
 
 
@@ -326,9 +328,9 @@ def _residuation_adjunction(ctx: Context) -> CheckResult:
                 return (
                     instances + k + 1,
                     {
-                        "I": lat.ideals[i].label_set(),
-                        "J": lat.ideals[j].label_set(),
-                        "K": lat.ideals[k].label_set(),
+                        "I": labels_of(ctx.algebra, imask),
+                        "J": labels_of(ctx.algebra, masks[j]),
+                        "K": labels_of(ctx.algebra, masks[k]),
                     },
                     None,
                 )
@@ -387,8 +389,8 @@ def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
             return (
                 m * m,
                 {
-                    "I": lat.ideals[i].label_set(),
-                    "J": lat.ideals[j].label_set(),
+                    "I": labels_of(ctx.algebra, imask),
+                    "J": labels_of(ctx.algebra, masks[j]),
                     "problem": "residuation order differs from inclusion",
                 },
                 None,
@@ -401,16 +403,17 @@ def _check_ideal_shape(ctx: Context) -> CheckResult:
     lat = ctx.lattice
     order = a.order
     instances = 0
-    for ideal in lat.ideals:
-        for x in ideal:
+    for mask in lat.masks:
+        for x in bits(mask):
             instances += 1
-            if order.above[x] & ~ideal.members:
-                return instances, {"ideal": ideal.label_set(), "problem": "not an upper set"}, None
-            for y in ideal:
-                if a.table[x][y] not in ideal:
+            if order.above[x] & ~mask:
+                return instances, {"ideal": labels_of(a, mask), "problem": "not an upper set"}, None
+            row = a.table[x]
+            for y in bits(mask):
+                if not (mask >> row[y]) & 1:
                     return (
                         instances,
-                        {"ideal": ideal.label_set(), "problem": "not operation-closed"},
+                        {"ideal": labels_of(a, mask), "problem": "not operation-closed"},
                         None,
                     )
     return instances, None, None
@@ -544,19 +547,19 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
     instances = 0
 
     from_ideals = {}
-    for k, ideal in enumerate(lat.ideals):
+    for k, mask in enumerate(lat.masks):
         cong = lat.quotient_by(k).congruence
         instances += 1
-        problem = _congruence_problem(a, ideal.members, cong)
+        problem = _congruence_problem(a, mask, cong)
         if problem is not None:
-            return instances, {"ideal": ideal.label_set(), **problem}, None
-        if ideal_of_congruence(cong).members != ideal.members:
+            return instances, {"ideal": labels_of(a, mask), **problem}, None
+        if cong.unit_class() != mask:
             return (
                 instances,
-                {"ideal": ideal.label_set(), "problem": "unit class is not the ideal"},
+                {"ideal": labels_of(a, mask), "problem": "unit class is not the ideal"},
                 None,
             )
-        from_ideals[_partition_key(cong.classes)] = ideal.members
+        from_ideals[_partition_key(cong.classes)] = mask
 
     if a.n > _PARTITION_SWEEP_LIMIT:
         return (
@@ -604,14 +607,14 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
     a = ctx.algebra
     lat = ctx.lattice
     instances = 0
-    for k, ideal in enumerate(lat.ideals):
+    for k, mask in enumerate(lat.masks):
         q = lat.quotient_by(k)
         quot, proj = q.algebra, q.projection
         violations = axiom_violations(quot.table, quot.unit)
         if violations:
             return (
                 instances,
-                {"ideal": ideal.label_set(), "violations": [str(v) for v in violations]},
+                {"ideal": labels_of(a, mask), "violations": [str(v) for v in violations]},
                 None,
             )
         for x in range(a.n):
@@ -620,12 +623,12 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
                 if proj[a.table[x][y]] != quot.table[proj[x]][proj[y]]:
                     return (
                         instances,
-                        {"ideal": ideal.label_set(), "pair": [a.label(x), a.label(y)]},
+                        {"ideal": labels_of(a, mask), "pair": [a.label(x), a.label(y)]},
                         None,
                     )
         kernel = sum(1 << x for x in range(a.n) if proj[x] == proj[a.unit])
-        if kernel != ideal.members:
-            return instances, {"ideal": ideal.label_set(), "problem": "kernel mismatch"}, None
+        if kernel != mask:
+            return instances, {"ideal": labels_of(a, mask), "problem": "kernel mismatch"}, None
     return instances, None, None
 
 
@@ -667,7 +670,7 @@ def _check_prime_definitions(ctx: Context) -> CheckResult:
             "meet_form": _is_prime_meet(lat, p),
         }
         if len(set(verdicts.values())) > 1:
-            return p + 1, {"ideal": lat.ideals[p].label_set(), **verdicts}, None
+            return p + 1, {"ideal": labels_of(lat.algebra, lat.masks[p]), **verdicts}, None
     return len(lat), None, f"{spec.point_count} points"
 
 
@@ -678,7 +681,7 @@ def _check_prime_quotient(ctx: Context) -> CheckResult:
             return (
                 len(rows),
                 {
-                    "ideal": ctx.lattice.ideals[row.ideal_index].label_set(),
+                    "ideal": labels_of(ctx.algebra, ctx.lattice.masks[row.ideal_index]),
                     "prime": row.prime,
                     "quotient_subdirectly_irreducible": row.quotient_subdirectly_irreducible,
                 },
@@ -702,7 +705,7 @@ def _check_compact_basis(ctx: Context) -> CheckResult:
     i = compact_basis_failure(ctx.topology)
     if i is not None:
         problem = "U_I is not the union of its principal opens"
-        return i + 1, {"ideal": ctx.lattice.ideals[i].label_set(), "problem": problem}, None
+        return i + 1, {"ideal": labels_of(ctx.algebra, ctx.lattice.masks[i]), "problem": problem}, None
     rep = ctx.topology_report
     biggest = max(rep.min_generators, default=0)
     return (
@@ -732,10 +735,7 @@ def _check_quasiprime(ctx: Context) -> CheckResult:
     for p in primes:
         if p not in quasi:
             return a.n, {"element": a.label(p), "problem": "prime but not quasi-prime"}, None
-    detail = (
-        f"primes {{{','.join(a.label(p) for p in primes)}}}"
-        f" <= quasi-primes {{{','.join(a.label(q) for q in quasi)}}}"
-    )
+    detail = f"primes {braced(a, mask_of(primes))} <= quasi-primes {braced(a, mask_of(quasi))}"
     return a.n, None, detail
 
 
@@ -810,7 +810,7 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
         if rebuilt != mask:
             return (
                 instances,
-                {"ideal": [a.label(b) for b in bits(mask)], "problem": "not a rectangle"},
+                {"ideal": labels_of(a, mask), "problem": "not a rectangle"},
                 None,
             )
         pairs.add((ix, iy))

@@ -36,12 +36,13 @@ from .errors import (
     SpatialityFailure,
 )
 from .ideals import (
-    Ideal,
     IdealLattice,
     bits,
+    braced,
     close_under_rules,
     enumerate_ideals,
     is_ideal,
+    labels_of,
     mask_of,
 )
 
@@ -67,9 +68,6 @@ class SpectrumTopology:
     @property
     def all_points_mask(self) -> int:
         return (1 << len(self.points)) - 1
-
-    def point_ideal(self, position: int) -> Ideal:
-        return self.lattice.ideals[self.points[position]]
 
     def closed_of(self, ideal_index: int) -> int:
         return self.all_points_mask & ~self.opens[ideal_index]
@@ -100,7 +98,7 @@ def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
                 f"{alg.name}: no ideal has the join-irreducibles not above j as its down-set",
                 witness={
                     "algebra": alg.name,
-                    "join_irreducible": [alg.label(x) for x in bits(jmask)],
+                    "join_irreducible": labels_of(alg, jmask),
                 },
             )
         points.append(p)
@@ -178,14 +176,16 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
     witnesses: list[str] = []
     closures = point_closures(spec)
 
+    def point(a: int) -> str:
+        return braced(lat.algebra, lat.masks[spec.points[a]])
+
     t0 = True
     for a in range(npts):
         for b in range(a + 1, npts):
             if closures[a] == closures[b]:
                 t0 = False
                 witnesses.append(
-                    f"points {spec.point_ideal(a)!r} and {spec.point_ideal(b)!r} "
-                    f"are topologically indistinguishable"
+                    f"points {point(a)} and {point(b)} are topologically indistinguishable"
                 )
 
     closed_sets = sorted(set(spec.closed_of(i) for i in range(len(lat))))
@@ -267,10 +267,9 @@ def quasi_prime_elements(lat: IdealLattice) -> tuple[int, ...]:
     return tuple(out)
 
 
-def attach_prime_ideal(
-    spec: SpectrumTopology, x: int, quasi: tuple[int, ...]
-) -> tuple[Ideal, ...]:
-    """All ideals maximal among those avoiding x; each must be a point of ``spec``.
+def attach_prime_ideal(spec: SpectrumTopology, x: int, quasi: tuple[int, ...]) -> tuple[int, ...]:
+    """Lattice indices of the ideals maximal among those avoiding x; each
+    must be a point of ``spec``.
 
     For quasi-prime x (``quasi`` holds the :func:`quasi_prime_elements`) the
     maximal avoider is unique and the attachment map x -> P_x is well
@@ -296,7 +295,7 @@ def attach_prime_ideal(
                 witness={
                     "algebra": alg.name,
                     "element": alg.label(x),
-                    "ideal": lat.ideals[k].label_set(),
+                    "ideal": labels_of(alg, lat.masks[k]),
                 },
             )
     if x in quasi and len(maximal) != 1:
@@ -305,10 +304,10 @@ def attach_prime_ideal(
             witness={
                 "algebra": alg.name,
                 "element": alg.label(x),
-                "ideals": [lat.ideals[k].label_set() for k in maximal],
+                "ideals": [labels_of(alg, lat.masks[k]) for k in maximal],
             },
         )
-    return tuple(lat.ideals[k] for k in maximal)
+    return tuple(maximal)
 
 
 @dataclass(frozen=True)
@@ -327,12 +326,6 @@ class PrimeElementReport:
     quasi_primes: tuple[int, ...]
     attachments: tuple[Attachment, ...]
 
-    def attachment_of(self, x: int) -> Attachment:
-        for a in self.attachments:
-            if a.element == x:
-                return a
-        raise KeyError(x)
-
 
 def prime_element_report(spec: SpectrumTopology) -> PrimeElementReport:
     """Prime and quasi-prime elements of the spectrum's algebra, each element
@@ -346,13 +339,7 @@ def prime_element_report(spec: SpectrumTopology) -> PrimeElementReport:
         if x == alg.unit:
             continue
         ideals = attach_prime_ideal(spec, x, quasi)
-        attachments.append(
-            Attachment(
-                element=x,
-                ideals=tuple(lat.index(i.members) for i in ideals),
-                unique=len(ideals) == 1,
-            )
-        )
+        attachments.append(Attachment(element=x, ideals=ideals, unique=len(ideals) == 1))
     return PrimeElementReport(
         algebra=alg, primes=primes, quasi_primes=quasi, attachments=tuple(attachments)
     )
@@ -410,7 +397,6 @@ class RelativeSpectrumReport:
     """Outcome of identifying Spec I with U_I and Spec X/I with its complement."""
 
     ideal_index: int
-    forward: tuple[tuple[int, int], ...]  # (prime index in Spec I, lattice index in X)
     spec_i_size: int
     spec_quotient_size: int
     spec_x_size: int
@@ -434,20 +420,20 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
     """
     lat = spec.lattice
     alg = lat.algebra
-    ideal = lat.ideals[i_index]
+    imask = lat.masks[i_index]
 
     def fail(reason: str, **extra: object) -> BijectionFailure:
         return BijectionFailure(
-            f"{alg.name}: relative spectrum of {ideal!r}: {reason}",
+            f"{alg.name}: relative spectrum of {braced(alg, imask)}: {reason}",
             witness={
                 "algebra": alg.name,
-                "ideal": ideal.label_set(),
+                "ideal": labels_of(alg, imask),
                 "reason": reason,
                 **extra,
             },
         )
 
-    sub, elems = subalgebra(alg, ideal.members)
+    sub, elems = subalgebra(alg, imask)
     sub_lat = enumerate_ideals(sub, lat.memo)
     sub_spec = prime_ideals(sub_lat)
 
@@ -455,9 +441,8 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
     u_lattice_indices = sorted(p for j, p in enumerate(spec.points) if (u_open >> j) & 1)
     u_members = set(u_lattice_indices)
 
-    forward: list[tuple[int, int]] = []
     seen: set[int] = set()
-    for p_pos, p_idx in sorted(enumerate(sub_spec.points), key=lambda e: e[1]):
+    for p_idx in sorted(sub_spec.points):
         lifted = 0
         for b in bits(sub_lat.masks[p_idx]):
             lifted |= 1 << elems[b]
@@ -467,19 +452,18 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
         if target not in u_members:
             raise fail(
                 "I*P escaped the open set U_I",
-                prime=[alg.label(e) for e in bits(lifted)],
+                prime=labels_of(alg, lifted),
             )
         # round trip back: (I*P) n I must be P again
-        if lat.masks[target] & ideal.members != lifted:
+        if lat.masks[target] & imask != lifted:
             raise fail(
                 "(I*P) n I differs from P",
-                prime=[alg.label(e) for e in bits(lifted)],
+                prime=labels_of(alg, lifted),
             )
-        forward.append((p_pos, target))
         seen.add(target)
 
     for q_idx in u_lattice_indices:
-        restricted = lat.masks[q_idx] & ideal.members
+        restricted = lat.masks[q_idx] & imask
         sub_mask = 0
         for new, old in enumerate(elems):
             if (restricted >> old) & 1:
@@ -519,7 +503,6 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
 
     report = RelativeSpectrumReport(
         ideal_index=i_index,
-        forward=tuple(forward),
         spec_i_size=sub_spec.point_count,
         spec_quotient_size=q_spec.point_count,
         spec_x_size=spec.point_count,
@@ -590,7 +573,7 @@ def principal_open_map(spec: SpectrumTopology, flags: StructureFlags) -> PointMa
             w = flags.meets[x][y]
             if w is None:
                 continue
-            join = lat.join_table[lat.principal[x]][lat.principal[y]]
+            join = lat.join(lat.principal[x], lat.principal[y])
             if join != lat.principal[w]:
                 # surfaced through the law harness with this report attached
                 meet_join_instances = -1
@@ -612,12 +595,11 @@ def principal_open_map(spec: SpectrumTopology, flags: StructureFlags) -> PointMa
     )
 
 
-def spatiality_check(spec: SpectrumTopology) -> bool:
+def spatiality_check(spec: SpectrumTopology) -> None:
     """Every ideal is the intersection of the primes above it.
 
     The empty intersection is the full carrier.  A failure raises
-    :class:`SpatialityFailure`; the return value exists so callers can count
-    the check as an instance.
+    :class:`SpatialityFailure`.
     """
     lat = spec.lattice
     alg = lat.algebra
@@ -631,11 +613,10 @@ def spatiality_check(spec: SpectrumTopology) -> bool:
                 f"{alg.name}: ideal is not the intersection of primes above it",
                 witness={
                     "algebra": alg.name,
-                    "ideal": lat.ideals[i].label_set(),
-                    "intersection": [alg.label(b) for b in bits(inter)],
+                    "ideal": labels_of(alg, lat.masks[i]),
+                    "intersection": labels_of(alg, inter),
                 },
             )
-    return True
 
 
 def check_frame_map(spec: SpectrumTopology) -> tuple[int, str | None]:
@@ -664,6 +645,6 @@ def check_frame_map(spec: SpectrumTopology) -> tuple[int, str | None]:
             instances += 1
             if spec.opens[lat.index(masks[i] & masks[j])] != spec.opens[i] & spec.opens[j]:
                 return instances, "U_(I n J) != U_I n U_J"
-            if spec.opens[lat.join_table[i][j]] != spec.opens[i] | spec.opens[j]:
+            if spec.opens[lat.join(i, j)] != spec.opens[i] | spec.opens[j]:
                 return instances, "U_(I v J) != U_I u U_J"
     return instances, None

@@ -9,7 +9,7 @@ from lalg.constructions import (
     product_pairs,
 )
 from lalg.core import structure_flags, validate
-from lalg.ideals import enumerate_ideals, generate_ideal
+from lalg.ideals import close_under_rules, enumerate_ideals, labels_of
 from lalg.spectrum import prime_ideals
 
 
@@ -71,7 +71,7 @@ def test_ordered_sum_b2_b2_is_chain(b2, chain3):
 def test_ordered_sum_example5_ideals(algebras):
     alg = algebras["example5"]
     lat = enumerate_ideals(alg)
-    families = {frozenset(i.label_set()) for i in lat.ideals}
+    families = {frozenset(labels_of(alg, m)) for m in lat.masks}
     assert families == {
         frozenset({"1"}),
         frozenset({"0", "1"}),
@@ -111,8 +111,8 @@ def test_poset_algebra_ideals_are_upper_sets(upper_set_masks):
 
 def test_poset_algebra_omega_principal_chain(omega3):
     x3 = omega3.index_of("x3")
-    principal = generate_ideal(omega3, [x3])
-    assert {omega3.label(i) for i in principal} == {"1", "x", "x2", "x3"}
+    principal = close_under_rules(omega3, 1 << x3)
+    assert set(labels_of(omega3, principal)) == {"1", "x", "x2", "x3"}
 
 
 def test_poset_spec_rejects_bad_input():

@@ -24,7 +24,7 @@ from lalg.laws import run_law
 def test_validate_b2():
     alg = validate([[1, 1], [0, 1]], 1, labels=("0", "1"), name="B2")
     assert alg.n == 2
-    assert alg.op(1, 0) == 0 and alg.op(0, 1) == 1 and alg.op(0, 0) == 1
+    assert alg.table[1][0] == 0 and alg.table[0][1] == 1 and alg.table[0][0] == 1
 
 
 def test_validate_singleton():

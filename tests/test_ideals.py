@@ -14,9 +14,8 @@ from lalg.ideals import (
     close_under_rules,
     congruence_of,
     enumerate_ideals,
-    generate_ideal,
-    ideal_of_congruence,
     is_ideal,
+    labels_of,
     mask_of,
     quotient,
     witness_joins,
@@ -30,18 +29,18 @@ def _labels(alg, mask):
 
 def test_generate_empty_seed_gives_bottom(algebras):
     for alg in algebras.values():
-        assert generate_ideal(alg, []).members == 1 << alg.unit
+        assert close_under_rules(alg, 0) == 1 << alg.unit
 
 
 def test_generate_diamond_p_is_everything(diamond):
     p, q = diamond.index_of("p"), diamond.index_of("q")
-    assert generate_ideal(diamond, [p]).members == diamond.full_mask
-    assert generate_ideal(diamond, [q]).members == diamond.full_mask
+    assert close_under_rules(diamond, 1 << p) == diamond.full_mask
+    assert close_under_rules(diamond, 1 << q) == diamond.full_mask
 
 
 def test_generate_chain3(chain3):
     a = chain3.index_of("a")
-    assert _labels(chain3, generate_ideal(chain3, [a]).members) == {"1", "a"}
+    assert _labels(chain3, close_under_rules(chain3, 1 << a)) == {"1", "a"}
 
 
 def test_generate_monotone(algebras):
@@ -120,17 +119,18 @@ def _greatest_residual(lat, i, j):
     return greatest
 
 
-def _distributive_by_triples(masks, join_table):
-    """Oracle: (I v J) n K = (I n K) v (J n K) on every triple."""
+def _distributive_by_triples(masks, joins):
+    """Oracle: (I v J) n K = (I n K) v (J n K) on every triple, with the
+    joins read off ``joins`` (indices into ``masks``)."""
     index = {mask: k for k, mask in enumerate(masks)}
     m = len(masks)
     for i in range(m):
         for j in range(i, m):
-            left_join = masks[join_table[i][j]]
+            left_join = masks[joins[i][j]]
             for k in range(m):
                 meet_i = index[masks[i] & masks[k]]
                 meet_j = index[masks[j] & masks[k]]
-                if left_join & masks[k] != masks[join_table[meet_i][meet_j]]:
+                if left_join & masks[k] != masks[joins[meet_i][meet_j]]:
                     return False
     return True
 
@@ -148,9 +148,9 @@ def _residuation_by_triples(lat):
 
 
 def test_join_irreducible_route_matches_subset_filter(corpus_to_five):
-    # the ideals against the subset filter, and the join and residuation
-    # tables read off the join-irreducibles against the closure join and
-    # the greatest-ideal scan
+    # the ideals against the subset filter, and the joins and the residuation
+    # table read off the join-irreducibles against the closure join and the
+    # greatest-ideal scan
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
         assert sorted(lat.masks) == _ideal_masks_by_filter(alg), alg.name
@@ -158,7 +158,7 @@ def test_join_irreducible_route_matches_subset_filter(corpus_to_five):
         for i in range(m):
             for j in range(m):
                 closed = _closure_join(alg, lat.masks[i], lat.masks[j])
-                assert lat.masks[lat.join_table[i][j]] == closed, alg.name
+                assert lat.masks[lat.join(i, j)] == closed, alg.name
                 assert lat.residuation_table[i][j] == _greatest_residual(lat, i, j), alg.name
 
 
@@ -173,7 +173,8 @@ def test_certified_laws_agree_with_the_triple_oracles(corpus_to_five):
         lat = enumerate_ideals(alg)
         m, k = len(lat), len(lat.join_irreducibles)
         rows = {r.law: r for r in run_suite([Fixture(alg.name, alg)], laws=CERTIFIED)}
-        distributive = _distributive_by_triples(lat.masks, lat.join_table)
+        closure_joins = [[lat.index(_closure_join(alg, a, b)) for b in lat.masks] for a in lat.masks]
+        distributive = _distributive_by_triples(lat.masks, closure_joins)
         assert (rows["ideal-lattice.distributive"].verdict == "pass") == distributive, alg.name
         residuated = _residuation_by_triples(lat)
         assert (rows["residuation.adjunction"].verdict == "pass") == residuated, alg.name
@@ -227,9 +228,9 @@ def test_a_memo_hit_equals_a_cold_build(monkeypatch, corpus_to_five):
     corpus = list(corpus_to_five) + [f.algebra for f in product_pairs()]
     algs = list(corpus)
     for alg in corpus:
-        for ideal in enumerate_ideals(alg):
-            algs.append(subalgebra(alg, ideal.members)[0])
-            algs.append(quotient(alg, ideal)[0])
+        for mask in enumerate_ideals(alg).masks:
+            algs.append(subalgebra(alg, mask)[0])
+            algs.append(quotient(alg, mask)[0])
     for alg in algs:
         cold = enumerate_ideals(alg)
         memo = {}
@@ -242,7 +243,9 @@ def test_a_memo_hit_equals_a_cold_build(monkeypatch, corpus_to_five):
         assert hit.downsets == cold.downsets, alg.name
         assert hit.principal == cold.principal, alg.name
         assert hit.join_irreducibles == cold.join_irreducibles, alg.name
-        assert [i.label_set() for i in hit] == [i.label_set() for i in cold], alg.name
+        assert [labels_of(hit.algebra, m) for m in hit.masks] == [
+            labels_of(cold.algebra, m) for m in cold.masks
+        ], alg.name
 
 
 def test_the_memo_keys_on_the_unit_and_the_table(chain3):
@@ -289,11 +292,11 @@ def test_lattice_shape(b2, diamond):
 def test_join_examples(algebras):
     b2xb2 = algebras["B2xB2"]
     lat = enumerate_ideals(b2xb2)
-    atoms = [i for i in lat.ideals if len(i) == 2]
+    atoms = [m for m in lat.masks if m.bit_count() == 2]
     assert len(atoms) == 2
-    join = _closure_join(b2xb2, atoms[0].members, atoms[1].members)
+    join = _closure_join(b2xb2, atoms[0], atoms[1])
     assert join == b2xb2.full_mask
-    pair = (lat.index(atoms[0].members), lat.index(atoms[1].members))
+    pair = (lat.index(atoms[0]), lat.index(atoms[1]))
     assert next(witness_joins(lat, [pair])) == join
 
 
@@ -301,20 +304,20 @@ def test_join_witness_example_b2xb2(algebras):
     # y = (0,0) joins the two atoms via the witness x = (0,1)
     alg = algebras["B2xB2"]
     lat = enumerate_ideals(alg)
-    i_left = next(i for i in lat.ideals if _labels(alg, i.members) == {"(1,1)", "(0,1)"})
-    i_right = next(i for i in lat.ideals if _labels(alg, i.members) == {"(1,1)", "(1,0)"})
+    i_left = next(m for m in lat.masks if _labels(alg, m) == {"(1,1)", "(0,1)"})
+    i_right = next(m for m in lat.masks if _labels(alg, m) == {"(1,1)", "(1,0)"})
     y = alg.index_of("(0,0)")
     x = alg.index_of("(0,1)")
-    assert x in i_left
-    assert alg.table[x][y] in i_right and alg.table[y][x] in i_right
+    assert (i_left >> x) & 1
+    assert (i_right >> alg.table[x][y]) & 1 and (i_right >> alg.table[y][x]) & 1
 
 
 def test_join_bottom_neutral(algebras):
     for alg in algebras.values():
         lat = enumerate_ideals(alg)
-        bottom = lat.ideals[lat.bottom]
-        for ideal in lat.ideals:
-            assert _closure_join(alg, bottom.members, ideal.members) == ideal.members
+        bottom = lat.masks[lat.bottom]
+        for mask in lat.masks:
+            assert _closure_join(alg, bottom, mask) == mask
 
 
 def test_residuation_examples(chain3, omega3):
@@ -331,17 +334,19 @@ def test_residuation_examples(chain3, omega3):
     result = lat3.masks[lat3.residuation_table[i_yx1][j_x1]]
     assert _labels(omega3, result) == {"1", "x", "x2", "x3"}
     # which is exactly the principal ideal of the deepest chain element
-    assert result == generate_ideal(omega3, [omega3.index_of("x3")]).members
+    assert result == close_under_rules(omega3, 1 << omega3.index_of("x3"))
 
 
 def test_every_ideal_is_upper_and_closed(algebras):
     for alg in algebras.values():
         order = alg.order
-        for ideal in enumerate_ideals(alg).ideals:
-            for x in ideal:
-                assert order.above[x] & ~ideal.members == 0
-                for y in ideal:
-                    assert alg.table[x][y] in ideal
+        for mask in enumerate_ideals(alg).masks:
+            for x in range(alg.n):
+                if (mask >> x) & 1:
+                    assert order.above[x] & ~mask == 0
+                    for y in range(alg.n):
+                        if (mask >> y) & 1:
+                            assert (mask >> alg.table[x][y]) & 1
 
 
 def test_is_ideal_rejects_non_ideals(diamond):
@@ -402,7 +407,7 @@ def test_shared_down_set_fails_the_distributivity_law(monkeypatch, chain3):
     report = run_law("ideal-lattice.distributive", fixture)
     assert report.verdict == "fail"
     assert report.witness["error"] == "DistributivityFailure"
-    assert (report.witness["I"], report.witness["J"]) == (["1", "a"], ["1", "a", "b"])
+    assert (report.witness["I"], report.witness["J"]) == (("1", "a"), ("1", "a", "b"))
     # the residuation law loses its certificate and checks all m^3 triples
     report = run_law("residuation.adjunction", fixture)
     assert report.verdict == "pass"
@@ -449,17 +454,19 @@ def test_residual_outside_the_family_raises(monkeypatch, b2):
 def test_join_outside_the_family_raises(algebras):
     # plant a wrong down-set on the top of B2xB2: the union of the two atoms'
     # down-sets then names no ideal, which only a non-distributive lattice
-    # allows; the miss raises when the join table is first read
+    # allows; the join of the two atoms raises on the miss
     real = enumerate_ideals(algebras["B2xB2"])
     wrong_top = real.downsets[-1] | 1 << len(real.join_irreducibles)
     lat = _with_downsets(real, real.downsets[:-1] + (wrong_top,))
+    atoms = [k for k, m in enumerate(lat.masks) if m.bit_count() == 2]
+    assert len(atoms) == 2
     with pytest.raises(DistributivityFailure):
-        lat.join_table
+        lat.join(*atoms)
 
 
 def test_congruence_classes_chain3(chain3):
     lat = enumerate_ideals(chain3)
-    i_1a = next(i for i in lat.ideals if _labels(chain3, i.members) == {"1", "a"})
+    i_1a = next(m for m in lat.masks if _labels(chain3, m) == {"1", "a"})
     cong = congruence_of(chain3, i_1a)
     assert len(cong.classes) == 2
     assert {frozenset(_labels(chain3, m)) for m in cong.classes} == {
@@ -470,24 +477,21 @@ def test_congruence_classes_chain3(chain3):
 
 def test_congruence_identity_and_full(diamond):
     lat = enumerate_ideals(diamond)
-    bottom = lat.ideals[lat.bottom]
-    top = lat.ideals[lat.top]
-    assert len(congruence_of(diamond, bottom).classes) == diamond.n
-    assert len(congruence_of(diamond, top).classes) == 1
+    assert len(congruence_of(diamond, lat.masks[lat.bottom]).classes) == diamond.n
+    assert len(congruence_of(diamond, lat.masks[lat.top]).classes) == 1
 
 
 def test_congruence_round_trip(algebras):
     for alg in algebras.values():
-        for ideal in enumerate_ideals(alg).ideals:
-            cong = congruence_of(alg, ideal)
-            assert ideal_of_congruence(cong).members == ideal.members
+        for mask in enumerate_ideals(alg).masks:
+            assert congruence_of(alg, mask).unit_class() == mask
 
 
 def test_congruence_failure_on_magma(magma):
     # mod {1}: a ~ b and b ~ c but not a ~ c, so the relation is not even
     # an equivalence; only possible on a table that is not an L-algebra.
     # The lattice builds ({1} and X); the law finds the fault on {1}.
-    assert [i.label_set() for i in enumerate_ideals(magma).ideals] == [("1",), ("1", "a", "b", "c")]
+    assert [labels_of(magma, m) for m in enumerate_ideals(magma).masks] == [("1",), ("1", "a", "b", "c")]
     report = run_law("congruence.bijection", Fixture("magma", magma))
     assert report.verdict == "fail"
     assert report.instances == 1
@@ -498,21 +502,21 @@ def test_congruence_failure_on_magma(magma):
 def test_quotient_by_bottom_is_identity(algebras):
     for alg in algebras.values():
         lat = enumerate_ideals(alg)
-        quot, proj = quotient(alg, lat.ideals[lat.bottom])
+        quot, proj = quotient(alg, lat.masks[lat.bottom])
         assert quot.table == alg.table
         assert proj == tuple(range(alg.n))
 
 
 def test_quotient_by_top_is_singleton(diamond):
     lat = enumerate_ideals(diamond)
-    quot, proj = quotient(diamond, lat.ideals[lat.top])
+    quot, proj = quotient(diamond, lat.masks[lat.top])
     assert quot.n == 1
     assert set(proj) == {0}
 
 
 def test_quotient_chain3_by_1a_is_b2(chain3, b2):
     lat = enumerate_ideals(chain3)
-    i_1a = next(i for i in lat.ideals if _labels(chain3, i.members) == {"1", "a"})
+    i_1a = next(m for m in lat.masks if _labels(chain3, m) == {"1", "a"})
     quot, proj = quotient(chain3, i_1a)
     assert quot.n == 2
     # same shape as the two-element Boolean algebra: relabel through the unit
@@ -525,7 +529,7 @@ def test_quotient_chain3_by_1a_is_b2(chain3, b2):
 
 def test_quotient_name_is_deterministic(chain3):
     lat = enumerate_ideals(chain3)
-    i_1a = next(i for i in lat.ideals if _labels(chain3, i.members) == {"1", "a"})
+    i_1a = next(m for m in lat.masks if _labels(chain3, m) == {"1", "a"})
     quot, _ = quotient(chain3, i_1a)
     assert quot.name == "chain3/{1,a}"
 

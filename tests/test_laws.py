@@ -12,7 +12,7 @@ from lalg.constructions import (
 )
 from lalg.core import FiniteLAlgebra
 from lalg.formats import algebra_to_document, document_from_json_object
-from lalg.ideals import enumerate_ideals
+from lalg.ideals import enumerate_ideals, mask_of
 from lalg.laws import (
     LAWS,
     _PARTITION_SWEEP_LIMIT,
@@ -218,16 +218,19 @@ def test_congruence_law_decides_every_partition(full_corpus, full_reports):
 def test_congruence_sweep_fails_when_an_ideal_is_withheld(monkeypatch, chain3):
     # the law reads a lattice without {1,a}: every per-ideal check still
     # passes, and only the partition sweep finds a congruence no ideal gives
-    from lalg.ideals import IdealLattice
+    from lalg import laws
 
-    real = IdealLattice.ideals.func
-    full = [i.label_set() for i in real(enumerate_ideals(chain3))]
-    withheld = full.index(("1", "a"))
-    monkeypatch.setattr(
-        IdealLattice,
-        "ideals",
-        property(lambda self: tuple(i for k, i in enumerate(real(self)) if k != withheld)),
-    )
+    full = enumerate_ideals(chain3).masks
+    withheld = mask_of([chain3.unit, chain3.index_of("a")])
+    assert withheld in full
+    real = laws.Context.lattice.func
+
+    def without_1a(ctx):
+        lat = real(ctx)
+        lat.masks = tuple(m for m in lat.masks if m != withheld)
+        return lat
+
+    monkeypatch.setattr(laws.Context, "lattice", property(without_1a))
     report = run_law("congruence.bijection", Fixture("chain3", chain3))
     assert report.verdict == "fail"
     assert report.instances == len(full) - 1 + BELL[chain3.n]
@@ -489,9 +492,9 @@ def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
         ideals._ideal_masks,
     )
 
-    def counted_quotient(alg, ideal):
-        quot, proj = real_quotient(alg, ideal)
-        quotients.append((alg.name, ideal.members, quot))
+    def counted_quotient(alg, imask):
+        quot, proj = real_quotient(alg, imask)
+        quotients.append((alg.name, imask, quot))
         return quot, proj
 
     def counted_enumerate(alg, memo=None):

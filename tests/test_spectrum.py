@@ -7,7 +7,7 @@ from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import structure_flags, validate
 from lalg.errors import NonUniqueAttachment
-from lalg.ideals import close_under_rules, enumerate_ideals, mask_of
+from lalg.ideals import close_under_rules, enumerate_ideals, labels_of, mask_of
 from lalg.laws import _is_prime_meet, _is_prime_residuation, replay, run_law
 from lalg.spectrum import (
     attach_prime_ideal,
@@ -27,7 +27,8 @@ from lalg.spectrum import (
 
 
 def _point_label_sets(spec):
-    return {frozenset(spec.point_ideal(k).label_set()) for k in range(spec.point_count)}
+    lat = spec.lattice
+    return {frozenset(labels_of(lat.algebra, lat.masks[p])) for p in spec.points}
 
 
 def test_spectrum_b2(b2):
@@ -75,7 +76,7 @@ def test_dropped_dual_point_fails_the_definitions_law(monkeypatch, algebras):
     lat = enumerate_ideals(alg)
     dropped = real(lat).points[0]
     assert report.instances == dropped + 1
-    assert report.witness["ideal"] == lat.ideals[dropped].label_set()
+    assert report.witness["ideal"] == ("(1,0)", "(1,1)")
     assert (
         report.witness["dual_form"],
         report.witness["residuation_form"],
@@ -88,7 +89,7 @@ def test_dropped_dual_point_fails_the_definitions_law(monkeypatch, algebras):
 def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
     # prime_ideals reads no table; relative_spectrum and prime_quotient_oracle
     # build lattices of ideals and quotients only for their masks and spectra
-    tables = {"meet_table", "join_table", "residuation_table"}
+    tables = {"residuation_table"}
     built = []
     real = spectrum.enumerate_ideals
     monkeypatch.setattr(spectrum, "enumerate_ideals", lambda a, memo=None: built.append(real(a, memo)) or built[-1])
@@ -110,7 +111,7 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
 def test_topology_report_builds_no_tables(algebras):
     # the closures, the irreducibility test and the generator search read
     # the opens and the down-sets only
-    tables = {"meet_table", "join_table", "residuation_table"}
+    tables = {"residuation_table"}
     for name in ("B2xB2", "chain3", "omega3", "diamondxB2", "omega5"):
         lat = enumerate_ideals(algebras[name])
         topology_report(prime_ideals(lat))
@@ -208,7 +209,7 @@ def test_indistinguishable_points_fail_t0_and_sobriety(monkeypatch, algebras):
     assert (rep.t0, rep.sober) == (False, False)
     assert _verdicts(rep) == _topology_by_pairs(spec) == (False, False, 1, False)
     assert rep.witnesses == (
-        f"points {spec.point_ideal(0)!r} and {spec.point_ideal(1)!r} are topologically indistinguishable",
+        "points {(1,0),(1,1)} and {(0,1),(1,1)} are topologically indistinguishable",
         "irreducible closed set with 2 generic points",
     )
     monkeypatch.setattr(laws, "prime_ideals", merged)
@@ -303,14 +304,14 @@ def test_quasi_primes(b2, diamond, chain3):
 
 def _quasi_primes_by_pairs(alg, lat):
     """Test-only oracle: q < 1 with q in I v J only when q in I or q in J,
-    over every pair of ideals read off ``join_table``."""
+    over every pair of ideals and their joins."""
     out = []
     m = len(lat)
     for q in range(alg.n):
         if q == alg.unit:
             continue
         if all(
-            not (lat.masks[lat.join_table[i][j]] >> q) & 1
+            not (lat.masks[lat.join(i, j)] >> q) & 1
             or (lat.masks[i] >> q) & 1
             or (lat.masks[j] >> q) & 1
             for i in range(m)
@@ -347,7 +348,7 @@ def test_maximal_avoiders_match_the_pair_scan(corpus_to_five):
             avoiders = [k for k in range(len(lat)) if not (lat.masks[k] >> x) & 1]
             expected = [k for k in avoiders if not any(o != k and lat.leq(k, o) for o in avoiders)]
             found = attach_prime_ideal(spec, x, quasi)
-            assert [lat.index(i.members) for i in found] == expected, alg.name
+            assert list(found) == expected, alg.name
 
 
 def test_attachment_diamond(diamond):
@@ -355,23 +356,23 @@ def test_attachment_diamond(diamond):
     p, q = diamond.index_of("p"), diamond.index_of("q")
     (ideal_p,) = _attach(lat, p)
     (ideal_q,) = _attach(lat, q)
-    assert ideal_p.label_set() == ("1",)
-    assert ideal_q.label_set() == ("1",)
+    assert ideal_p == ideal_q == lat.bottom
 
 
 def test_attachment_b2xb2(algebras):
     alg = algebras["B2xB2"]
     lat = enumerate_ideals(alg)
     (ideal,) = _attach(lat, alg.index_of("(0,1)"))
-    assert set(ideal.label_set()) == {"(1,1)", "(1,0)"}
+    assert labels_of(alg, lat.masks[ideal]) == ("(1,0)", "(1,1)")
     # (0,0) is not quasi-prime: both atoms avoid it maximally
     several = _attach(lat, alg.index_of("(0,0)"))
     assert len(several) == 2
 
 
 def test_attachment_b2_zero(b2):
-    (ideal,) = _attach(enumerate_ideals(b2), b2.index_of("0"))
-    assert ideal.label_set() == ("1",)
+    lat = enumerate_ideals(b2)
+    (ideal,) = _attach(lat, b2.index_of("0"))
+    assert labels_of(b2, lat.masks[ideal]) == ("1",)
 
 
 def test_attachment_unit_rejected(b2):
@@ -423,9 +424,7 @@ def test_prime_quotient_oracle(algebras, small_corpus):
 def test_relative_spectrum_b2xb2(algebras):
     alg = algebras["B2xB2"]
     lat = enumerate_ideals(alg)
-    left = next(
-        k for k, i in enumerate(lat.ideals) if set(i.label_set()) == {"(1,1)", "(0,1)"}
-    )
+    left = lat.index(mask_of([alg.index_of("(1,1)"), alg.index_of("(0,1)")]))
     report = relative_spectrum(prime_ideals(lat), left)
     assert report.spec_i_size == 1
     assert report.spec_quotient_size == 1
@@ -487,7 +486,7 @@ def test_relative_spectrum_counterexample_at_four_elements():
         name="boundary",
     )
     lat = enumerate_ideals(alg)
-    ideal = next(k for k, i in enumerate(lat.ideals) if set(i.label_set()) == {"1", "b", "c"})
+    ideal = lat.index(mask_of([0, 2, 3]))
     with pytest.raises(BijectionFailure):
         relative_spectrum(prime_ideals(lat), ideal)
 
@@ -518,7 +517,7 @@ def test_spatiality_and_frame(algebras, small_corpus):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
-        assert spatiality_check(spec)
+        spatiality_check(spec)
         instances, problem = check_frame_map(spec)
         assert problem is None
 
