@@ -2,7 +2,9 @@
 
 Each command's stdout is hashed with SHA-256 and pinned together with its
 exit code.  The fixture commands read the file that ``lalg fixtures --emit``
-writes for each fixture.
+writes for each fixture; the larger inputs are built from those files with
+``lalg construct``, so that the law suite is also pinned on algebras of 9 to
+16 elements with up to 64 ideals.
 """
 
 import contextlib
@@ -16,8 +18,22 @@ from lalg.constructions import fixtures
 
 FIXTURES = tuple(f.name for f in fixtures())
 
+#: poset files for ``lalg construct poset``: anti6 is an antichain of six
+#: atoms under a top, whose algebra has 2^6 = 64 ideals
+POSETS = {
+    "anti6": "elements: 1 a0 a1 a2 a3 a4 a5\ntop: 1\n"
+    + "".join(f"cover a{i} < 1\n" for i in range(6)),
+}
+
+#: the two factors of each ``lalg construct product`` input
+PRODUCTS = {
+    "B2^2": ("B2", "B2"),
+    "B2^4": ("B2^2", "B2^2"),
+    "chain3^2": ("chain3", "chain3"),
+}
+
 #: command -> (exit code, SHA-256 of stdout); a last word that names a
-#: fixture stands for the file that fixture emits.
+#: fixture, a poset or a product stands for the file built for it.
 GOLDEN = {
     "ideals --json B2": (0, "80afe02cb51b5321cc3b3f070a06d7055d2505933009c3494191781e9ae5c610"),
     "ideals --json B2xB2": (0, "282a09f8ddbd2db96ba6cc9a2a2660eb5a36e58b2a49f91de5f1ed90e9512f1f"),
@@ -31,6 +47,9 @@ GOLDEN = {
     "laws --json --no-timing": (0, "940ead012946684949fc0cb6947f0d51016b23c541662a8553b7d8f33fa4527b"),
     "laws --json --no-timing --enumerate 4": (1, "85bf290e5832c475ed9a063ac456300f086e8f78f863e1c3e722a62acf5f7986"),
     "laws --json --no-timing --enumerate 5 --iso": (1, "725abd7d5224ea20ec0b77344c5a759196e7bb8db387e2e3be3fb7954d115317"),
+    "laws --json --no-timing anti6": (0, "fdb3869fe7769c921682657b7b023ca721cab46d4953c0e83e50705eeced76b3"),
+    "laws --json --no-timing B2^4": (0, "f5574bbeaae8523c84d813098d37c4dac26cfb8211f556f77a0a854bfd5d2cd7"),
+    "laws --json --no-timing chain3^2": (0, "056431a2774be6945e06e5ef1f984b5fb1e3a915e941f4c4c7c59f9602eb28b3"),
     "spectrum --topology B2": (0, "424c580c6ac90253746a9c2c4f5ac5fabf9e64aa254279449ae52fb77d7731d4"),
     "spectrum --topology B2xB2": (0, "742b282f197ad265767c0f038b660178fc4a312b5272576f25ae2596b61392c1"),
     "spectrum --topology chain3": (0, "0931d351c82a5f13db86d0f78aa6a147c38a9a07e8a68dbf3c52c602bc19373b"),
@@ -51,17 +70,36 @@ def run(argv):
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
-def argv_of(command, directory):
-    """The argv of a GOLDEN command, with a fixture name replaced by its emitted file."""
-    words = command.split()
-    if words[-1] in FIXTURES:
-        path = directory / f"{words[-1]}.lalg"
-        if not path.exists():
+def quiet(argv):
+    """Run one CLI call whose stdout is not pinned; it must succeed."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+
+def input_file(word, directory):
+    """The file for a fixture, poset or product name, built on first use."""
+    path = directory / f"{word}.lalg"
+    if not path.exists():
+        if word in FIXTURES:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                assert cli.main(["fixtures", "--emit", words[-1]]) == 0
+                assert cli.main(["fixtures", "--emit", word]) == 0
             path.write_text(out.getvalue(), encoding="utf-8")
-        words[-1] = str(path)
+        elif word in POSETS:
+            poset = directory / f"{word}.poset"
+            poset.write_text(POSETS[word], encoding="utf-8")
+            quiet(["construct", "poset", str(poset), "-o", str(path)])
+        else:
+            left, right = (str(input_file(w, directory)) for w in PRODUCTS[word])
+            quiet(["construct", "product", left, right, "-o", str(path)])
+    return path
+
+
+def argv_of(command, directory):
+    """The argv of a GOLDEN command, with an input name replaced by its file."""
+    words = command.split()
+    if words[-1] in FIXTURES or words[-1] in POSETS or words[-1] in PRODUCTS:
+        words[-1] = str(input_file(words[-1], directory))
     return words
 
 

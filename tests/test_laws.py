@@ -10,7 +10,7 @@ from lalg.constructions import (
     poset_algebra,
     product_pairs,
 )
-from lalg.core import FiniteLAlgebra
+from lalg.core import FiniteLAlgebra, structure_flags
 from lalg.formats import algebra_to_document, document_from_json_object
 from lalg.ideals import enumerate_ideals, mask_of
 from lalg.laws import (
@@ -559,3 +559,77 @@ def test_each_law_run_has_its_own_memo(monkeypatch, fixture_map):
     for runs in (1, 2):
         assert all_pass(run_suite([fixture]))
         assert sum(1 for alg in cold if alg is fixture.algebra) == runs
+
+
+def _planted_flags(monkeypatch, **changes):
+    """Make the law harness read ``structure_flags`` with some fields replaced."""
+    from dataclasses import replace
+
+    from lalg import laws
+
+    real = laws.structure_flags
+    monkeypatch.setattr(laws, "structure_flags", lambda alg: replace(real(alg), **changes))
+
+
+def test_point_map_law_fails_when_a_bijective_map_is_not_brouwerian(monkeypatch, b2):
+    # x -> U_<x> is a bijection on B2; with the Brouwerian flag planted false
+    # the "bijective iff Brouwerian" contract breaks
+    _planted_flags(monkeypatch, brouwerian=False)
+    report = run_law("point-map.brouwerian", Fixture("B2", b2))
+    assert (report.verdict, report.instances, report.detail) == ("fail", 2, "injective, not Brouwerian")
+    assert {k: v for k, v in report.witness.items() if k != "algebra_document"} == {
+        "bijective": True,
+        "brouwerian": False,
+    }
+
+
+def test_meet_join_law_fails_on_a_meet_closed_algebra_with_a_non_principal_ideal(
+    monkeypatch, algebras
+):
+    # example5 has non-principal ideals; planted meet-closed, it must fail
+    _planted_flags(monkeypatch, meet_closed=True)
+    report = run_law("principal-ideals.meet-join", Fixture("example5", algebras["example5"]))
+    assert (report.verdict, report.instances) == ("fail", 14)
+    assert report.witness["problem"] == "a meet-closed algebra has a non-principal ideal"
+
+
+def test_meet_join_law_fails_when_a_meet_is_wrong(monkeypatch, chain3):
+    # in chain3 the meet of a and b is b; planted as a, <a> v <b> = X is not <a>
+    a, b = chain3.index_of("a"), chain3.index_of("b")
+    meets = [list(row) for row in structure_flags(chain3).meets]
+    meets[a][b] = a
+    _planted_flags(monkeypatch, meets=tuple(map(tuple, meets)))
+    report = run_law("principal-ideals.meet-join", Fixture("chain3", chain3))
+    assert (report.verdict, report.instances) == ("fail", 0)
+    assert report.witness["problem"] == "join of principal ideals is not the principal ideal of the meet"
+
+
+def test_a_dropped_point_fails_the_prime_quotient_and_attachment_laws(monkeypatch, chain3):
+    # chain3's points are {1} and {1,a}; without {1}, the ideal {1} is not
+    # prime while X/{1} (chain3 itself) is subdirectly irreducible, and {1},
+    # the maximal ideal avoiding a, is no longer a point
+    from dataclasses import replace
+
+    from lalg import laws
+
+    real = laws.prime_ideals
+    monkeypatch.setattr(laws, "prime_ideals", lambda lat: replace(real(lat), points=real(lat).points[1:]))
+    fixture = Fixture("chain3", chain3)
+
+    report = run_law("prime.iff-quotient-irreducible", fixture)
+    assert (report.verdict, report.instances) == ("fail", 2)
+    assert (
+        report.witness["ideal"],
+        report.witness["prime"],
+        report.witness["quotient_subdirectly_irreducible"],
+    ) == (("1",), False, True)
+
+    report = run_law("prime-elements.attachment", fixture)
+    assert report.verdict == "fail"
+    assert (report.witness["error"], report.witness["element"]) == ("MaximalAvoiderNotPrime", "a")
+
+    # the attachment failure also fails the quasi-prime row, whose report
+    # it shares
+    report = run_law("prime-elements.quasiprime", fixture)
+    assert report.verdict == "fail"
+    assert report.witness["error"] == "MaximalAvoiderNotPrime"
