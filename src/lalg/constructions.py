@@ -76,12 +76,12 @@ def poset_algebra(spec: PosetSpec) -> FiniteLAlgebra:
     return validate(table, unit, labels=spec.elements, name=f"poset({spec.top})")
 
 
-def product(x: FiniteLAlgebra, y: FiniteLAlgebra, name: str | None = None) -> FiniteLAlgebra:
+def product(x: FiniteLAlgebra, y: FiniteLAlgebra) -> FiniteLAlgebra:
     """Componentwise product; element order is row-major in the left factor.
 
-    The embedded copies multiply as the theory demands: an element of one
-    factor applied to an element of the other returns the latter.  That
-    identity is asserted on the result.
+    The embedded copies (:func:`product_injections`) multiply as the theory
+    demands: an element of one factor applied to an element of the other
+    returns the latter, a consequence of the unit laws that the tests check.
     """
     ny = y.n
     labels = tuple(
@@ -95,20 +95,7 @@ def product(x: FiniteLAlgebra, y: FiniteLAlgebra, name: str | None = None) -> Fi
                 for jy in range(ny):
                     row.append(x.table[ix][jx] * ny + y.table[iy][jy])
             table.append(row)
-    alg = validate(
-        table,
-        x.unit * ny + y.unit,
-        labels=labels,
-        name=name or f"{x.name}x{y.name}",
-    )
-    left, right = product_injections(x, y)
-    for i in range(x.n):
-        for j in range(y.n):
-            a, b = left[i], right[j]
-            assert alg.table[a][b] == b and alg.table[b][a] == a, (
-                "cross-factor products must return the other argument"
-            )
-    return alg
+    return validate(table, x.unit * ny + y.unit, labels=labels, name=f"{x.name}x{y.name}")
 
 
 def product_injections(
@@ -120,7 +107,7 @@ def product_injections(
     return left, right
 
 
-def ordered_sum(x: FiniteLAlgebra, y: FiniteLAlgebra, name: str | None = None) -> FiniteLAlgebra:
+def ordered_sum(x: FiniteLAlgebra, y: FiniteLAlgebra) -> FiniteLAlgebra:
     """Stack x strictly below y: carrier (x minus its unit) then y.
 
     Cross products are a*b = 1 and b*a = a for a in the low part, b in the
@@ -153,7 +140,7 @@ def ordered_sum(x: FiniteLAlgebra, y: FiniteLAlgebra, name: str | None = None) -
             table[n_low + a][b_new] = b_new  # high * low = low
         for b in range(y.n):
             table[n_low + a][n_low + b] = n_low + y.table[a][b]
-    return validate(table, unit, labels=labels, name=name or f"{x.name}<{y.name}")
+    return validate(table, unit, labels=labels, name=f"{x.name}<{y.name}")
 
 
 @dataclass(frozen=True)

@@ -385,9 +385,7 @@ def structure_flags(alg: FiniteLAlgebra) -> StructureFlags:
     )
 
 
-def subalgebra(
-    alg: FiniteLAlgebra, member_mask: int, name: str | None = None
-) -> tuple[FiniteLAlgebra, tuple[int, ...]]:
+def subalgebra(alg: FiniteLAlgebra, member_mask: int) -> tuple[FiniteLAlgebra, tuple[int, ...]]:
     """Restrict to a subset closed under the operation (e.g. an ideal).
 
     Returns the restricted algebra plus the tuple mapping new indices to old.
@@ -413,7 +411,7 @@ def subalgebra(
             row.append(old_to_new[v])
         table.append(tuple(row))
     sub = FiniteLAlgebra(
-        name=name or f"{alg.name}|{{{','.join(alg.labels[i] for i in elems)}}}",
+        name=f"{alg.name}|{{{','.join(alg.labels[i] for i in elems)}}}",
         labels=tuple(alg.labels[i] for i in elems),
         unit=old_to_new[alg.unit],
         table=tuple(table),

@@ -75,7 +75,7 @@ class DistributivityFailure(FalsificationError):
 
 
 class JoinWitnessMismatch(FalsificationError):
-    """Witness characterization of the join disagrees with the closure join."""
+    """The witness join, the closure join and the lattice join disagree."""
 
 
 class ResiduationNotGreatest(FalsificationError):

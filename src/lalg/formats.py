@@ -75,13 +75,12 @@ class AlgebraDocument:
         return payload
 
 
-def algebra_to_document(alg: FiniteLAlgebra, metadata: dict | None = None) -> AlgebraDocument:
+def algebra_to_document(alg: FiniteLAlgebra) -> AlgebraDocument:
     return AlgebraDocument(
         name=alg.name,
         elements=alg.labels,
         unit=alg.label(alg.unit),
         table=tuple(tuple(alg.label(v) for v in row) for row in alg.table),
-        metadata=metadata,
     )
 
 
@@ -195,16 +194,11 @@ def serialize_algebra_text(doc: AlgebraDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_position(exc: json.JSONDecodeError) -> tuple[int, int]:
-    return exc.lineno, exc.colno
-
-
 def parse_algebra_json(text: str) -> AlgebraDocument:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        line, col = _json_position(exc)
-        raise ParseError(line, col, exc.msg) from None
+        raise ParseError(exc.lineno, exc.colno, exc.msg) from None
     return document_from_json_object(data)
 
 
@@ -255,12 +249,12 @@ def parse_algebra(text: str, suffix: str = ".lalg") -> AlgebraDocument:
     return parse_algebra_text(text)
 
 
-def load_algebra(path: str | Path, validated: bool = True) -> FiniteLAlgebra:
+def load_algebra(path: str | Path) -> FiniteLAlgebra:
     p = Path(path)
     doc = parse_algebra(p.read_text(encoding="utf-8"), p.suffix)
     if doc.name is None:
         doc = AlgebraDocument(p.stem, doc.elements, doc.unit, doc.table, doc.metadata)
-    return doc.to_algebra(validated=validated)
+    return doc.to_algebra()
 
 
 def save_algebra(alg: FiniteLAlgebra, path: str | Path) -> None:

@@ -405,14 +405,14 @@ def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> It
         union = imask | jmask
         if not (w == masks[k] and union & ~w == 0 and entry_is_ideal[k]):
             raise JoinWitnessMismatch(
-                f"{alg.name}: witness join, closure join and join table disagree",
+                f"{alg.name}: witness join, closure join and lattice join disagree",
                 witness={
                     "algebra": alg.name,
                     "left": labels_of(alg, imask),
                     "right": labels_of(alg, jmask),
                     "closure_join": labels_of(alg, close_under_rules(alg, union)),
                     "witness_join": labels_of(alg, w),
-                    "table_join": labels_of(alg, masks[k]),
+                    "lattice_join": labels_of(alg, masks[k]),
                 },
             )
         yield w

@@ -32,12 +32,14 @@ from .ideals import (
     witness_joins,
 )
 from .spectrum import (
+    SpectrumTopology,
+    attach_prime_ideal,
     check_frame_map,
     compact_basis_failure,
-    prime_element_report,
+    prime_elements,
     prime_ideals,
     prime_quotient_oracle,
-    principal_open_map,
+    quasi_prime_elements,
     relative_spectrum,
     spatiality_check,
     topology_report,
@@ -51,8 +53,10 @@ class Context:
 
     The lattice holds the quotients (``ctx.lattice.quotient_by(k)``), the
     spectrum its lattice, and the spectrum functions read what they need off
-    those, so every law that reads X/I, the spectrum or a report reads the
-    one copy built here.  ``memo`` is the :data:`~lalg.ideals.TableMemo` of
+    those, so every law that reads X/I, the spectrum, the topology report,
+    the structure flags or the quasi-prime elements reads the one copy built
+    here.  Each law decides its own verdict from these facts.
+    ``memo`` is the :data:`~lalg.ideals.TableMemo` of
     the run: the lattices of X, of its quotients and sub-algebras and of its
     factors are built through it, so each operation table's ideals are
     enumerated once per run.
@@ -92,15 +96,9 @@ class Context:
         return topology_report(self.topology)
 
     @cached_property
-    def prime_element_report(self):
-        # shared by both prime-element laws; an attachment failure that it
-        # raises fails both rows
-        return prime_element_report(self.topology)
-
-    @cached_property
-    def point_map(self):
-        # shared by principal-ideals.meet-join and point-map.brouwerian
-        return principal_open_map(self.topology, self.flags)
+    def quasi_primes(self) -> tuple[int, ...]:
+        # read by both prime-element laws
+        return quasi_prime_elements(self.lattice)
 
 
 @dataclass(frozen=True)
@@ -675,19 +673,19 @@ def _check_prime_definitions(ctx: Context) -> CheckResult:
 
 
 def _check_prime_quotient(ctx: Context) -> CheckResult:
-    rows = prime_quotient_oracle(ctx.topology)
-    for row in rows:
-        if not row.consistent:
-            return (
-                len(rows),
-                {
-                    "ideal": labels_of(ctx.algebra, ctx.lattice.masks[row.ideal_index]),
-                    "prime": row.prime,
-                    "quotient_subdirectly_irreducible": row.quotient_subdirectly_irreducible,
-                },
-                None,
-            )
-    return len(rows), None, None
+    """One instance per proper ideal P: P is a point exactly when X/P is
+    subdirectly irreducible."""
+    lat = ctx.lattice
+    p = prime_quotient_oracle(ctx.topology)
+    if p is None:
+        return len(lat) - 1, None, None
+    prime = p in ctx.topology.points
+    witness = {
+        "ideal": labels_of(ctx.algebra, lat.masks[p]),
+        "prime": prime,
+        "quotient_subdirectly_irreducible": not prime,
+    }
+    return len(lat) - 1, witness, None
 
 
 def _check_t0_sober(ctx: Context) -> CheckResult:
@@ -730,8 +728,7 @@ def _check_spatial(ctx: Context) -> CheckResult:
 
 def _check_quasiprime(ctx: Context) -> CheckResult:
     a = ctx.algebra
-    report = ctx.prime_element_report
-    primes, quasi = report.primes, report.quasi_primes
+    primes, quasi = prime_elements(a), ctx.quasi_primes
     for p in primes:
         if p not in quasi:
             return a.n, {"element": a.label(p), "problem": "prime but not quasi-prime"}, None
@@ -740,10 +737,16 @@ def _check_quasiprime(ctx: Context) -> CheckResult:
 
 
 def _check_attachment(ctx: Context) -> CheckResult:
-    report = ctx.prime_element_report
-    non_unique = sum(1 for att in report.attachments if not att.unique)
+    """Every element below the unit: its maximal avoiders are points, and a
+    quasi-prime has exactly one (:func:`attach_prime_ideal` raises if not)."""
+    a = ctx.algebra
+    non_unique = sum(
+        len(attach_prime_ideal(ctx.topology, x, ctx.quasi_primes)) != 1
+        for x in range(a.n)
+        if x != a.unit
+    )
     return (
-        max(ctx.algebra.n - 1, 0),
+        max(a.n - 1, 0),
         None,
         f"{non_unique} elements with several maximal avoiders" if non_unique else None,
     )
@@ -756,33 +759,52 @@ def _check_relative_spectrum(ctx: Context) -> CheckResult:
     return len(lat), None, None
 
 
+def _principal_opens_cover(spec: SpectrumTopology) -> bool:
+    """x -> U_<x> is onto the opens: every U_I is some U_<x>."""
+    return {spec.opens[k] for k in spec.lattice.principal} == set(spec.opens)
+
+
 def _check_principal_meet_join(ctx: Context) -> CheckResult:
-    rep = ctx.point_map
-    if rep.meet_join_instances < 0:
-        return 0, {"problem": "join of principal ideals is not the principal ideal of the meet"}, None
-    if ctx.flags.meet_closed:
-        if not rep.all_principal:
-            return rep.meet_join_instances, {"problem": "a meet-closed algebra has a non-principal ideal"}, None
-        if not rep.surjective:
-            return rep.meet_join_instances, {"problem": "element map misses an open set"}, None
-        return rep.meet_join_instances, None, "every ideal principal"
-    return rep.meet_join_instances, None, "not meet-closed; principality not required"
+    """<x> v <y> = <x n y> wherever the meet is defined; a meet-closed
+    algebra then has only principal ideals, and x -> U_<x> is onto."""
+    lat = ctx.lattice
+    flags = ctx.flags
+    instances = 0
+    for x, row in enumerate(flags.meets):
+        for y, w in enumerate(row):
+            if w is None:
+                continue
+            if lat.join(lat.principal[x], lat.principal[y]) != lat.principal[w]:
+                return 0, {"problem": "join of principal ideals is not the principal ideal of the meet"}, None
+            instances += 1
+    if not flags.meet_closed:
+        return instances, None, "not meet-closed; principality not required"
+    if len(set(lat.principal)) != len(lat):
+        return instances, {"problem": "a meet-closed algebra has a non-principal ideal"}, None
+    if not _principal_opens_cover(ctx.topology):
+        return instances, {"problem": "element map misses an open set"}, None
+    return instances, None, "every ideal principal"
 
 
 def _check_point_map(ctx: Context) -> CheckResult:
-    rep = ctx.point_map
-    if not rep.antitone:
-        return ctx.algebra.n, {"problem": "element map is not order-reversing"}, None
-    if ctx.flags.meet_closed and rep.bijective != rep.brouwerian:
-        return (
-            ctx.algebra.n,
-            {
-                "bijective": rep.bijective,
-                "brouwerian": rep.brouwerian,
-            },
-            rep.detail,
-        )
-    return ctx.algebra.n, None, rep.detail
+    """x -> U_<x> reverses order; on a meet-closed algebra it is a bijection
+    onto the opens exactly when the algebra is Brouwerian."""
+    a = ctx.algebra
+    spec = ctx.topology
+    opens = [spec.opens[ctx.lattice.principal[x]] for x in range(a.n)]
+    for x in range(a.n):
+        for y in range(a.n):
+            if a.leq(x, y) and opens[y] & ~opens[x]:
+                return a.n, {"problem": "element map is not order-reversing"}, None
+    injective = len(set(opens)) == a.n
+    brouwerian = ctx.flags.brouwerian
+    detail = ", ".join(
+        ["injective" if injective else "not injective", "Brouwerian" if brouwerian else "not Brouwerian"]
+    )
+    bijective = injective and _principal_opens_cover(spec)
+    if ctx.flags.meet_closed and bijective != brouwerian:
+        return a.n, {"bijective": bijective, "brouwerian": brouwerian}, detail
+    return a.n, None, detail
 
 
 def _check_product_factorization(ctx: Context) -> CheckResult:

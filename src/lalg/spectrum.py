@@ -9,7 +9,10 @@ and I -> U_I is a bijection from the ideal lattice onto the opens.  This
 module materializes that space, verifies its point-set properties (T0,
 sobriety), computes prime and quasi-prime elements with
 their attached prime ideals, and checks that opens and closed sets are again
-spectra: Spec I matches U_I and Spec X/I matches its complement.
+spectra: Spec I matches U_I and Spec X/I matches its complement.  Its
+functions return the facts (indices, masks, counts) and leave the verdicts
+to the laws in :mod:`lalg.laws`; only :class:`TopologyReport`, which the
+CLI prints, gathers several of them.
 
 The points come from the Birkhoff dual of the (distributive) ideal lattice:
 one prime P_j per join-irreducible ideal j, looked up by its down-set, and
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLAlgebra, StructureFlags, subalgebra
+from .core import FiniteLAlgebra, subalgebra
 from .errors import (
     BijectionFailure,
     DistributivityFailure,
@@ -310,41 +313,6 @@ def attach_prime_ideal(spec: SpectrumTopology, x: int, quasi: tuple[int, ...]) -
     return tuple(maximal)
 
 
-@dataclass(frozen=True)
-class Attachment:
-    element: int
-    ideals: tuple[int, ...]  # lattice indices of the maximal avoiders
-    unique: bool
-
-
-@dataclass(frozen=True)
-class PrimeElementReport:
-    """Prime and quasi-prime elements with their attached prime ideals."""
-
-    algebra: FiniteLAlgebra
-    primes: tuple[int, ...]
-    quasi_primes: tuple[int, ...]
-    attachments: tuple[Attachment, ...]
-
-
-def prime_element_report(spec: SpectrumTopology) -> PrimeElementReport:
-    """Prime and quasi-prime elements of the spectrum's algebra, each element
-    below the unit with its maximal avoiders (:func:`attach_prime_ideal`)."""
-    lat = spec.lattice
-    alg = lat.algebra
-    primes = prime_elements(alg)
-    quasi = quasi_prime_elements(lat)
-    attachments = []
-    for x in range(alg.n):
-        if x == alg.unit:
-            continue
-        ideals = attach_prime_ideal(spec, x, quasi)
-        attachments.append(Attachment(element=x, ideals=ideals, unique=len(ideals) == 1))
-    return PrimeElementReport(
-        algebra=alg, primes=primes, quasi_primes=quasi, attachments=tuple(attachments)
-    )
-
-
 def subdirectly_irreducible(lat: IdealLattice) -> bool:
     """No two non-trivial ideals may intersect down to the bottom.
 
@@ -362,51 +330,21 @@ def subdirectly_irreducible(lat: IdealLattice) -> bool:
     return monolith != bottom
 
 
-@dataclass(frozen=True)
-class PrimeQuotientRow:
-    ideal_index: int
-    prime: bool
-    quotient_subdirectly_irreducible: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.prime == self.quotient_subdirectly_irreducible
-
-
-def prime_quotient_oracle(spec: SpectrumTopology) -> tuple[PrimeQuotientRow, ...]:
-    """For every proper ideal P: P prime iff X/P is subdirectly irreducible.
+def prime_quotient_oracle(spec: SpectrumTopology) -> int | None:
+    """Index of the first proper ideal P where "P is a point" and "X/P is
+    subdirectly irreducible" disagree; None when they agree on every one.
 
     X/P and its ideal lattice come from ``spec.lattice.quotient_by``, so they
     are built once per ideal and shared with the other laws that read them.
     """
     lat = spec.lattice
-    rows = []
     for p in lat.proper_indices():
-        rows.append(
-            PrimeQuotientRow(
-                ideal_index=p,
-                prime=p in spec.points,
-                quotient_subdirectly_irreducible=subdirectly_irreducible(lat.quotient_by(p).lattice),
-            )
-        )
-    return tuple(rows)
+        if (p in spec.points) != subdirectly_irreducible(lat.quotient_by(p).lattice):
+            return p
+    return None
 
 
-@dataclass(frozen=True)
-class RelativeSpectrumReport:
-    """Outcome of identifying Spec I with U_I and Spec X/I with its complement."""
-
-    ideal_index: int
-    spec_i_size: int
-    spec_quotient_size: int
-    spec_x_size: int
-
-    @property
-    def counts_add_up(self) -> bool:
-        return self.spec_i_size + self.spec_quotient_size == self.spec_x_size
-
-
-def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumReport:
+def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
     """Check that P -> I*P and Q -> Q n I invert between Spec I and U_I.
 
     I is the ideal at lattice index ``i_index``.  It is an algebra in its
@@ -416,7 +354,9 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
     ``spec.lattice.quotient_by``) must pull back exactly onto the
     complement.  Points are visited by ascending lattice index, so the first
     failure named does not depend on the order of ``spec.points``.  Any
-    failure raises :class:`BijectionFailure` with the offending piece named.
+    failure, a sum |Spec I| + |Spec X/I| other than |Spec X| included,
+    raises :class:`BijectionFailure` with the offending piece named.
+    Returns (|Spec I|, |Spec X/I|).
     """
     lat = spec.lattice
     alg = lat.algebra
@@ -501,98 +441,10 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> RelativeSpectrumR
     if pulled != complement:
         raise fail("quotient primes do not cover the closed set")
 
-    report = RelativeSpectrumReport(
-        ideal_index=i_index,
-        spec_i_size=sub_spec.point_count,
-        spec_quotient_size=q_spec.point_count,
-        spec_x_size=spec.point_count,
-    )
-    if not report.counts_add_up:
-        raise fail(
-            "|Spec I| + |Spec X/I| != |Spec X|",
-            counts=[report.spec_i_size, report.spec_quotient_size, report.spec_x_size],
-        )
-    return report
-
-
-@dataclass(frozen=True)
-class PointMapReport:
-    """Behaviour of x -> U_<x> from elements to quasi-compact opens."""
-
-    algebra: FiniteLAlgebra
-    open_of_element: tuple[int, ...]
-    antitone: bool
-    injective: bool
-    surjective: bool
-    all_principal: bool
-    meet_join_instances: int
-    brouwerian: bool
-    meet_closed: bool
-
-    @property
-    def bijective(self) -> bool:
-        return self.injective and self.surjective
-
-    @property
-    def detail(self) -> str:
-        return ", ".join(
-            [
-                ("injective" if self.injective else "not injective"),
-                ("Brouwerian" if self.brouwerian else "not Brouwerian"),
-            ]
-        )
-
-
-def principal_open_map(spec: SpectrumTopology, flags: StructureFlags) -> PointMapReport:
-    """Compute x -> U_<x> and check antitonicity plus the meet-closed contract.
-
-    The map reverses order for any algebra.  On a meet-closed algebra it is
-    onto all opens, every ideal is principal, joins of principal ideals are
-    principal via <x> v <y> = <x n y>, and it is bijective exactly when the
-    algebra is Brouwerian.  ``flags`` are the algebra's
-    :func:`~lalg.core.structure_flags`.  Checking happens in the law harness;
-    this function gathers the facts.
-    """
-    lat = spec.lattice
-    alg = lat.algebra
-    opens = tuple(spec.opens[lat.principal[x]] for x in range(alg.n))
-
-    antitone = True
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if alg.leq(x, y) and opens[y] & ~opens[x]:
-                antitone = False
-
-    all_principal = len(set(lat.principal)) == len(lat)
-    surjective = {spec.opens[k] for k in lat.principal} == set(spec.opens)
-    injective = len(set(opens)) == alg.n
-
-    meet_join_instances = 0
-    for x in range(alg.n):
-        for y in range(alg.n):
-            w = flags.meets[x][y]
-            if w is None:
-                continue
-            join = lat.join(lat.principal[x], lat.principal[y])
-            if join != lat.principal[w]:
-                # surfaced through the law harness with this report attached
-                meet_join_instances = -1
-                break
-            meet_join_instances += 1
-        if meet_join_instances < 0:
-            break
-
-    return PointMapReport(
-        algebra=alg,
-        open_of_element=opens,
-        antitone=antitone,
-        injective=injective,
-        surjective=surjective,
-        all_principal=all_principal,
-        meet_join_instances=meet_join_instances,
-        brouwerian=flags.brouwerian,
-        meet_closed=flags.meet_closed,
-    )
+    counts = (sub_spec.point_count, q_spec.point_count)
+    if sum(counts) != spec.point_count:
+        raise fail("|Spec I| + |Spec X/I| != |Spec X|", counts=[*counts, spec.point_count])
+    return counts
 
 
 def spatiality_check(spec: SpectrumTopology) -> None:

@@ -34,15 +34,20 @@ def test_product_b2_b2_is_boolean_square(algebras):
     assert flags.brouwerian
 
 
-def test_product_injections_commute(b2, diamond):
-    prod = product(diamond, b2)
-    left, right = product_injections(diamond, b2)
-    for i in range(diamond.n):
-        for j in range(diamond.n):
-            assert prod.table[left[i]][left[j]] == left[diamond.table[i][j]]
-    for i in range(b2.n):
-        for j in range(b2.n):
-            assert prod.table[right[i]][right[j]] == right[b2.table[i][j]]
+def test_product_injections_commute():
+    # each factor embeds as a subalgebra, and by the unit laws an element of
+    # one factor applied to an element of the other returns the latter
+    for pair in product_pairs():
+        x, y = pair.factors
+        prod = pair.algebra
+        left, right = product_injections(x, y)
+        for embed, factor in ((left, x), (right, y)):
+            for i in range(factor.n):
+                for j in range(factor.n):
+                    assert prod.table[embed[i]][embed[j]] == embed[factor.table[i][j]], pair.name
+        for a in left:
+            for b in right:
+                assert prod.table[a][b] == b and prod.table[b][a] == a, pair.name
 
 
 def test_product_lattice_factorizes(b2, diamond):

@@ -424,8 +424,10 @@ def test_join_witness_mismatch_surfaces_on_magma():
     # of {1,a} and {1} is looked up as {1,a}; <a> = <b> = X, the only
     # join-irreducible
     lat = IdealLattice(magma, [(0b001, 0), (0b011, 0), (0b111, 1)], (0b001, 0b111, 0b111), [0b111])
-    with pytest.raises(JoinWitnessMismatch):
+    with pytest.raises(JoinWitnessMismatch, match="lattice join") as caught:
         next(witness_joins(lat, [(1, 0)]))
+    assert caught.value.witness["lattice_join"] == ("1", "a")
+    assert "table_join" not in caught.value.witness
 
 
 def test_residuation_cross_check_trips_on_wrong_values(monkeypatch, b2):
