@@ -4,7 +4,7 @@ Each command's stdout is hashed with SHA-256 and pinned together with its
 exit code.  The fixture commands read the file that ``lalg fixtures --emit``
 writes for each fixture; the larger inputs are built from those files with
 ``lalg construct``, so that the law suite is also pinned on algebras of 9 to
-16 elements with up to 64 ideals.
+16 elements with up to 128 ideals.
 """
 
 import contextlib
@@ -18,11 +18,12 @@ from lalg.constructions import fixtures
 
 FIXTURES = tuple(f.name for f in fixtures())
 
-#: poset files for ``lalg construct poset``: anti6 is an antichain of six
-#: atoms under a top, whose algebra has 2^6 = 64 ideals
+#: poset files for ``lalg construct poset``: anti k is an antichain of k
+#: atoms under a top, whose algebra has 2^k ideals
 POSETS = {
-    "anti6": "elements: 1 a0 a1 a2 a3 a4 a5\ntop: 1\n"
-    + "".join(f"cover a{i} < 1\n" for i in range(6)),
+    f"anti{k}": f"elements: 1 {' '.join(f'a{i}' for i in range(k))}\ntop: 1\n"
+    + "".join(f"cover a{i} < 1\n" for i in range(k))
+    for k in (6, 7)
 }
 
 #: the two factors of each ``lalg construct product`` input
@@ -48,6 +49,7 @@ GOLDEN = {
     "laws --json --no-timing --enumerate 4": (1, "85bf290e5832c475ed9a063ac456300f086e8f78f863e1c3e722a62acf5f7986"),
     "laws --json --no-timing --enumerate 5 --iso": (1, "725abd7d5224ea20ec0b77344c5a759196e7bb8db387e2e3be3fb7954d115317"),
     "laws --json --no-timing anti6": (0, "fdb3869fe7769c921682657b7b023ca721cab46d4953c0e83e50705eeced76b3"),
+    "laws --json --no-timing anti7": (0, "d8aa4fb1e0c86b7b3d5d034c646d244eb7733f8939f6bd9407de79a94c176aed"),
     "laws --json --no-timing B2^4": (0, "f5574bbeaae8523c84d813098d37c4dac26cfb8211f556f77a0a854bfd5d2cd7"),
     "laws --json --no-timing chain3^2": (0, "056431a2774be6945e06e5ef1f984b5fb1e3a915e941f4c4c7c59f9602eb28b3"),
     "spectrum --topology B2": (0, "424c580c6ac90253746a9c2c4f5ac5fabf9e64aa254279449ae52fb77d7731d4"),
