@@ -12,7 +12,6 @@ from .core import (
     StructureFlags,
     axiom_violations,
     derive_order,
-    meet,
     partial_product,
     structure_flags,
     subalgebra,

@@ -115,7 +115,8 @@ class OrderRelation:
 class StructureFlags:
     """Structural predicates of one algebra.
 
-    ``meets[a][b]`` is :func:`meet` of a and b, None where it is undefined.
+    ``meets[a][b]`` is the product-form meet of a and b (:func:`_meet_of`),
+    None where it is undefined.
     ``diagnostics`` records pairs where the two product-form meet candidates
     exist but disagree, or agree without being a greatest lower bound; the
     meet is then reported undefined rather than raising, because the symmetric
@@ -283,22 +284,10 @@ def partial_product(alg: FiniteLAlgebra, x: int, y: int) -> int | None:
     return found
 
 
-def meet(alg: FiniteLAlgebra, a: int, b: int) -> int | None:
-    """Binary meet computed as the product (a*b)a, when it deserves the name.
-
-    Returns the common value of the products (a*b)a and (b*a)b provided both
-    exist, agree, and are a greatest lower bound of {a, b} in the derived
-    order.  Any of the three conditions failing yields None; the identity is
-    only guaranteed in self-similar algebras, so inside a general algebra the
-    two sides may exist and differ.
-    """
-    za = partial_product(alg, alg.table[a][b], a)
-    zb = partial_product(alg, alg.table[b][a], b)
-    return _meet_of(alg, za, zb, a, b)
-
-
 def _meet_of(alg: FiniteLAlgebra, za: int | None, zb: int | None, a: int, b: int) -> int | None:
-    """:func:`meet` from its two candidates za = (a*b)a and zb = (b*a)b."""
+    """The meet of a and b from its candidates za = (a*b)a and zb = (b*a)b:
+    their common value when both exist, agree and are a greatest lower bound
+    of {a, b}, else None."""
     if za is None or zb is None or za != zb or not _is_glb(alg, za, a, b):
         return None
     return za

@@ -51,11 +51,15 @@ CheckResult = tuple[int, dict | None, str | None]
 class Context:
     """Shared derived structures for one corpus algebra, each built on first read.
 
-    The lattice holds the quotients (``ctx.lattice.quotient_by(k)``), the
-    spectrum its lattice, and the spectrum functions read what they need off
-    those, so every law that reads X/I, the spectrum, the topology report,
-    the structure flags or the quasi-prime elements reads the one copy built
-    here.  Each law decides its own verdict from these facts.
+    The lattice holds the quotients (``ctx.lattice.quotient_by(k)``) and the
+    residuation table, the spectrum its lattice, and the spectrum functions
+    read what they need off those, so every law that reads X/I, the table,
+    the spectrum, the topology report, the structure flags or the
+    quasi-prime elements reads the one copy built here.  The table is built
+    by the first law that reads it (``residuation.adjunction``,
+    ``ideal-lattice.is-l-algebra``, ``relative-spectrum.bijection``); the
+    other laws never build it.  Each law decides its own verdict from these
+    facts.
     ``memo`` is the :data:`~lalg.ideals.TableMemo` of
     the run: the lattices of X, of its quotients and sub-algebras and of its
     factors are built through it, so each operation table's ideals are
@@ -70,12 +74,7 @@ class Context:
 
     @cached_property
     def lattice(self):
-        lat = enumerate_ideals(self.algebra, self.memo)
-        # the residuation table is built on first read: read it here, so
-        # that its time is the lattice's and not that of the first law to
-        # read it
-        _ = lat.residuation_table
-        return lat
+        return enumerate_ideals(self.algebra, self.memo)
 
     @cached_property
     def adjunction(self) -> CheckResult:
@@ -336,26 +335,6 @@ def _residuation_adjunction(ctx: Context) -> CheckResult:
     return instances, None, None
 
 
-def _meet_irreducibles(masks: Sequence[int], full: int) -> list[int]:
-    """Indices of the members other than the top that are not the
-    intersection of the members strictly above them.
-
-    ``masks`` are distinct and sorted by popcount, so every member strictly
-    above the i-th one comes after it.
-    """
-    out = []
-    for i, mask in enumerate(masks):
-        above = full
-        for other in masks[i + 1 :]:
-            if mask & ~other == 0:
-                above &= other
-                if above == mask:
-                    break
-        if above != mask:
-            out.append(i)
-    return out
-
-
 def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
     """The residuation table is an L-algebra whose order is inclusion.
 
@@ -364,10 +343,12 @@ def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
     K -> I*K is a right adjoint, so both sides of the exchange identity,
     z -> (x*y)*(x*z) and z -> (y*x)*(y*z), preserve all meets, the empty one
     (the top) included; every ideal is the meet of the meet-irreducibles
-    above it, so the top and the meet-irreducibles decide the identity
-    (Davey & Priestley, ch. 2 and 7).  Without the adjunction every column
-    is checked.  A violation is reported through the full
-    :func:`axiom_violations` list.
+    above it, so the top and the meet-irreducibles decide the identity.
+    The lattice is then distributive (K n - is a left adjoint, so it
+    preserves joins), and there the meet-irreducibles are the meet-primes
+    (Davey & Priestley, ch. 2 and 5), which :func:`_principal_primality`
+    finds.  Without the adjunction every column is checked.  A violation is
+    reported through the full :func:`axiom_violations` list.
     """
     lat = ctx.lattice
     m = len(lat)
@@ -376,7 +357,7 @@ def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
     table = lat.residuation_table
     columns = None
     if ctx.adjunction[1] is None:
-        columns = [top, *_meet_irreducibles(masks, ctx.algebra.full_mask)]
+        columns = [top, *(p for p in range(m) if _principal_primality(lat, p)["meet_form"])]
     if axiom_violations(table, top, columns):
         raise AxiomViolation(axiom_violations(table, top))
     for i, (row, imask) in enumerate(zip(table, masks)):
@@ -630,29 +611,26 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
     return instances, None, None
 
 
-def _is_prime_residuation(lat: IdealLattice, p: int) -> bool:
-    """Proper P with, for every ideal I, I <= P or I*P <= P."""
-    if p == lat.top:
-        return False
-    for i in range(len(lat)):
-        if not lat.leq(i, p) and not lat.leq(lat.residuation_table[i][p], p):
-            return False
-    return True
+def _principal_primality(lat: IdealLattice, p: int) -> dict[str, bool]:
+    """Both forms of "the p-th ideal P is prime", decided on the principal
+    ideals <y> of the elements y outside P: n^2 mask tests, not m^2.
 
-
-def _is_prime_meet(lat: IdealLattice, p: int) -> bool:
-    """Proper P with I n J <= P only when I <= P or J <= P."""
-    if p == lat.top:
-        return False
+    Each form reduces to these by monotonicity alone.  Meet form (I n J <= P
+    only when I <= P or J <= P): for x in I and y in J, both outside P,
+    <x> n <y> lies inside I n J.  Residuation form (I <= P or I*P <= P for
+    every I): I*P shrinks as I grows, and every I not inside P holds some <y>
+    with y outside P; <y>*P is the element-wise residual the table is built
+    from.  The top is prime in neither form.
+    """
     pmask = lat.masks[p]
-    m = len(lat)
-    for i in range(m):
-        if lat.masks[i] & ~pmask == 0:
-            continue
-        for j in range(i, m):
-            if (lat.masks[i] & lat.masks[j]) & ~pmask == 0 and lat.masks[j] & ~pmask:
-                return False
-    return True
+    outside = list({lat.masks[k] for x, k in enumerate(lat.principal) if not (pmask >> x) & 1})
+    proper = p != lat.top
+    return {
+        "residuation_form": proper
+        and all(lat._residuation_mask(q, pmask) & ~pmask == 0 for q in outside),
+        "meet_form": proper
+        and all(q & r & ~pmask for i, q in enumerate(outside) for r in outside[i + 1 :]),
+    }
 
 
 def _check_prime_definitions(ctx: Context) -> CheckResult:
@@ -662,19 +640,15 @@ def _check_prime_definitions(ctx: Context) -> CheckResult:
     spec = ctx.topology
     points = set(spec.points)
     for p in range(len(lat)):
-        verdicts = {
-            "dual_form": p in points,
-            "residuation_form": _is_prime_residuation(lat, p),
-            "meet_form": _is_prime_meet(lat, p),
-        }
+        verdicts = {"dual_form": p in points, **_principal_primality(lat, p)}
         if len(set(verdicts.values())) > 1:
             return p + 1, {"ideal": labels_of(lat.algebra, lat.masks[p]), **verdicts}, None
     return len(lat), None, f"{spec.point_count} points"
 
 
 def _check_prime_quotient(ctx: Context) -> CheckResult:
-    """One instance per proper ideal P: P is a point exactly when X/P is
-    subdirectly irreducible."""
+    """One instance per proper ideal P decided: P is a point exactly when X/P
+    is subdirectly irreducible."""
     lat = ctx.lattice
     p = prime_quotient_oracle(ctx.topology)
     if p is None:
@@ -685,7 +659,7 @@ def _check_prime_quotient(ctx: Context) -> CheckResult:
         "prime": prime,
         "quotient_subdirectly_irreducible": not prime,
     }
-    return len(lat) - 1, witness, None
+    return p + 1, witness, None
 
 
 def _check_t0_sober(ctx: Context) -> CheckResult:
@@ -774,9 +748,9 @@ def _check_principal_meet_join(ctx: Context) -> CheckResult:
         for y, w in enumerate(row):
             if w is None:
                 continue
-            if lat.join(lat.principal[x], lat.principal[y]) != lat.principal[w]:
-                return 0, {"problem": "join of principal ideals is not the principal ideal of the meet"}, None
             instances += 1
+            if lat.join(lat.principal[x], lat.principal[y]) != lat.principal[w]:
+                return instances, {"problem": "join of principal ideals is not the principal ideal of the meet"}, None
     if not flags.meet_closed:
         return instances, None, "not meet-closed; principality not required"
     if len(set(lat.principal)) != len(lat):
@@ -895,44 +869,29 @@ def law_ids() -> tuple[str, ...]:
 
 
 def _run_one(law: Law, ctx: Context, corpus_id: str) -> LawReport:
+    """One row: a raised error fails it with 0 instances, no detail and the
+    error's name, message and witness; every failing row carries the algebra."""
     start = time.perf_counter()
     try:
         instances, witness, detail = law.check(ctx)
     except LAlgebraError as exc:
+        instances, detail = 0, None
         witness = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, FalsificationError):
             witness.update(exc.witness)
         elif isinstance(exc, AxiomViolation):
             witness["violations"] = [str(v) for v in exc.violations]
-        witness["algebra_document"] = algebra_to_document(ctx.algebra).to_json_object()
-        return LawReport(
-            law=law.id,
-            corpus=corpus_id,
-            verdict="fail",
-            instances=0,
-            time_s=time.perf_counter() - start,
-            witness=witness,
-        )
     elapsed = time.perf_counter() - start
     if witness is not None:
-        witness = dict(witness)
-        witness.setdefault("algebra_document", algebra_to_document(ctx.algebra).to_json_object())
-        return LawReport(
-            law=law.id,
-            corpus=corpus_id,
-            verdict="fail",
-            instances=instances,
-            time_s=elapsed,
-            detail=detail,
-            witness=witness,
-        )
+        witness = {**witness, "algebra_document": algebra_to_document(ctx.algebra).to_json_object()}
     return LawReport(
         law=law.id,
         corpus=corpus_id,
-        verdict="pass",
+        verdict="pass" if witness is None else "fail",
         instances=instances,
         time_s=elapsed,
         detail=detail,
+        witness=witness,
     )
 
 

@@ -89,3 +89,62 @@ def _upper_set_masks(spec):
 def upper_set_masks():
     """Test-only oracle for poset algebras: their ideals are the non-empty upper sets."""
     return _upper_set_masks
+
+
+def _is_prime_residuation(lat, p):
+    """Proper P with, for every ideal I, I <= P or I*P <= P (reads the table)."""
+    if p == lat.top:
+        return False
+    for i in range(len(lat)):
+        if not lat.leq(i, p) and not lat.leq(lat.residuation_table[i][p], p):
+            return False
+    return True
+
+
+def _is_prime_meet(lat, p):
+    """Proper P with I n J <= P only when I <= P or J <= P, over all pairs."""
+    if p == lat.top:
+        return False
+    pmask = lat.masks[p]
+    m = len(lat)
+    for i in range(m):
+        if lat.masks[i] & ~pmask == 0:
+            continue
+        for j in range(i, m):
+            if (lat.masks[i] & lat.masks[j]) & ~pmask == 0 and lat.masks[j] & ~pmask:
+                return False
+    return True
+
+
+def _meet_irreducibles(masks, full):
+    """Indices of the members other than the top that are not the
+    intersection of the members strictly above them.
+
+    ``masks`` are distinct and sorted by popcount, so every member strictly
+    above the i-th one comes after it.
+    """
+    out = []
+    for i, mask in enumerate(masks):
+        above = full
+        for other in masks[i + 1 :]:
+            if mask & ~other == 0:
+                above &= other
+                if above == mask:
+                    break
+        if above != mask:
+            out.append(i)
+    return out
+
+
+@pytest.fixture(scope="session")
+def prime_oracles():
+    """Test-only m^2 scans: the residuation form and the meet form of
+    "the p-th ideal is prime", each over every ideal, as (lat, p) -> bool."""
+    return _is_prime_residuation, _is_prime_meet
+
+
+@pytest.fixture(scope="session")
+def meet_irreducibles():
+    """Test-only O(m^2) scan for the meet-irreducible members of a family of
+    masks, as (masks, full mask) -> indices."""
+    return _meet_irreducibles

@@ -7,7 +7,6 @@ from lalg.core import (
     FiniteLAlgebra,
     axiom_violations,
     derive_order,
-    meet,
     partial_product,
     structure_flags,
     subalgebra,
@@ -200,9 +199,10 @@ def test_non_unique_product_surfaces():
 
 def test_meet_examples(b2, diamond):
     one, p, q, zero = (diamond.index_of(s) for s in ("1", "p", "q", "0"))
-    assert meet(diamond, p, q) == zero
-    assert meet(diamond, p, p) == p
-    assert meet(b2, b2.index_of("1"), b2.index_of("0")) == b2.index_of("0")
+    meets = structure_flags(diamond).meets
+    assert meets[p][q] == zero
+    assert meets[p][p] == p
+    assert structure_flags(b2).meets[b2.index_of("1")][b2.index_of("0")] == b2.index_of("0")
 
 
 def _glb_oracle(alg, a, b):
@@ -219,8 +219,7 @@ def test_meet_agrees_with_glb_oracle(algebras):
         meets = structure_flags(alg).meets
         for a in range(alg.n):
             for b in range(alg.n):
-                m = meet(alg, a, b)
-                assert meets[a][b] == m
+                m = meets[a][b]
                 if m is not None:
                     assert m == _glb_oracle(alg, a, b)
 
@@ -242,8 +241,8 @@ def test_meet_diagnostics_record_non_glb_agreement():
         ),
     )
     a, b = 1, 2
-    assert meet(magma, a, b) is None
     flags = structure_flags(magma)
+    assert flags.meets[a][b] is None
     assert any("not a greatest lower bound" in note for note in flags.diagnostics)
 
 

@@ -410,7 +410,7 @@ def test_meets_are_computed_once_per_algebra(monkeypatch, algebras):
 
 
 def test_lattice_is_algebra_law_falls_back_to_every_column_without_the_adjunction(
-    monkeypatch, algebras
+    monkeypatch, algebras, meet_irreducibles
 ):
     # B2xB2 has four ideals: {1}, two atoms and X; the atoms are the
     # meet-irreducibles.  Setting A*{1} to {1} for the first atom A (it is
@@ -420,7 +420,7 @@ def test_lattice_is_algebra_law_falls_back_to_every_column_without_the_adjunctio
     # residuation.adjunction fails and is-l-algebra checks every column.
     from lalg.core import axiom_violations
     from lalg.ideals import IdealLattice
-    from lalg.laws import _meet_irreducibles
+    from lalg.laws import _principal_primality
 
     real = IdealLattice.residuation_table.func
 
@@ -432,7 +432,8 @@ def test_lattice_is_algebra_law_falls_back_to_every_column_without_the_adjunctio
     monkeypatch.setattr(IdealLattice, "residuation_table", property(planted))
     fixture = Fixture("B2xB2", algebras["B2xB2"])
     lat = enumerate_ideals(fixture.algebra)
-    assert _meet_irreducibles(lat.masks, fixture.algebra.full_mask) == [1, 2]
+    assert meet_irreducibles(lat.masks, fixture.algebra.full_mask) == [1, 2]
+    assert [p for p in range(len(lat)) if _principal_primality(lat, p)["meet_form"]] == [1, 2]
     assert not axiom_violations(lat.residuation_table, lat.top, [lat.top, 1, 2])
     violations = axiom_violations(lat.residuation_table, lat.top)
     assert violations and all(v.axiom == "exchange" and v.witness[2] == 0 for v in violations)
@@ -444,16 +445,39 @@ def test_lattice_is_algebra_law_falls_back_to_every_column_without_the_adjunctio
     assert report.witness["violations"] == [str(v) for v in violations]
 
 
-def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five):
+def test_lattice_is_algebra_law_checks_the_top_and_every_meet_irreducible_column(
+    monkeypatch, algebras, meet_irreducibles
+):
+    # the columns the law hands to axiom_violations once the adjunction holds
+    from lalg import laws
+
+    seen = []
+    real = laws.axiom_violations
+    monkeypatch.setattr(
+        laws,
+        "axiom_violations",
+        lambda table, unit, columns=None: seen.append(columns) or real(table, unit, columns),
+    )
+    for name, alg in algebras.items():
+        seen.clear()
+        assert run_law("ideal-lattice.is-l-algebra", Fixture(name, alg)).verdict == "pass", name
+        lat = enumerate_ideals(alg)
+        assert seen == [[lat.top, *meet_irreducibles(lat.masks, alg.full_mask)]], name
+
+
+def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five, meet_irreducibles):
     # on every fixture, every table with n <= 4 and the 632 classes at n = 5
-    # the k + 1 columns give the verdict of the full axiom check
+    # the k + 1 columns give the verdict of the full axiom check, and the
+    # principal meet form picks them
     from lalg.core import axiom_violations
-    from lalg.laws import _meet_irreducibles
+    from lalg.laws import _principal_primality
 
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
         table = lat.residuation_table
-        columns = [lat.top, *_meet_irreducibles(lat.masks, alg.full_mask)]
+        columns = [lat.top, *meet_irreducibles(lat.masks, alg.full_mask)]
+        meet_primes = [p for p in range(len(lat)) if _principal_primality(lat, p)["meet_form"]]
+        assert columns[1:] == meet_primes, alg.name
         assert len(columns) == len(lat.join_irreducibles) + 1, alg.name
         reduced = axiom_violations(table, lat.top, columns)
         assert reduced == axiom_violations(table, lat.top), alg.name
@@ -583,7 +607,7 @@ def test_meet_join_law_fails_when_a_meet_is_wrong(monkeypatch, chain3):
     meets[a][b] = a
     _planted_flags(monkeypatch, meets=tuple(map(tuple, meets)))
     report = run_law("principal-ideals.meet-join", Fixture("chain3", chain3))
-    assert (report.verdict, report.instances) == ("fail", 0)
+    assert (report.verdict, report.instances) == ("fail", 6)
     assert report.witness["problem"] == "join of principal ideals is not the principal ideal of the meet"
 
 
@@ -600,7 +624,7 @@ def test_a_dropped_point_fails_the_prime_quotient_and_attachment_laws(monkeypatc
     fixture = Fixture("chain3", chain3)
 
     report = run_law("prime.iff-quotient-irreducible", fixture)
-    assert (report.verdict, report.instances) == ("fail", 2)
+    assert (report.verdict, report.instances) == ("fail", 1)
     assert (
         report.witness["ideal"],
         report.witness["prime"],

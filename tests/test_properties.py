@@ -1,5 +1,5 @@
 """Property tests: closure confluence, monotonicity, builder soundness,
-element-order invariance, file round trips."""
+primality on principal ideals, element-order invariance, file round trips."""
 
 import tempfile
 from itertools import permutations
@@ -19,6 +19,7 @@ from lalg.core import validate
 from lalg.errors import UnwritableLabel
 from lalg.formats import load_algebra, save_algebra
 from lalg.ideals import bits, close_under_rules, enumerate_ideals
+from lalg.laws import _principal_primality
 from lalg.spectrum import prime_ideals
 
 CORPUS = list(enumerate_all(3)) + list(enumerate_all(4, up_to_iso=True))
@@ -162,6 +163,27 @@ def test_lattice_absorption(data):
 
 
 FIXTURES = [f.algebra for f in fixtures()]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_principal_primality_matches_the_scans(data, prime_oracles, meet_irreducibles):
+    """On products and ordered sums of small fixtures, the principal forms
+    equal the m^2 scans, and the meet-primes are the meet-irreducibles and
+    the points of the spectrum."""
+    small = [a for a in FIXTURES if a.n <= 5]
+    build = data.draw(st.sampled_from([product, ordered_sum]))
+    alg = build(data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small)))
+    lat = enumerate_ideals(alg)
+    by_residuation, by_meets = prime_oracles
+    forms = [_principal_primality(lat, p) for p in range(len(lat))]
+    assert forms == [
+        {"residuation_form": by_residuation(lat, p), "meet_form": by_meets(lat, p)}
+        for p in range(len(lat))
+    ]
+    meet_primes = [p for p, form in enumerate(forms) if form["meet_form"]]
+    assert meet_primes == meet_irreducibles(lat.masks, alg.full_mask)
+    assert meet_primes == sorted(prime_ideals(lat).points)
 
 
 @given(data=st.data())

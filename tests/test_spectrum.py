@@ -8,7 +8,7 @@ from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import structure_flags, validate
 from lalg.errors import NonUniqueAttachment
 from lalg.ideals import close_under_rules, enumerate_ideals, labels_of, mask_of
-from lalg.laws import _is_prime_meet, _is_prime_residuation, replay, run_law
+from lalg.laws import _principal_primality, replay, run_law
 from lalg.spectrum import (
     attach_prime_ideal,
     check_frame_map,
@@ -47,15 +47,32 @@ def test_spectrum_b2xb2(algebras):
     }
 
 
-def test_dual_points_are_the_primes_of_both_definitions(corpus_to_five):
+def test_dual_points_are_the_primes_of_both_definitions(corpus_to_five, prime_oracles):
     # the points read off the join-irreducibles against a scan of every
-    # ideal with the residuation form and with the meet form; the points are
-    # in join-irreducible order, the scans ascend
+    # ideal with the residuation form and with the meet form, and the scans
+    # against the tests on principal ideals that prime.definitions-agree
+    # runs; the points are in join-irreducible order, the scans ascend
+    by_residuation, by_meets = prime_oracles
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
-        points = tuple(sorted(prime_ideals(lat).points))
-        assert points == tuple(p for p in range(len(lat)) if _is_prime_residuation(lat, p)), alg.name
-        assert points == tuple(p for p in range(len(lat)) if _is_prime_meet(lat, p)), alg.name
+        forms = [
+            {"residuation_form": by_residuation(lat, p), "meet_form": by_meets(lat, p)}
+            for p in range(len(lat))
+        ]
+        assert forms == [_principal_primality(lat, p) for p in range(len(lat))], alg.name
+        points = sorted(prime_ideals(lat).points)
+        assert points == [p for p, form in enumerate(forms) if form["residuation_form"]], alg.name
+        assert points == [p for p, form in enumerate(forms) if form["meet_form"]], alg.name
+
+
+def test_the_definitions_law_builds_no_residuation_table(monkeypatch, fixture_map):
+    # the principal forms read the element-wise residual, not the m x m table
+    def unbuilt(lat):
+        raise AssertionError(f"{lat.algebra.name}: residuation table built")
+
+    monkeypatch.setattr(ideals.IdealLattice, "residuation_table", property(unbuilt))
+    reports = laws.run_suite(list(fixture_map.values()), ["prime.definitions-agree"])
+    assert len(reports) == len(fixture_map) and laws.all_pass(reports)
 
 
 def test_dropped_dual_point_fails_the_definitions_law(monkeypatch, algebras):
@@ -82,6 +99,35 @@ def test_dropped_dual_point_fails_the_definitions_law(monkeypatch, algebras):
     ) == (False, True, True)
     assert "algebra_document" in report.witness
     assert replay(report).verdict == "fail"
+
+
+def test_one_planted_residual_fails_the_definitions_law(monkeypatch, algebras):
+    # a prime P of B2xB2 and one y outside it, in turn: <y>*P planted as X,
+    # which is not inside P, turns only the residuation form of P; two
+    # elements lie outside each point and their principal ideals differ, so
+    # the law has to read the residual of every y
+    alg = algebras["B2xB2"]
+    lat = enumerate_ideals(alg)
+    real = ideals.IdealLattice._residuation_mask
+    for p in prime_ideals(lat).points:
+        pmask = lat.masks[p]
+        outside = [y for y in range(alg.n) if not (pmask >> y) & 1]
+        assert len({lat.principal[y] for y in outside}) == len(outside) == 2
+        for y in outside:
+            planted = lat.masks[lat.principal[y]], pmask
+
+            def residual(self, imask, jmask, planted=planted):
+                return alg.full_mask if (imask, jmask) == planted else real(self, imask, jmask)
+
+            monkeypatch.setattr(ideals.IdealLattice, "_residuation_mask", residual)
+            report = run_law("prime.definitions-agree", Fixture(alg.name, alg))
+            assert (report.verdict, report.instances) == ("fail", p + 1), (p, y)
+            assert report.witness["ideal"] == labels_of(alg, pmask)
+            assert (
+                report.witness["dual_form"],
+                report.witness["residuation_form"],
+                report.witness["meet_form"],
+            ) == (True, False, True)
 
 
 def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
