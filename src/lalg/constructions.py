@@ -64,16 +64,16 @@ def poset_algebra(spec: PosetSpec) -> FiniteLAlgebra:
 
     The ideals of such an algebra are exactly the non-empty upper sets;
     the tests compare the ideal enumeration against a direct upper-set
-    sweep, and nothing beyond the axioms is checked here.
+    sweep, and nothing is checked here.
     """
     leq = spec.leq_matrix()
     n = len(spec.elements)
     unit = spec.elements.index(spec.top)
-    table = [
-        [unit if leq[i][j] else j for j in range(n)]
+    table = tuple(
+        tuple(unit if leq[i][j] else j for j in range(n))
         for i in range(n)
-    ]
-    return validate(table, unit, labels=spec.elements, name=f"poset({spec.top})")
+    )
+    return FiniteLAlgebra(f"poset({spec.top})", tuple(spec.elements), unit, table)
 
 
 def product(x: FiniteLAlgebra, y: FiniteLAlgebra) -> FiniteLAlgebra:
@@ -94,8 +94,8 @@ def product(x: FiniteLAlgebra, y: FiniteLAlgebra) -> FiniteLAlgebra:
             for jx in range(x.n):
                 for jy in range(ny):
                     row.append(x.table[ix][jx] * ny + y.table[iy][jy])
-            table.append(row)
-    return validate(table, x.unit * ny + y.unit, labels=labels, name=f"{x.name}x{y.name}")
+            table.append(tuple(row))
+    return FiniteLAlgebra(f"{x.name}x{y.name}", labels, x.unit * ny + y.unit, tuple(table))
 
 
 def product_injections(
@@ -112,8 +112,8 @@ def ordered_sum(x: FiniteLAlgebra, y: FiniteLAlgebra) -> FiniteLAlgebra:
 
     Cross products are a*b = 1 and b*a = a for a in the low part, b in the
     high part; within each part the original operations apply, with the low
-    part's old unit value redirected to the unit of the sum.  The result is
-    validated like any other table.
+    part's old unit value redirected to the unit of the sum.  The table is
+    not validated here; ``validate.axioms`` checks it like any other.
     """
     low = [i for i in range(x.n) if i != x.unit]
     n_low = len(low)
@@ -140,7 +140,7 @@ def ordered_sum(x: FiniteLAlgebra, y: FiniteLAlgebra) -> FiniteLAlgebra:
             table[n_low + a][b_new] = b_new  # high * low = low
         for b in range(y.n):
             table[n_low + a][n_low + b] = n_low + y.table[a][b]
-    return validate(table, unit, labels=labels, name=f"{x.name}<{y.name}")
+    return FiniteLAlgebra(f"{x.name}<{y.name}", labels, unit, tuple(map(tuple, table)))
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def _example5() -> FiniteLAlgebra:
 
 
 def fixtures() -> tuple[Fixture, ...]:
-    """The fixture corpus; every algebra is validated on load."""
+    """The fixture corpus; the hand-typed tables are validated on load."""
     unit = validate([[0]], 0, labels=("1",), name="unit")
     b2 = _b2()
     diamond = _diamond()
@@ -287,7 +287,7 @@ def enumerate_all(n: int, up_to_iso: bool = False) -> Iterator[FiniteLAlgebra]:
     isomorphism class is emitted.  The search prunes at partial tables: a
     subtree is cut as soon as some relabeling reads smaller on the cells
     decided so far (:func:`_is_canonical`), so every table it completes is
-    the least of its class.
+    the least of its class.  Its tables satisfy the axioms by propagation.
     """
     if n < 1:
         raise ValueError("carrier size must be at least 1")
@@ -296,8 +296,8 @@ def enumerate_all(n: int, up_to_iso: bool = False) -> Iterator[FiniteLAlgebra]:
     labels = _ENUM_LABELS[:n]
     relabelings = _relabelings(n) if up_to_iso else []
     for count, flat in enumerate(_search_tables(n, relabelings)):
-        table = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        yield validate(table, 0, labels=labels, name=f"enum{n}-{count:05d}")
+        table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+        yield FiniteLAlgebra(f"enum{n}-{count:05d}", labels, 0, table)
 
 
 def _relabelings(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:

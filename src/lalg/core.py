@@ -23,6 +23,7 @@ from .errors import (
     AxiomViolation,
     MalformedTable,
     NonUniqueProduct,
+    SizeTooLarge,
     Violation,
 )
 
@@ -32,12 +33,12 @@ MAX_CARRIER = 64
 
 @dataclass(frozen=True)
 class FiniteLAlgebra:
-    """A validated finite L-algebra.
+    """A finite L-algebra.
 
     ``table[i][j]`` is the index of ``e_i * e_j``; ``unit`` is the index of
-    the logical unit.  Instances are immutable and safe to share; build them
-    through :func:`validate` unless you deliberately want an unchecked table
-    (e.g. to replay a falsification witness).
+    the logical unit.  Instances are immutable and safe to share; a table
+    from outside goes through :func:`validate`, while builders and witness
+    replay construct one directly.
     """
 
     name: str
@@ -115,12 +116,12 @@ class OrderRelation:
 class StructureFlags:
     """Structural predicates of one algebra.
 
-    ``meets[a][b]`` is the product-form meet of a and b (:func:`_meet_of`),
-    None where it is undefined.
-    ``diagnostics`` records pairs where the two product-form meet candidates
-    exist but disagree, or agree without being a greatest lower bound; the
-    meet is then reported undefined rather than raising, because the symmetric
-    meet identity is only guaranteed inside self-similar algebras.
+    ``meets[a][b]`` is the product-form meet of a and b: (a*b)a and (b*a)b
+    when both exist, agree and are a greatest lower bound, else None.
+    ``diagnostics`` records pairs where both candidates exist but disagree,
+    or agree without being a greatest lower bound; the meet is then reported
+    undefined rather than raising, because the symmetric meet identity is
+    only guaranteed inside self-similar algebras.
     """
 
     sharp: bool
@@ -197,7 +198,7 @@ def _check_shape(
     if n == 0:
         raise MalformedTable("empty table")
     if n > MAX_CARRIER:
-        raise MalformedTable(f"carrier size {n} exceeds the cap of {MAX_CARRIER}")
+        raise SizeTooLarge(f"carrier size {n} exceeds the cap of {MAX_CARRIER}")
     for i, row in enumerate(table):
         if len(row) != n:
             raise MalformedTable(f"table not square: row {i} has {len(row)} entries, expected {n}")
@@ -221,10 +222,10 @@ def validate(
 ) -> FiniteLAlgebra:
     """Validate a raw table and return the algebra, or raise with all violations.
 
-    Raises :class:`MalformedTable` for shape problems and
-    :class:`AxiomViolation` carrying every violated axiom instance.  Nothing
-    beyond the axioms is checked here; that partial products are unique is
-    the law ``product.uniqueness``.
+    Raises :class:`SizeTooLarge` above ``MAX_CARRIER`` elements, else
+    :class:`MalformedTable` for a bad shape and :class:`AxiomViolation` with
+    every violated axiom instance.  Nothing beyond the axioms is checked
+    here; that partial products are unique is the law ``product.uniqueness``.
     """
     _check_shape(table, unit, labels)
     violations = axiom_violations(table, unit)
@@ -284,44 +285,12 @@ def partial_product(alg: FiniteLAlgebra, x: int, y: int) -> int | None:
     return found
 
 
-def _meet_of(alg: FiniteLAlgebra, za: int | None, zb: int | None, a: int, b: int) -> int | None:
-    """The meet of a and b from its candidates za = (a*b)a and zb = (b*a)b:
-    their common value when both exist, agree and are a greatest lower bound
-    of {a, b}, else None."""
-    if za is None or zb is None or za != zb or not _is_glb(alg, za, a, b):
-        return None
-    return za
-
-
 def _is_glb(alg: FiniteLAlgebra, z: int, a: int, b: int) -> bool:
     order = alg.order
     if not (order.leq(z, a) and order.leq(z, b)):
         return False
     common = order.below[a] & order.below[b]
     return common & ~order.below[z] == 0
-
-
-def _meet_diagnostics(alg: FiniteLAlgebra, cand: list[list[int | None]]) -> tuple[str, ...]:
-    """Pairs where the two meet candidates exist but fail the contract.
-
-    ``cand[a][b]`` is the product (a*b)a, or None.
-    """
-    notes: list[str] = []
-    for a in range(alg.n):
-        for b in range(a + 1, alg.n):
-            za, zb = cand[a][b], cand[b][a]
-            if za is None or zb is None:
-                continue
-            la, lb = alg.label(a), alg.label(b)
-            if za != zb:
-                notes.append(
-                    f"({la}*{lb}){la} = {alg.label(za)} but ({lb}*{la}){lb} = {alg.label(zb)}"
-                )
-            elif not _is_glb(alg, za, a, b):
-                notes.append(
-                    f"({la}*{lb}){la} = {alg.label(za)} is not a greatest lower bound"
-                )
-    return tuple(notes)
 
 
 def structure_flags(alg: FiniteLAlgebra) -> StructureFlags:
@@ -336,9 +305,24 @@ def structure_flags(alg: FiniteLAlgebra) -> StructureFlags:
 
     # each product (a*b)a once: the meets and the diagnostics both read it
     cand = [[partial_product(alg, t[a][b], a) for b in range(n)] for a in range(n)]
-    meets = tuple(
-        tuple(_meet_of(alg, cand[a][b], cand[b][a], a, b) for b in range(n)) for a in range(n)
-    )
+    meets: list[list[int | None]] = [[None] * n for _ in range(n)]
+    notes: list[str] = []
+    for a in range(n):
+        for b in range(a, n):
+            za, zb = cand[a][b], cand[b][a]
+            if za is None or zb is None:
+                continue
+            la, lb = alg.label(a), alg.label(b)
+            if za != zb:
+                notes.append(
+                    f"({la}*{lb}){la} = {alg.label(za)} but ({lb}*{la}){lb} = {alg.label(zb)}"
+                )
+            elif _is_glb(alg, za, a, b):
+                meets[a][b] = meets[b][a] = za
+            elif a < b:
+                notes.append(
+                    f"({la}*{lb}){la} = {alg.label(za)} is not a greatest lower bound"
+                )
     meet_closed = all(v is not None for row in meets for v in row)
 
     brouwerian = meet_closed
@@ -369,8 +353,8 @@ def structure_flags(alg: FiniteLAlgebra) -> StructureFlags:
         brouwerian=brouwerian,
         meet_closed=meet_closed,
         self_similar=self_similar,
-        meets=meets,
-        diagnostics=_meet_diagnostics(alg, cand),
+        meets=tuple(map(tuple, meets)),
+        diagnostics=tuple(notes),
     )
 
 

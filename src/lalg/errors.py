@@ -8,11 +8,13 @@ falsification error firing on validated input means either a bug in this
 code or a counterexample to the theory; either way it must surface with a
 replayable witness and is never repaired or swallowed.
 
-Builders (``validate``, ``quotient``, ``congruence_of``, ``poset_algebra``,
-``quasi_prime_elements``) do not re-prove theorems.  A falsification error
-is raised by the checks that the laws run, or where a computation has no
-single answer to return: a partial product with two witnesses, a lattice
-table entry missing from the ideal family, an ambiguous attachment.
+Builders (``quotient``, ``congruence_of``, ``product``, ``ordered_sum``,
+``poset_algebra``, ``enumerate_all``, ``quasi_prime_elements``) do not
+re-prove theorems; ``validate`` runs where a table enters or leaves.  A
+falsification error is raised by the checks the laws run, or where a
+computation has no single answer to return: a partial product with two
+witnesses, a lattice table entry missing from the ideal family, an
+ambiguous attachment.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class SpatialityFailure(FalsificationError):
 
 
 class SizeTooLarge(LAlgebraError):
-    """Requested exhaustive enumeration beyond the supported size cap."""
+    """An input above a size cap (carrier or enumeration): a usage error."""
 
 
 class UnwritableLabel(LAlgebraError):

@@ -258,6 +258,8 @@ def load_algebra(path: str | Path) -> FiniteLAlgebra:
 
 
 def save_algebra(alg: FiniteLAlgebra, path: str | Path) -> None:
+    """Write the algebra, validated first: a file the tool writes must read back."""
+    validate(alg.table, alg.unit, labels=alg.labels, name=alg.name)
     p = Path(path)
     doc = algebra_to_document(alg)
     if p.suffix == ".json":

@@ -237,12 +237,10 @@ class IdealLattice:
         return (k for k in range(len(self.masks)) if k != self.top)
 
     def quotient_by(self, k: int) -> Quotient:
-        """X/I for the k-th ideal I, built once per ideal through :func:`quotient`."""
+        """X/I for the k-th ideal I, built once; its lattice goes through ``memo``."""
         quot = self._quotients.get(k)
         if quot is None:
-            quot = self._quotients[k] = Quotient(
-                self.algebra, *quotient(self.algebra, self.masks[k]), memo=self.memo
-            )
+            quot = self._quotients[k] = quotient(self.algebra, self.masks[k], self.memo)
         return quot
 
     @cached_property
@@ -455,14 +453,14 @@ def congruence_of(alg: FiniteLAlgebra, imask: int) -> Congruence:
     return Congruence(algebra=alg, class_of=class_of, classes=tuple(class_masks))
 
 
-def quotient(alg: FiniteLAlgebra, imask: int) -> tuple[FiniteLAlgebra, tuple[int, ...]]:
-    """X/I for the ideal ``imask``, with the projection map (element -> class index).
+def quotient(alg: FiniteLAlgebra, imask: int, memo: TableMemo | None = None) -> Quotient:
+    """X/I for the ideal ``imask``, with the congruence it is read off.
 
     Class representatives are least member indices and quotient elements
     follow representative order, so serialized output is reproducible.  The
     table is read off the representatives and is not validated: that it
     does not depend on them and satisfies the axioms is checked by the law
-    ``quotient.morphism``.
+    ``quotient.morphism``.  ``memo`` goes to the lattice of X/I.
     """
     cong = congruence_of(alg, imask)
     reps = [(m & -m).bit_length() - 1 for m in cong.classes]
@@ -475,32 +473,22 @@ def quotient(alg: FiniteLAlgebra, imask: int) -> tuple[FiniteLAlgebra, tuple[int
         unit=cong.class_of[alg.unit],
         table=table,
     )
-    return quot, cong.class_of
+    return Quotient(quot, cong, memo)
 
 
 @dataclass(frozen=True)
 class Quotient:
-    """X/I with its projection; the ideal lattice of X/I is built on first read.
+    """X/I with the congruence it is read off; its lattice is built on first read.
 
-    ``projection`` is the class map of :func:`congruence_of`, as
-    :func:`quotient` returns it, so ``congruence`` is that partition again.
-    One object per ideal lets every law that reads X/I share one build, and
-    ``memo``, the source lattice's, lets quotients with one table share one
-    enumeration.
+    ``congruence.class_of`` is the projection and ``congruence.algebra`` X.
+    One object per ideal lets the laws share one build of X/I, and ``memo``,
+    the source lattice's, lets quotients with one table share one enumeration.
     """
 
-    source: FiniteLAlgebra
     algebra: FiniteLAlgebra
-    projection: tuple[int, ...]
-    memo: TableMemo | None = field(default=None, compare=False, repr=False)
+    congruence: Congruence
+    memo: TableMemo | None = field(compare=False, repr=False)
 
     @cached_property
     def lattice(self) -> IdealLattice:
         return enumerate_ideals(self.algebra, self.memo)
-
-    @cached_property
-    def congruence(self) -> Congruence:
-        classes = [0] * self.algebra.n
-        for x, c in enumerate(self.projection):
-            classes[c] |= 1 << x
-        return Congruence(self.source, self.projection, tuple(classes))

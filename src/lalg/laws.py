@@ -398,10 +398,6 @@ def _check_ideal_shape(ctx: Context) -> CheckResult:
     return instances, None, None
 
 
-def _partition_key(classes: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(classes))
-
-
 #: Above this carrier size the set-partition sweep (Bell numbers of
 #: partitions, decided prefix by prefix) is dropped and only the per-ideal
 #: checks run.
@@ -511,15 +507,16 @@ def _congruence_problem(a: FiniteLAlgebra, imask: int, cong: Congruence) -> dict
 def _check_congruence_bijection(ctx: Context) -> CheckResult:
     """Ideals and congruences determine each other, both ways round.
 
-    For every ideal I, the relation of :func:`congruence_of` (the partition
-    that the projection onto the shared X/I induces) is a compatible
-    equivalence whose unit class is I; up to ``_PARTITION_SWEEP_LIMIT``
-    elements, every compatible partition with an L-algebra quotient is also
-    one of these.  The partitions are decided prefix by prefix
-    (:func:`_compatible_partitions`): a prefix that breaks a compatibility
-    constraint it completes is pruned with all its completions, and each
-    compatible partition gets the L-quotient (antisymmetry) filter.  The
-    sweep counts one instance per partition decided, B(n) in all."""
+    For every ideal I, the congruence that the shared X/I is read off
+    (:func:`congruence_of`) is a compatible equivalence whose unit class is
+    I; up to ``_PARTITION_SWEEP_LIMIT`` elements, every compatible partition
+    with an L-algebra quotient is also one of these.  The partitions are
+    decided prefix by prefix (:func:`_compatible_partitions`): a prefix that
+    breaks a compatibility constraint it completes is pruned with all its
+    completions, and each compatible partition gets the L-quotient
+    (antisymmetry) filter.  Both sides number their classes by least
+    member, so two partitions are equal exactly when their class maps are.
+    The sweep counts one instance per partition decided, B(n) in all."""
     a = ctx.algebra
     lat = ctx.lattice
     t = a.table
@@ -538,7 +535,7 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
                 {"ideal": labels_of(a, mask), "problem": "unit class is not the ideal"},
                 None,
             )
-        from_ideals[_partition_key(cong.classes)] = mask
+        from_ideals[cong.class_of] = mask
 
     if a.n > _PARTITION_SWEEP_LIMIT:
         return (
@@ -555,19 +552,16 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
         # is again an L-algebra; the unit laws and the exchange identity
         # are equations and survive any quotient, antisymmetry need not
         reps: list[int] = []
-        masks: list[int] = []
         for x, c in enumerate(class_of):
             if c == len(reps):
                 reps.append(x)
-                masks.append(0)
-            masks[c] |= 1 << x
         ubar = class_of[a.unit]
         if not any(
             class_of[t[x][y]] == ubar and class_of[t[y][x]] == ubar
             for i, x in enumerate(reps)
             for y in reps[i + 1 :]
         ):
-            compatible.add(_partition_key(masks))
+            compatible.add(class_of)
 
     if compatible != set(from_ideals):
         return (
@@ -588,7 +582,7 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
     instances = 0
     for k, mask in enumerate(lat.masks):
         q = lat.quotient_by(k)
-        quot, proj = q.algebra, q.projection
+        quot, proj = q.algebra, q.congruence.class_of
         violations = axiom_violations(quot.table, quot.unit)
         if violations:
             return (

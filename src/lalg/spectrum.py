@@ -421,7 +421,7 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
 
     # closed part: Spec X/I against the complement A_I
     quot = lat.quotient_by(i_index)
-    proj = quot.projection
+    proj = quot.congruence.class_of
     q_lat = quot.lattice
     q_spec = prime_ideals(q_lat)
     complement = {p for j, p in enumerate(spec.points) if not (u_open >> j) & 1}

@@ -107,7 +107,7 @@ def test_criterion_03_prime_iff_quotient_irreducible(corpus, lattices):
         lat = lattices[alg.name]
         spec = prime_ideals(lat)  # the points of the Birkhoff dual
         for p in lat.proper_indices():
-            quot, _ = quotient(alg, lat.masks[p])
+            quot = quotient(alg, lat.masks[p]).algebra
             si = subdirectly_irreducible(enumerate_ideals(quot))
             if (p in spec.points) != si:
                 mismatches += 1

@@ -175,6 +175,77 @@ def test_laws_enumerate_above_cap_exits_two(capsys):
     assert "falsification" not in err
 
 
+def test_laws_report_an_enumerated_table_that_breaks_the_axioms(monkeypatch, capsys):
+    # enumerate_all does not validate; a faulty table from the search comes
+    # back as a failing validate.axioms row with a replayable witness, and
+    # the other rows still run
+    import lalg.constructions as constructions
+
+    real = constructions._search_tables
+
+    def planted(n, relabelings):
+        if n == 2:
+            yield (0, 1, 0, 1)  # 1*1 = 1, not the unit 0
+        else:
+            yield from real(n, relabelings)
+
+    monkeypatch.setattr(constructions, "_search_tables", planted)
+    assert main(["laws", "--enumerate", "2", "--json", "--no-timing"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    row = next(r for r in reports if r["law"] == "validate.axioms" and r["corpus"] == "enum2-00000")
+    assert row["verdict"] == "fail"
+    assert row["witness"]["violations"] == ["[unit] x*x != 1 at x=1"]
+    assert row["witness"]["algebra_document"]["table"] == [["1", "a"], ["1", "a"]]
+    assert {r["corpus"] for r in reports} == {"enum1-00000", "enum2-00000"}
+
+
+def _antichain_text(k):
+    atoms = [f"a{i}" for i in range(k)]
+    rows = [f"row 1: 1 {' '.join(atoms)}"]
+    rows += [f"row {x}: 1 {' '.join('1' if y == x else y for y in atoms)}" for x in atoms]
+    return f"elements: 1 {' '.join(atoms)}\nunit: 1\n" + "\n".join(rows) + "\n"
+
+
+def test_validate_above_the_carrier_cap_exits_two(tmp_path, capsys):
+    # an input limit is a usage error, not a malformed table
+    f = tmp_path / "anti64.lalg"
+    f.write_text(_antichain_text(64))
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: carrier size 65 exceeds the cap of 64\n"
+
+
+def test_construct_product_above_the_carrier_cap_exits_two(tmp_path, capsys):
+    f = tmp_path / "anti8.lalg"
+    f.write_text(_antichain_text(8))
+    out_file = tmp_path / "prod.lalg"
+    assert main(["construct", "product", str(f), str(f), "-o", str(out_file)]) == 2
+    assert capsys.readouterr().err == "error: carrier size 81 exceeds the cap of 64\n"
+    assert not out_file.exists()
+
+
+def test_construct_refuses_a_broken_product(monkeypatch, diamond_file, tmp_path, capsys):
+    # product() builds without validating; save_algebra validates before it
+    # writes, so a faulty builder table is refused and nothing is written
+    from dataclasses import replace
+
+    import lalg.constructions as constructions
+
+    real = constructions.product
+
+    def broken(x, y):
+        prod = real(x, y)
+        table = [list(row) for row in prod.table]
+        table[1][1] = 1  # x*x = x, not 1
+        return replace(prod, table=tuple(map(tuple, table)))
+
+    monkeypatch.setattr(constructions, "product", broken)
+    out_file = tmp_path / "prod.lalg"
+    assert main(["construct", "product", diamond_file, diamond_file, "-o", str(out_file)]) == 1
+    assert "not an L-algebra" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_laws_fail_exit_code(tmp_path, capsys):
     # a square non-L table: validation fails inside the law run
     f = tmp_path / "broken.lalg"
@@ -233,7 +304,7 @@ def test_quotient_by_ideal(diamond_file, tmp_path, capsys):
 
 
 def test_quotient_validates_the_algebra_it_writes(monkeypatch, diamond_file, tmp_path, capsys):
-    # quotient() does not validate; the command does, so a broken quotient
+    # quotient() does not validate; save_algebra does, so a broken quotient
     # table is refused and nothing is written
     from dataclasses import replace
 
@@ -241,11 +312,11 @@ def test_quotient_validates_the_algebra_it_writes(monkeypatch, diamond_file, tmp
 
     real = cli.quotient
 
-    def broken(alg, ideal):
-        quot, proj = real(alg, ideal)
-        table = [list(row) for row in quot.table]
+    def broken(alg, ideal, memo=None):
+        q = real(alg, ideal, memo)
+        table = [list(row) for row in q.algebra.table]
         table[1][1] = 1  # p*p = p, not 1
-        return replace(quot, table=tuple(map(tuple, table))), proj
+        return replace(q, algebra=replace(q.algebra, table=tuple(map(tuple, table))))
 
     monkeypatch.setattr(cli, "quotient", broken)
     out_file = tmp_path / "quot.lalg"

@@ -16,6 +16,7 @@ from lalg.errors import (
     AxiomViolation,
     MalformedTable,
     NonUniqueProduct,
+    SizeTooLarge,
 )
 from lalg.laws import run_law
 
@@ -112,9 +113,10 @@ def test_bool_entries_are_malformed():
 
 
 def test_carrier_cap():
+    # an input limit, not a malformed table
     n = 65
     table = [[0] * n for _ in range(n)]
-    with pytest.raises(MalformedTable):
+    with pytest.raises(SizeTooLarge):
         validate(table, 0)
 
 

@@ -230,7 +230,7 @@ def test_a_memo_hit_equals_a_cold_build(monkeypatch, corpus_to_five):
     for alg in corpus:
         for mask in enumerate_ideals(alg).masks:
             algs.append(subalgebra(alg, mask)[0])
-            algs.append(quotient(alg, mask)[0])
+            algs.append(quotient(alg, mask).algebra)
     for alg in algs:
         cold = enumerate_ideals(alg)
         memo = {}
@@ -504,22 +504,22 @@ def test_congruence_failure_on_magma(magma):
 def test_quotient_by_bottom_is_identity(algebras):
     for alg in algebras.values():
         lat = enumerate_ideals(alg)
-        quot, proj = quotient(alg, lat.masks[lat.bottom])
-        assert quot.table == alg.table
-        assert proj == tuple(range(alg.n))
+        q = quotient(alg, lat.masks[lat.bottom])
+        assert q.algebra.table == alg.table
+        assert q.congruence.class_of == tuple(range(alg.n))
 
 
 def test_quotient_by_top_is_singleton(diamond):
     lat = enumerate_ideals(diamond)
-    quot, proj = quotient(diamond, lat.masks[lat.top])
-    assert quot.n == 1
-    assert set(proj) == {0}
+    q = quotient(diamond, lat.masks[lat.top])
+    assert q.algebra.n == 1
+    assert set(q.congruence.class_of) == {0}
 
 
 def test_quotient_chain3_by_1a_is_b2(chain3, b2):
     lat = enumerate_ideals(chain3)
     i_1a = next(m for m in lat.masks if _labels(chain3, m) == {"1", "a"})
-    quot, proj = quotient(chain3, i_1a)
+    quot = quotient(chain3, i_1a).algebra
     assert quot.n == 2
     # same shape as the two-element Boolean algebra: relabel through the unit
     u = quot.unit
@@ -532,7 +532,7 @@ def test_quotient_chain3_by_1a_is_b2(chain3, b2):
 def test_quotient_name_is_deterministic(chain3):
     lat = enumerate_ideals(chain3)
     i_1a = next(m for m in lat.masks if _labels(chain3, m) == {"1", "a"})
-    quot, _ = quotient(chain3, i_1a)
+    quot = quotient(chain3, i_1a).algebra
     assert quot.name == "chain3/{1,a}"
 
 

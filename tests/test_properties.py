@@ -109,7 +109,9 @@ def posets(draw):
 @given(spec=posets())
 @settings(max_examples=80, deadline=None)
 def test_poset_algebra_ideals_are_upper_sets(upper_set_masks, spec):
+    # poset_algebra builds without validating; the table must still pass
     alg = poset_algebra(spec)
+    validate(alg.table, alg.unit, alg.labels, alg.name)
     assert set(enumerate_ideals(alg).masks) == upper_set_masks(spec)
 
 
