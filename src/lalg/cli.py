@@ -94,10 +94,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``lalg ideals --json`` prints three m x m tables (228 MB at m = 4,096),
+#: so above this many ideals it is a usage error.
+IDEALS_JSON_CAP = 2048
+
+
 def _cmd_ideals(args: argparse.Namespace) -> int:
     alg = load_algebra(args.file)
     lat = enumerate_ideals(alg)
     masks = lat.masks
+    if args.json and len(lat) > IDEALS_JSON_CAP:
+        raise _Usage(f"{len(lat)} ideals exceed the --json cap of {IDEALS_JSON_CAP}")
     if args.json:
         import json
 

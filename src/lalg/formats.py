@@ -199,35 +199,84 @@ def parse_algebra_json(text: str) -> AlgebraDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, exc.msg) from None
-    return document_from_json_object(data)
+    return document_from_json_object(data, text)
 
 
-def document_from_json_object(data: object) -> AlgebraDocument:
-    """Check a decoded JSON value as a document (the inverse of ``to_json_object``)."""
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _json_positions(text: str) -> dict:
+    """(line, col) of each key of the top-level object in ``text``, of each
+    row of its ``table`` (keyed ("table", r)) and of its closing brace ("}").
+
+    The text has already been decoded, so it is well formed; each value is
+    skipped with ``raw_decode``.
+    """
+    decoder = json.JSONDecoder()
+    out: dict = {}
+
+    def skip(i: int, sep: str = "") -> int:  # past blanks, then past ``sep`` if it is next
+        i = _JSON_SPACE.match(text, i).end()
+        return _JSON_SPACE.match(text, i + 1).end() if sep and text[i] == sep else i
+
+    def mark(key: object, i: int) -> None:
+        out[key] = (text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
+
+    i = skip(skip(0), "{")
+    while text[i] != "}":
+        key, i_value = decoder.raw_decode(text, i)
+        mark(key, i)
+        i = skip(i_value, ":")
+        if key == "table" and text[i] == "[":
+            i, r = skip(i, "["), 0
+            while text[i] != "]":
+                mark(("table", r), i)
+                i, r = skip(decoder.raw_decode(text, i)[1], ","), r + 1
+            i += 1
+        else:
+            i = decoder.raw_decode(text, i)[1]
+        i = skip(i, ",")
+    mark("}", i)
+    return out
+
+
+def document_from_json_object(data: object, text: str | None = None) -> AlgebraDocument:
+    """Check a decoded JSON value as a document (the inverse of ``to_json_object``).
+
+    With the ``text`` it was decoded from, an error is placed at the
+    offending key or row (:func:`_json_positions`; a missing key at the
+    closing brace); without it, as for a witness's embedded document, at
+    line 1, col 1.
+    """
+
+    def error(where: object, message: str) -> ParseError:
+        positions = _json_positions(text) if text is not None and isinstance(data, dict) else {}
+        return ParseError(*positions.get(where, (1, 1)), message)
+
     if not isinstance(data, dict):
-        raise ParseError(1, 1, "top level must be an object")
+        raise error(None, "top level must be an object")
     for key in ("elements", "unit", "table"):
         if key not in data:
-            raise ParseError(1, 1, f"missing key {key!r}")
+            raise error("}", f"missing key {key!r}")
     elements = data["elements"]
     table = data["table"]
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-        raise ParseError(1, 1, "elements must be a list of strings")
+        raise error("elements", "elements must be a list of strings")
     if len(set(elements)) != len(elements):
-        raise ParseError(1, 1, "duplicate element label")
+        raise error("elements", "duplicate element label")
     if not isinstance(table, list) or len(table) != len(elements):
-        raise ParseError(1, 1, "table not square: one row per element required")
-    for row in table:
+        raise error("table", "table not square: one row per element required")
+    for r, row in enumerate(table):
         if not isinstance(row, list) or len(row) != len(elements):
-            raise ParseError(1, 1, "table not square")
+            raise error(("table", r), "table not square")
         for v in row:
             if v not in elements:
-                raise ParseError(1, 1, f"unknown element label {v!r}")
+                raise error(("table", r), f"unknown element label {v!r}")
     if data["unit"] not in elements:
-        raise ParseError(1, 1, f"unit {data['unit']!r} is not an element")
+        raise error("unit", f"unit {data['unit']!r} is not an element")
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
-        raise ParseError(1, 1, "metadata must be an object")
+        raise error("metadata", "metadata must be an object")
     name = data.get("name")
     return AlgebraDocument(
         name=None if name is None else str(name),

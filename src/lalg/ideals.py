@@ -161,13 +161,26 @@ def _ideal_masks(
     return out
 
 
-#: What :func:`enumerate_ideals` builds for one operation table, keyed by
-#: ``(alg.unit, alg.table)``: the (mask, S_I) pairs of :func:`_ideal_masks`,
-#: the principal masks and the join-irreducibles.  None of it carries a label.
-TableMemo = dict[
-    tuple[int, tuple[tuple[int, ...], ...]],
-    tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]],
-]
+@dataclass
+class TableEntry:
+    """What one law run keeps for one operation table (see :data:`TableMemo`).
+
+    :func:`enumerate_ideals` fills in the (mask, S_I) pairs of
+    :func:`_ideal_masks`, the principal masks and the join-irreducibles;
+    ``primes``, the prime masks by ascending lattice index, is filled in by
+    :func:`lalg.spectrum.relative_spectrum` when it first reads a
+    sub-algebra with this table.  None of it carries a label.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    principal: tuple[int, ...]
+    join_irreducibles: tuple[int, ...]
+    primes: tuple[int, ...] | None = None
+
+
+#: One law run's :class:`TableEntry` per operation table, keyed by
+#: ``(alg.unit, alg.table)``.
+TableMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], TableEntry]
 
 
 class IdealLattice:
@@ -261,38 +274,43 @@ class IdealLattice:
             )
         return k
 
-    def _residuation_mask(self, imask: int, jmask: int) -> int:
-        """Element-wise I*J = {x | <x> n I <= J}."""
-        outside = imask & ~jmask
-        out = 0
+    @cached_property
+    def _up(self) -> list[int]:
+        """up[e] = {x | e in <x>}, for every element e."""
+        up = [0] * self.algebra.n
         for x, p in enumerate(self.principal):
-            if self.masks[p] & outside == 0:
-                out |= 1 << x
+            for e in bits(self.masks[p]):
+                up[e] |= 1 << x
+        return up
+
+    def _residuation_mask(self, imask: int, jmask: int) -> int:
+        """I*J = {x | <x> n I <= J}: the carrier minus up[e] for each e in I \\ J."""
+        out = self.algebra.full_mask
+        up = self._up
+        for e in bits(imask & ~jmask):
+            out &= ~up[e]
         return out
 
     @cached_property
     def residuation_table(self) -> tuple[tuple[int, ...], ...]:
-        # I*J depends on I \ J only: one scan per distinct difference
+        # I*J depends on I \ J only: one residual and look-up per distinct difference
         by_outside: dict[int, int] = {}
         table = []
         for imask in self.masks:
             row = []
             for jmask in self.masks:
                 outside = imask & ~jmask
-                r = by_outside.get(outside)
-                if r is None:
-                    r = by_outside[outside] = self._residuation_mask(imask, jmask)
-                k = self._index.get(r)
+                k = by_outside.get(outside)
                 if k is None:
-                    raise ResiduationNotGreatest(
-                        f"{self.algebra.name}: element-wise residuation is not an ideal",
-                        witness={
-                            "algebra": self.algebra.name,
-                            "I": labels_of(self.algebra, imask),
-                            "J": labels_of(self.algebra, jmask),
-                            "elementwise": labels_of(self.algebra, r),
-                        },
-                    )
+                    r = self._residuation_mask(imask, jmask)
+                    k = by_outside[outside] = self._index.get(r)
+                    if k is None:
+                        a = self.algebra
+                        witness = {"algebra": a.name, "I": labels_of(a, imask), "J": labels_of(a, jmask)}
+                        raise ResiduationNotGreatest(
+                            f"{a.name}: element-wise residuation is not an ideal",
+                            witness={**witness, "elementwise": labels_of(a, r)},
+                        )
                 row.append(k)
             table.append(tuple(row))
         return tuple(table)
@@ -363,57 +381,72 @@ def enumerate_ideals(alg: FiniteLAlgebra, memo: TableMemo | None = None) -> Idea
     if built is None:
         principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
         joinirr = _join_irreducibles(alg, principal)
-        built = (tuple(_ideal_masks(alg, principal, joinirr)), principal, joinirr)
+        built = TableEntry(tuple(_ideal_masks(alg, principal, joinirr)), principal, joinirr)
         if memo is not None:
             memo[key] = built
-    return IdealLattice(alg, *built, memo=memo)
+    return IdealLattice(alg, built.pairs, built.principal, built.join_irreducibles, memo=memo)
 
 
-def witness_joins(lattice: IdealLattice, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """Yield the witness join of each (i, j) pair of lattice indices, certified.
+def witness_joins(lattice: IdealLattice) -> Iterator[tuple[int, int, int]]:
+    """Yield (i, j, w) for every pair i <= j of lattice indices, w the
+    certified witness join, column by column (j, then i, ascending).
 
-    y is in the witness join w of I and J when some x in I has x*y and y*x
-    in J, so w is the union of one precomputed mask per member of I.  By
-    detachment w lies inside every ideal that holds I u J; so w is the
-    closure of I u J exactly when it holds I u J and is an ideal.  Each pair
-    checks that and that w is the lattice's join (:meth:`IdealLattice.join`,
-    read off the down-sets), with ``is_ideal`` run once per join; a miss
-    computes the closure and raises :class:`JoinWitnessMismatch` with all
-    three.
+    y is in the witness join W(I, J) when some x in I has x*y and y*x in J,
+    so W is the union of the J-classes of the members of I.  Each column J
+    is walked upward along one lower neighbour per ideal: I', the ideal
+    whose down-set is S_I without its highest join-irreducible, has a lower
+    index, and when it lies inside I, W(I, J) = W(I', J) u the classes of
+    the members of I \\ I', a set identity; without such an I', W is the
+    union over all of I.  By detachment W lies inside every ideal that
+    holds I u J, so W is the closure of I u J exactly when it holds I u J
+    and is an ideal.  Each pair checks that and that W is the lattice's
+    join (:meth:`IdealLattice.join`, read off the down-sets), with
+    ``is_ideal`` run once per join; a miss computes the closure and raises
+    :class:`JoinWitnessMismatch` with all three.
     """
     alg = lattice.algebra
     t = alg.table
-    masks = lattice.masks
-    by_right: dict[int, list[int]] = {}
+    masks, downsets, by_downset = lattice.masks, lattice.downsets, lattice.by_downset
+    lower = []  # (index of I' or -1, the members of I that W(I', J) lacks)
+    for i, (imask, down) in enumerate(zip(masks, downsets)):
+        k = by_downset.get(down & ~(1 << down.bit_length() >> 1), i)
+        if k < i and masks[k] & ~imask == 0:
+            lower.append((k, tuple(bits(imask & ~masks[k]))))
+        else:
+            lower.append((-1, tuple(bits(imask))))
     entry_is_ideal: dict[int, bool] = {}
-    for i, j in pairs:
-        imask, jmask = masks[i], masks[j]
-        if j not in by_right:
-            by_right[j] = [
-                mask_of(y for y, xy in enumerate(row) if (jmask >> xy) & 1 and (jmask >> t[y][x]) & 1)
-                for x, row in enumerate(t)
-            ]
-        wit = by_right[j]
-        w = 0
-        for x in bits(imask):
-            w |= wit[x]
-        k = lattice.join(i, j)
-        if k not in entry_is_ideal:
-            entry_is_ideal[k] = is_ideal(alg, masks[k])
-        union = imask | jmask
-        if not (w == masks[k] and union & ~w == 0 and entry_is_ideal[k]):
-            raise JoinWitnessMismatch(
-                f"{alg.name}: witness join, closure join and lattice join disagree",
-                witness={
-                    "algebra": alg.name,
-                    "left": labels_of(alg, imask),
-                    "right": labels_of(alg, jmask),
-                    "closure_join": labels_of(alg, close_under_rules(alg, union)),
-                    "witness_join": labels_of(alg, w),
-                    "lattice_join": labels_of(alg, masks[k]),
-                },
-            )
-        yield w
+    for j, jmask in enumerate(masks):
+        wit = [
+            mask_of(y for y, xy in enumerate(row) if (jmask >> xy) & 1 and (jmask >> t[y][x]) & 1)
+            for x, row in enumerate(t)
+        ]
+        dj = downsets[j]
+        column: list[int] = []
+        for i in range(j + 1):
+            k, rest = lower[i]
+            w = column[k] if k >= 0 else 0
+            for x in rest:
+                w |= wit[x]
+            column.append(w)
+            k = by_downset.get(downsets[i] | dj)
+            if k is None:
+                k = lattice.join(i, j)  # raises
+            if k not in entry_is_ideal:
+                entry_is_ideal[k] = is_ideal(alg, masks[k])
+            union = masks[i] | jmask
+            if not (w == masks[k] and union & ~w == 0 and entry_is_ideal[k]):
+                raise JoinWitnessMismatch(
+                    f"{alg.name}: witness join, closure join and lattice join disagree",
+                    witness={
+                        "algebra": alg.name,
+                        "left": labels_of(alg, masks[i]),
+                        "right": labels_of(alg, jmask),
+                        "closure_join": labels_of(alg, close_under_rules(alg, union)),
+                        "witness_join": labels_of(alg, w),
+                        "lattice_join": labels_of(alg, masks[k]),
+                    },
+                )
+            yield i, j, w
 
 
 @dataclass(frozen=True)

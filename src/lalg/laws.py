@@ -19,29 +19,12 @@ from .core import FiniteLAlgebra, axiom_violations, partial_product, structure_f
 from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError
 from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
-    Congruence,
-    IdealLattice,
-    TableMemo,
-    bits,
-    braced,
-    certify_distributive,
-    close_under_rules,
-    enumerate_ideals,
-    labels_of,
-    mask_of,
-    witness_joins,
+    Congruence, IdealLattice, TableMemo, bits, braced, certify_distributive, close_under_rules,
+    enumerate_ideals, labels_of, mask_of, witness_joins,
 )
 from .spectrum import (
-    SpectrumTopology,
-    attach_prime_ideal,
-    check_frame_map,
-    compact_basis_failure,
-    prime_elements,
-    prime_ideals,
-    prime_quotient_oracle,
-    quasi_prime_elements,
-    relative_spectrum,
-    spatiality_check,
+    SpectrumTopology, attach_prime_ideal, check_frame_map, compact_basis_failure, prime_elements,
+    prime_ideals, prime_quotient_oracle, quasi_prime_elements, relative_spectrum, spatiality_check,
     topology_report,
 )
 
@@ -58,8 +41,14 @@ class Context:
     quasi-prime elements reads the one copy built here.  The table is built
     by the first law that reads it (``residuation.adjunction``,
     ``ideal-lattice.is-l-algebra``, ``relative-spectrum.bijection``); the
-    other laws never build it.  Each law decides its own verdict from these
-    facts.
+    other laws never build it.  The per-algebra facts are decided once too:
+    ``distributive`` is the :func:`certify_distributive` outcome (its
+    instance count, or the :class:`DistributivityFailure` it raised), read
+    by ``ideal-lattice.distributive``, ``residuation.adjunction`` and
+    ``spectrum.frame-bijection``; :meth:`primality` is the
+    :func:`_principal_primality` verdict of one ideal, decided on first
+    read, for ``prime.definitions-agree``, ``ideal-lattice.is-l-algebra``
+    and the frame law.  Each law decides its own verdict from these facts.
     ``memo`` is the :data:`~lalg.ideals.TableMemo` of
     the run: the lattices of X, of its quotients and sub-algebras and of its
     factors are built through it, so each operation table's ideals are
@@ -71,10 +60,33 @@ class Context:
         self.algebra = fixture.algebra
         self.factors = fixture.factors
         self.memo = memo
+        self._primality: dict[int, dict[str, bool]] = {}
 
     @cached_property
     def lattice(self):
         return enumerate_ideals(self.algebra, self.memo)
+
+    @cached_property
+    def distributive(self) -> int | DistributivityFailure:
+        lat = self.lattice
+        a = self.algebra
+        try:
+            return certify_distributive(
+                lat.masks,
+                lat.join_irreducibles,
+                lat.downsets,
+                lambda seed: close_under_rules(a, seed),
+                a.name,
+                lambda mask: labels_of(a, mask),
+            )
+        except DistributivityFailure as exc:
+            return exc
+
+    def primality(self, p: int) -> dict[str, bool]:
+        verdict = self._primality.get(p)
+        if verdict is None:
+            verdict = self._primality[p] = _principal_primality(self.lattice, p)
+        return verdict
 
     @cached_property
     def adjunction(self) -> CheckResult:
@@ -149,19 +161,12 @@ def _check_order(ctx: Context) -> CheckResult:
         for y in bits(above[x] & ~(1 << x)):
             instances += 1
             if (above[y] >> x) & 1:
-                return (
-                    instances,
-                    {"pair": [a.label(x), a.label(y)], "problem": "not antisymmetric"},
-                    None,
-                )
+                return instances, {"pair": [a.label(x), a.label(y)], "problem": "not antisymmetric"}, None
             beyond = above[y] & ~above[x]
             if beyond:
                 z = next(bits(beyond))
-                return (
-                    instances,
-                    {"triple": [a.label(x), a.label(y), a.label(z)], "problem": "not transitive"},
-                    None,
-                )
+                triple = [a.label(x), a.label(y), a.label(z)]
+                return instances, {"triple": triple, "problem": "not transitive"}, None
     return instances, None, None
 
 
@@ -184,16 +189,8 @@ def _check_product_adjunction(ctx: Context) -> CheckResult:
             for c in range(a.n):
                 instances += 1
                 if a.leq(z, c) != a.leq(x, a.table[y][c]):
-                    return (
-                        instances,
-                        {
-                            "x": a.label(x),
-                            "y": a.label(y),
-                            "product": a.label(z),
-                            "c": a.label(c),
-                        },
-                        None,
-                    )
+                    labels = [a.label(v) for v in (x, y, z, c)]
+                    return instances, dict(zip(("x", "y", "product", "c"), labels)), None
     return instances, None, None
 
 
@@ -214,17 +211,9 @@ def _check_meet_glb(ctx: Context) -> CheckResult:
             m = meets[x][y]
             g = _brute_glb(ctx, x, y)
             if m is not None and m != g:
-                return (
-                    a.n * a.n,
-                    {"pair": [a.label(x), a.label(y)], "meet": a.label(m)},
-                    None,
-                )
+                return a.n * a.n, {"pair": [a.label(x), a.label(y)], "meet": a.label(m)}, None
             if ctx.flags.meet_closed and m is None:
-                return (
-                    a.n * a.n,
-                    {"pair": [a.label(x), a.label(y)], "problem": "undefined meet"},
-                    None,
-                )
+                return a.n * a.n, {"pair": [a.label(x), a.label(y)], "problem": "undefined meet"}, None
     return a.n * a.n, None, None
 
 
@@ -239,22 +228,13 @@ def _check_meet_distributes(ctx: Context) -> CheckResult:
         for y in range(a.n):
             for z in range(a.n):
                 instances += 1
-                lhs = t[meets[x][y]][z]
-                rhs = t[t[x][y]][t[x][z]]
-                if lhs != rhs:
-                    return (
-                        instances,
-                        {"triple": [a.label(x), a.label(y), a.label(z)], "law": "meet-out"},
-                        None,
-                    )
-                lhs2 = t[x][meets[y][z]]
-                rhs2 = meets[t[x][y]][t[x][z]]
-                if lhs2 != rhs2:
-                    return (
-                        instances,
-                        {"triple": [a.label(x), a.label(y), a.label(z)], "law": "meet-in"},
-                        None,
-                    )
+                if t[meets[x][y]][z] != t[t[x][y]][t[x][z]]:
+                    law = "meet-out"
+                elif t[x][meets[y][z]] != meets[t[x][y]][t[x][z]]:
+                    law = "meet-in"
+                else:
+                    continue
+                return instances, {"triple": [a.label(x), a.label(y), a.label(z)], "law": law}, None
     return instances, None, None
 
 
@@ -265,28 +245,15 @@ def _check_selfsimilar(ctx: Context) -> CheckResult:
     return 1, None, None
 
 
-def _certify_distributive(ctx: Context) -> int:
-    lat = ctx.lattice
-    a = ctx.algebra
-    return certify_distributive(
-        lat.masks,
-        lat.join_irreducibles,
-        lat.downsets,
-        lambda seed: close_under_rules(a, seed),
-        a.name,
-        lambda mask: labels_of(a, mask),
-    )
-
-
 def _check_distributivity(ctx: Context) -> CheckResult:
     # an embedding into the sets of join-irreducibles, see certify_distributive
-    return _certify_distributive(ctx), None, f"{len(ctx.lattice)} ideals"
+    if isinstance(ctx.distributive, DistributivityFailure):
+        raise ctx.distributive
+    return ctx.distributive, None, f"{len(ctx.lattice)} ideals"
 
 
 def _check_join_witness(ctx: Context) -> CheckResult:
-    m = len(ctx.lattice)
-    pairs = ((i, j) for i in range(m) for j in range(i, m))
-    return sum(1 for _ in witness_joins(ctx.lattice, pairs)), None, None
+    return sum(1 for _ in witness_joins(ctx.lattice)), None, None
 
 
 def _check_residuation(ctx: Context) -> CheckResult:
@@ -303,10 +270,9 @@ def _residuation_adjunction(ctx: Context) -> CheckResult:
     lat = ctx.lattice
     m = len(lat)
     masks = lat.masks
-    try:
-        _certify_distributive(ctx)
+    if isinstance(ctx.distributive, int):
         lefts = [lat.bottom] + [lat.index(j) for j in lat.join_irreducibles]
-    except DistributivityFailure:
+    else:
         lefts = range(m)
     instances = 0
     for i in lefts:
@@ -322,15 +288,8 @@ def _residuation_adjunction(ctx: Context) -> CheckResult:
             rhs = list(map(contains.__getitem__, lat.residuation_table[j]))
             if lhs != rhs:
                 k = next(k for k in range(m) if lhs[k] != rhs[k])
-                return (
-                    instances + k + 1,
-                    {
-                        "I": labels_of(ctx.algebra, imask),
-                        "J": labels_of(ctx.algebra, masks[j]),
-                        "K": labels_of(ctx.algebra, masks[k]),
-                    },
-                    None,
-                )
+                named = {key: labels_of(ctx.algebra, masks[v]) for key, v in zip("IJK", (i, j, k))}
+                return instances + k + 1, named, None
             instances += m
     return instances, None, None
 
@@ -357,7 +316,7 @@ def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
     table = lat.residuation_table
     columns = None
     if ctx.adjunction[1] is None:
-        columns = [top, *(p for p in range(m) if _principal_primality(lat, p)["meet_form"])]
+        columns = [top, *(p for p in range(m) if ctx.primality(p)["meet_form"])]
     if axiom_violations(table, top, columns):
         raise AxiomViolation(axiom_violations(table, top))
     for i, (row, imask) in enumerate(zip(table, masks)):
@@ -365,15 +324,8 @@ def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
         inside = [imask & ~jmask == 0 for jmask in masks]
         if tops != inside:
             j = next(j for j in range(m) if tops[j] != inside[j])
-            return (
-                m * m,
-                {
-                    "I": labels_of(ctx.algebra, imask),
-                    "J": labels_of(ctx.algebra, masks[j]),
-                    "problem": "residuation order differs from inclusion",
-                },
-                None,
-            )
+            named = {key: labels_of(ctx.algebra, masks[v]) for key, v in zip("IJ", (i, j))}
+            return m * m, {**named, "problem": "residuation order differs from inclusion"}, None
     return m * m, None, None
 
 
@@ -390,11 +342,7 @@ def _check_ideal_shape(ctx: Context) -> CheckResult:
             row = a.table[x]
             for y in bits(mask):
                 if not (mask >> row[y]) & 1:
-                    return (
-                        instances,
-                        {"ideal": labels_of(a, mask), "problem": "not operation-closed"},
-                        None,
-                    )
+                    return instances, {"ideal": labels_of(a, mask), "problem": "not operation-closed"}, None
     return instances, None, None
 
 
@@ -530,19 +478,12 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
         if problem is not None:
             return instances, {"ideal": labels_of(a, mask), **problem}, None
         if cong.unit_class() != mask:
-            return (
-                instances,
-                {"ideal": labels_of(a, mask), "problem": "unit class is not the ideal"},
-                None,
-            )
+            return instances, {"ideal": labels_of(a, mask), "problem": "unit class is not the ideal"}, None
         from_ideals[cong.class_of] = mask
 
     if a.n > _PARTITION_SWEEP_LIMIT:
-        return (
-            instances,
-            None,
-            f"round trip on {len(from_ideals)} ideals; partition sweep skipped at n={a.n}",
-        )
+        skipped = f"round trip on {len(from_ideals)} ideals; partition sweep skipped at n={a.n}"
+        return instances, None, skipped
 
     decided, leaves = _compatible_partitions(t)
     instances += decided
@@ -564,15 +505,8 @@ def _check_congruence_bijection(ctx: Context) -> CheckResult:
             compatible.add(class_of)
 
     if compatible != set(from_ideals):
-        return (
-            instances,
-            {
-                "congruences": len(compatible),
-                "ideals": len(from_ideals),
-                "problem": "congruence/ideal families differ",
-            },
-            None,
-        )
+        counts = {"congruences": len(compatible), "ideals": len(from_ideals)}
+        return instances, {**counts, "problem": "congruence/ideal families differ"}, None
     return instances, None, f"{len(from_ideals)} congruences"
 
 
@@ -585,20 +519,12 @@ def _check_quotient_morphism(ctx: Context) -> CheckResult:
         quot, proj = q.algebra, q.congruence.class_of
         violations = axiom_violations(quot.table, quot.unit)
         if violations:
-            return (
-                instances,
-                {"ideal": labels_of(a, mask), "violations": [str(v) for v in violations]},
-                None,
-            )
+            return instances, {"ideal": labels_of(a, mask), "violations": [str(v) for v in violations]}, None
         for x in range(a.n):
             for y in range(a.n):
                 instances += 1
                 if proj[a.table[x][y]] != quot.table[proj[x]][proj[y]]:
-                    return (
-                        instances,
-                        {"ideal": labels_of(a, mask), "pair": [a.label(x), a.label(y)]},
-                        None,
-                    )
+                    return instances, {"ideal": labels_of(a, mask), "pair": [a.label(x), a.label(y)]}, None
         kernel = sum(1 << x for x in range(a.n) if proj[x] == proj[a.unit])
         if kernel != mask:
             return instances, {"ideal": labels_of(a, mask), "problem": "kernel mismatch"}, None
@@ -634,7 +560,7 @@ def _check_prime_definitions(ctx: Context) -> CheckResult:
     spec = ctx.topology
     points = set(spec.points)
     for p in range(len(lat)):
-        verdicts = {"dual_form": p in points, **_principal_primality(lat, p)}
+        verdicts = {"dual_form": p in points, **ctx.primality(p)}
         if len(set(verdicts.values())) > 1:
             return p + 1, {"ideal": labels_of(lat.algebra, lat.masks[p]), **verdicts}, None
     return len(lat), None, f"{spec.point_count} points"
@@ -674,19 +600,17 @@ def _check_compact_basis(ctx: Context) -> CheckResult:
         return i + 1, {"ideal": labels_of(ctx.algebra, ctx.lattice.masks[i]), "problem": problem}, None
     rep = ctx.topology_report
     biggest = max(rep.min_generators, default=0)
-    return (
-        len(ctx.lattice),
-        None,
+    detail = (
         f"every ideal finitely generated (largest minimal generating set: {biggest}); "
-        f"intersections of quasi-compact opens stay quasi-compact on finite instances",
+        f"intersections of quasi-compact opens stay quasi-compact on finite instances"
     )
+    return len(ctx.lattice), None, detail
 
 
 def _check_frame(ctx: Context) -> CheckResult:
-    instances, problem = check_frame_map(ctx.topology)
-    if problem:
-        return instances, {"problem": problem}, None
-    return instances, None, None
+    certified = isinstance(ctx.distributive, int)
+    instances, problem = check_frame_map(ctx.topology, lambda p: ctx.primality(p)["meet_form"], certified)
+    return instances, None if problem is None else {"problem": problem}, None
 
 
 def _check_spatial(ctx: Context) -> CheckResult:
@@ -709,15 +633,9 @@ def _check_attachment(ctx: Context) -> CheckResult:
     quasi-prime has exactly one (:func:`attach_prime_ideal` raises if not)."""
     a = ctx.algebra
     non_unique = sum(
-        len(attach_prime_ideal(ctx.topology, x, ctx.quasi_primes)) != 1
-        for x in range(a.n)
-        if x != a.unit
+        len(attach_prime_ideal(ctx.topology, x, ctx.quasi_primes)) != 1 for x in range(a.n) if x != a.unit
     )
-    return (
-        max(a.n - 1, 0),
-        None,
-        f"{non_unique} elements with several maximal avoiders" if non_unique else None,
-    )
+    return max(a.n - 1, 0), None, f"{non_unique} elements with several maximal avoiders" if non_unique else None
 
 
 def _check_relative_spectrum(ctx: Context) -> CheckResult:
@@ -766,9 +684,7 @@ def _check_point_map(ctx: Context) -> CheckResult:
                 return a.n, {"problem": "element map is not order-reversing"}, None
     injective = len(set(opens)) == a.n
     brouwerian = ctx.flags.brouwerian
-    detail = ", ".join(
-        ["injective" if injective else "not injective", "Brouwerian" if brouwerian else "not Brouwerian"]
-    )
+    detail = f"{'' if injective else 'not '}injective, {'' if brouwerian else 'not '}Brouwerian"
     bijective = injective and _principal_opens_cover(spec)
     if ctx.flags.meet_closed and bijective != brouwerian:
         return a.n, {"bijective": bijective, "brouwerian": brouwerian}, detail
@@ -798,11 +714,7 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
             for j in bits(iy):
                 rebuilt |= 1 << (i * y.n + j)
         if rebuilt != mask:
-            return (
-                instances,
-                {"ideal": labels_of(a, mask), "problem": "not a rectangle"},
-                None,
-            )
+            return instances, {"ideal": labels_of(a, mask), "problem": "not a rectangle"}, None
         pairs.add((ix, iy))
     if len(pairs) != len(lat_x) * len(lat_y):
         return instances, {"problem": "ideal lattice is not the product of the factors"}, None
@@ -810,15 +722,9 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
     spec = ctx.topology
     expected = set()
     for p in prime_ideals(lat_x).points:
-        pmask = lat_x.masks[p]
-        expected.add(
-            sum(1 << (i * y.n + j) for i in bits(pmask) for j in range(y.n))
-        )
+        expected.add(sum(1 << (i * y.n + j) for i in bits(lat_x.masks[p]) for j in range(y.n)))
     for q in prime_ideals(lat_y).points:
-        qmask = lat_y.masks[q]
-        expected.add(
-            sum(1 << (i * y.n + j) for i in range(x.n) for j in bits(qmask))
-        )
+        expected.add(sum(1 << (i * y.n + j) for i in range(x.n) for j in bits(lat_y.masks[q])))
     actual = {lat.masks[p] for p in spec.points}
     instances += len(expected)
     if actual != expected:

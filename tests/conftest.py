@@ -148,3 +148,66 @@ def meet_irreducibles():
     """Test-only O(m^2) scan for the meet-irreducible members of a family of
     masks, as (masks, full mask) -> indices."""
     return _meet_irreducibles
+
+
+def _frame_facts(lat):
+    """The two facts ``check_frame_map`` reads, built as a law run builds
+    them: the principal meet form of each point, and whether the
+    distributivity certificate holds."""
+    from lalg.errors import DistributivityFailure
+    from lalg.ideals import certify_distributive, close_under_rules
+    from lalg.laws import _principal_primality
+
+    alg = lat.algebra
+    join = lambda seed: close_under_rules(alg, seed)
+    try:
+        certify_distributive(lat.masks, lat.join_irreducibles, lat.downsets, join, alg.name, int)
+        certified = True
+    except DistributivityFailure:
+        certified = False
+    return (lambda p: _principal_primality(lat, p)["meet_form"]), certified
+
+
+@pytest.fixture(scope="session")
+def frame_facts():
+    """lat -> (meet_prime, certified), the arguments of ``check_frame_map``
+    after the spectrum."""
+    return _frame_facts
+
+
+def _witness_joins_all_pairs(lat):
+    """Test-only oracle: the witness join of every pair i <= j of lattice
+    indices, each built from scratch as the union over x in I of
+    {y | x*y and y*x in J}, as {(i, j): mask}."""
+    alg = lat.algebra
+    t = alg.table
+    out = {}
+    for i, imask in enumerate(lat.masks):
+        for j in range(i, len(lat)):
+            jmask = lat.masks[j]
+            w = 0
+            for x in range(alg.n):
+                if (imask >> x) & 1:
+                    for y in range(alg.n):
+                        if (jmask >> t[x][y]) & 1 and (jmask >> t[y][x]) & 1:
+                            w |= 1 << y
+            out[i, j] = w
+    return out
+
+
+def _residuation_scan(lat, imask, jmask):
+    """Test-only oracle: I*J = {x | <x> n I <= J}, one principal ideal per element."""
+    outside = imask & ~jmask
+    out = 0
+    for x, p in enumerate(lat.principal):
+        if lat.masks[p] & outside == 0:
+            out |= 1 << x
+    return out
+
+
+@pytest.fixture(scope="session")
+def lattice_oracles():
+    """Test-only routes next to the production ones: the all-pairs witness
+    join (lat -> {(i, j): mask}) and the element-by-element residual
+    (lat, imask, jmask -> mask)."""
+    return _witness_joins_all_pairs, _residuation_scan

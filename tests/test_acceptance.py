@@ -114,13 +114,13 @@ def test_criterion_03_prime_iff_quotient_irreducible(corpus, lattices):
     _report(3, "prime iff quotient subdirectly irreducible", mismatches == 0)
 
 
-def test_criterion_04_t0_sober_bijection(corpus, lattices):
+def test_criterion_04_t0_sober_bijection(corpus, lattices, frame_facts):
     ok = True
     for alg in corpus:
         lat = lattices[alg.name]
         spec = prime_ideals(lat)
         rep = topology_report(spec)
-        instances, problem = check_frame_map(spec)
+        instances, problem = check_frame_map(spec, *frame_facts(lat))
         ok = ok and rep.t0 and rep.sober
         ok = ok and problem is None
     _report(4, "spectra T0 and sober, ideals biject with opens", ok)

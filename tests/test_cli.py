@@ -86,6 +86,52 @@ def test_ideals_json(diamond_file, capsys):
     assert payload["residuation"][0][0] == 1  # bottom*bottom = top
 
 
+def test_ideals_json_above_the_cap_exits_two(monkeypatch, tmp_path, capsys):
+    # chain3 has 3 ideals: at a cap of 3 it prints, at a cap of 2 it is a
+    # usage error with one error line and nothing on stdout; the plain
+    # listing has no cap
+    import lalg.cli as cli
+
+    f = tmp_path / "chain3.lalg"
+    f.write_text(CHAIN3)
+    monkeypatch.setattr(cli, "IDEALS_JSON_CAP", 3)
+    assert main(["ideals", str(f), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["ideals"]) == 3
+    monkeypatch.setattr(cli, "IDEALS_JSON_CAP", 2)
+    assert main(["ideals", str(f), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 3 ideals exceed the --json cap of 2\n"
+    assert main(["ideals", str(f)]) == 0
+
+
+def test_ideals_json_cap_admits_anti11_and_refuses_anti12():
+    # anti k has 2^k ideals; the benchmark's query inputs have at most 128
+    import lalg.cli as cli
+
+    assert 2**11 <= cli.IDEALS_JSON_CAP < 2**12
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{\n  "name": "c",\n  "elements": ["1", "a"],\n  "unit": "1"\n}\n', "line 5, col 1: missing key 'table'"),
+        (
+            '{\n  "elements": ["1", "a"],\n  "unit": "1",\n  "table": [\n    ["1", "a"],\n    ["1", "b"]\n  ]\n}\n',
+            "line 6, col 5: unknown element label 'b'",
+        ),
+        ('{\n  "elements": ["1", "a"],\n  "table": [["1", "a"], ["1"]],\n  "unit": "1"\n}', "line 3, col 25: table not square"),
+        ('{\n  "elements": ["1", "a"],\n  "table": [["1", "a"], ["1", "1"]],\n  "unit": "z"\n}', "line 4, col 3: unit 'z' is not an element"),
+        ('{"table": [],\n "elements": ["1", "1"], "unit": "1"}', "line 2, col 2: duplicate element label"),
+    ],
+)
+def test_json_errors_point_at_the_key_or_row(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["validate", str(f)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_spectrum_topology(diamond_file, capsys):
     assert main(["spectrum", diamond_file, "--topology"]) == 0
     out = capsys.readouterr().out

@@ -45,13 +45,13 @@ GOLDEN = {
     "ideals --json omega3": (0, "cdf4824910a21fbed52bcb676a7d985a694f5d766c9fd1ddf619b0020181a384"),
     "ideals --json omega5": (0, "e58fc05f83323aa7c43016805945c6bb620ae5ec0d4157b946c33e92d99fc590"),
     "ideals --json unit": (0, "4297796bf2b8f66dde3e10ffadc88b024a688690db373522060d139d3842e7d7"),
-    "laws --json --no-timing": (0, "940ead012946684949fc0cb6947f0d51016b23c541662a8553b7d8f33fa4527b"),
-    "laws --json --no-timing --enumerate 4": (1, "85bf290e5832c475ed9a063ac456300f086e8f78f863e1c3e722a62acf5f7986"),
-    "laws --json --no-timing --enumerate 5 --iso": (1, "725abd7d5224ea20ec0b77344c5a759196e7bb8db387e2e3be3fb7954d115317"),
-    "laws --json --no-timing anti6": (0, "fdb3869fe7769c921682657b7b023ca721cab46d4953c0e83e50705eeced76b3"),
-    "laws --json --no-timing anti7": (0, "d8aa4fb1e0c86b7b3d5d034c646d244eb7733f8939f6bd9407de79a94c176aed"),
-    "laws --json --no-timing B2^4": (0, "f5574bbeaae8523c84d813098d37c4dac26cfb8211f556f77a0a854bfd5d2cd7"),
-    "laws --json --no-timing chain3^2": (0, "056431a2774be6945e06e5ef1f984b5fb1e3a915e941f4c4c7c59f9602eb28b3"),
+    "laws --json --no-timing": (0, "3579e3d3fe89b188399277390cf0bfc613e393de8506c86f81a2eba5f1d28a34"),
+    "laws --json --no-timing --enumerate 4": (1, "6a0b7675b91f85955f0d2988f4ec89680b168fcf5b426dc3d57f612cf4a74909"),
+    "laws --json --no-timing --enumerate 5 --iso": (1, "d0de525ed033542a8fc84ee4bc414012225b81762807fb0ffb5851999b4de768"),
+    "laws --json --no-timing anti6": (0, "f1004382dde623f4621c6d9668c3de04ba0eec9643738aba2ec59bcbb5fc2f7c"),
+    "laws --json --no-timing anti7": (0, "dacc33ba20ee3a5004df86ea4131164a350f6f7c556c4fc8a18000a6c4d9cfaf"),
+    "laws --json --no-timing B2^4": (0, "8cee29dfbfafaa48788cab33a188e748649ba312ef71c1a4327e8ed7915fc2ec"),
+    "laws --json --no-timing chain3^2": (0, "0e7163fd7083b2740e4a4871262155dd158f50f4236f0e3629fea75eb0f9f919"),
     "spectrum --topology B2": (0, "424c580c6ac90253746a9c2c4f5ac5fabf9e64aa254279449ae52fb77d7731d4"),
     "spectrum --topology B2xB2": (0, "742b282f197ad265767c0f038b660178fc4a312b5272576f25ae2596b61392c1"),
     "spectrum --topology chain3": (0, "0931d351c82a5f13db86d0f78aa6a147c38a9a07e8a68dbf3c52c602bc19373b"),

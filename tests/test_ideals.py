@@ -297,7 +297,7 @@ def test_join_examples(algebras):
     join = _closure_join(b2xb2, atoms[0], atoms[1])
     assert join == b2xb2.full_mask
     pair = (lat.index(atoms[0]), lat.index(atoms[1]))
-    assert next(witness_joins(lat, [pair])) == join
+    assert {(i, j): w for i, j, w in witness_joins(lat)}[pair] == join
 
 
 def test_join_witness_example_b2xb2(algebras):
@@ -421,11 +421,12 @@ def test_join_witness_mismatch_surfaces_on_magma():
         "magma", ("1", "a", "b"), 0, ((0, 1, 2), (0, 0, 1), (0, 2, 0))
     )
     # {1,a} is no ideal and shares the bottom's empty down-set, so the join
-    # of {1,a} and {1} is looked up as {1,a}; <a> = <b> = X, the only
-    # join-irreducible
+    # of {1} with itself, the first pair, is looked up as {1,a}; <a> = <b> =
+    # X, the only join-irreducible
     lat = IdealLattice(magma, [(0b001, 0), (0b011, 0), (0b111, 1)], (0b001, 0b111, 0b111), [0b111])
     with pytest.raises(JoinWitnessMismatch, match="lattice join") as caught:
-        next(witness_joins(lat, [(1, 0)]))
+        next(witness_joins(lat))
+    assert (caught.value.witness["left"], caught.value.witness["right"]) == (("1",), ("1",))
     assert caught.value.witness["lattice_join"] == ("1", "a")
     assert "table_join" not in caught.value.witness
 

@@ -529,9 +529,11 @@ def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
 
 
 def test_one_enumeration_per_table_in_a_law_run(monkeypatch, full_corpus):
-    # one run over the default corpus requests 194 ideal lattices, of X, of
+    # one run over the default corpus requests 145 ideal lattices, of X, of
     # its quotients and sub-algebras and of the factors, on 36 operation
-    # tables; the run's memo enumerates each table once
+    # tables; the run's memo enumerates each table once (the 80 sub-algebras
+    # of relative-spectrum.bijection request one lattice per table, 31, see
+    # test_one_sub_spectrum_per_table_in_a_law_run)
     from lalg import ideals, laws, spectrum
 
     requested, cold = [], []
@@ -549,8 +551,84 @@ def test_one_enumeration_per_table_in_a_law_run(monkeypatch, full_corpus):
         monkeypatch.setattr(module, "enumerate_ideals", counted_enumerate)
     monkeypatch.setattr(ideals, "_ideal_masks", counted_masks)
     assert all_pass(run_suite(full_corpus))
-    assert len(requested) == 194
+    assert len(requested) == 145
     assert len(cold) == len(set(cold)) == len(set(requested)) == 36
+
+
+def test_one_sub_spectrum_per_table_in_a_law_run(monkeypatch, full_corpus):
+    # relative-spectrum.bijection reads the lattice and spectrum of 80
+    # sub-algebras on 31 operation tables; the run's memo serves each table's
+    # pair from one build, and without a memo every call builds its own
+    from lalg import spectrum
+
+    subs, built = [], []
+    real_subalgebra, real_enumerate = spectrum.subalgebra, spectrum.enumerate_ideals
+
+    def counted_subalgebra(alg, mask):
+        subs.append(real_subalgebra(alg, mask)[0])
+        return real_subalgebra(alg, mask)
+
+    monkeypatch.setattr(spectrum, "subalgebra", counted_subalgebra)
+    monkeypatch.setattr(
+        spectrum, "enumerate_ideals", lambda alg, memo=None: built.append(alg) or real_enumerate(alg, memo)
+    )
+    assert all_pass(run_suite(full_corpus, ["relative-spectrum.bijection"]))
+    tables = [(sub.unit, sub.table) for sub in subs]
+    assert len(tables) == 80 and len(set(tables)) == 31
+    assert len(built) == 31 and {(sub.unit, sub.table) for sub in built} == set(tables)
+    built.clear()
+    lat = enumerate_ideals(next(f.algebra for f in full_corpus if f.name == "omega5"))
+    spec = spectrum.prime_ideals(lat)
+    for k in range(len(lat)):
+        spectrum.relative_spectrum(spec, k)
+    assert len(built) == len(lat) > 4
+
+
+def test_a_law_run_keeps_no_sub_algebra_lattice_alive(monkeypatch, full_corpus):
+    # the memo keeps the masks of a sub-algebra's primes, not its lattice,
+    # which refers back to the memo: that cycle would keep every run's
+    # enumerations alive until the cyclic collector runs, and raise the
+    # peak memory of a process that runs the suite again and again
+    import gc
+    import weakref
+
+    from lalg import spectrum
+
+    refs = []
+    real = spectrum.enumerate_ideals
+
+    def tracked(alg, memo=None):
+        lat = real(alg, memo)
+        refs.append(weakref.ref(lat))
+        return lat
+
+    monkeypatch.setattr(spectrum, "enumerate_ideals", tracked)
+    gc.disable()
+    try:
+        assert all_pass(run_suite(full_corpus))
+        assert len(refs) == 31 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_per_algebra_facts_are_decided_once_in_a_law_run(monkeypatch, full_corpus):
+    # the distributivity certificate, read by three laws, runs once per
+    # algebra, and the principal primality, read by three laws, once per ideal
+    from lalg import laws
+
+    certified, decided = [], []
+    real_certify, real_primality = laws.certify_distributive, laws._principal_primality
+    monkeypatch.setattr(
+        laws, "certify_distributive", lambda *args: certified.append(args[4]) or real_certify(*args)
+    )
+    monkeypatch.setattr(
+        laws,
+        "_principal_primality",
+        lambda lat, p: decided.append((lat.algebra.name, p)) or real_primality(lat, p),
+    )
+    assert all_pass(run_suite(full_corpus))
+    assert sorted(certified) == sorted(f.algebra.name for f in full_corpus)
+    assert len(decided) == len(set(decided)) == sum(len(enumerate_ideals(f.algebra)) for f in full_corpus)
 
 
 def test_each_law_run_has_its_own_memo(monkeypatch, fixture_map):

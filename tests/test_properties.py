@@ -1,5 +1,6 @@
 """Property tests: closure confluence, monotonicity, builder soundness,
-primality on principal ideals, element-order invariance, file round trips."""
+primality on principal ideals, witness joins and residuals against their
+oracles, element-order invariance, file round trips."""
 
 import tempfile
 from itertools import permutations
@@ -18,7 +19,7 @@ from lalg.constructions import (
 from lalg.core import validate
 from lalg.errors import UnwritableLabel
 from lalg.formats import load_algebra, save_algebra
-from lalg.ideals import bits, close_under_rules, enumerate_ideals
+from lalg.ideals import bits, close_under_rules, enumerate_ideals, witness_joins
 from lalg.laws import _principal_primality
 from lalg.spectrum import prime_ideals
 
@@ -186,6 +187,28 @@ def test_principal_primality_matches_the_scans(data, prime_oracles, meet_irreduc
     meet_primes = [p for p, form in enumerate(forms) if form["meet_form"]]
     assert meet_primes == meet_irreducibles(lat.masks, alg.full_mask)
     assert meet_primes == sorted(prime_ideals(lat).points)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_column_joins_and_bit_parallel_residuals_match_the_oracles(data, lattice_oracles):
+    """On products and ordered sums of small fixtures, the witness joins
+    walked column by column along lower neighbours equal the all-pairs
+    oracle, and the residual read off up[e] equals the element-by-element
+    scan, on every pair of ideals and on arbitrary subsets."""
+    small = [a for a in FIXTURES if a.n <= 5]
+    build = data.draw(st.sampled_from([product, ordered_sum]))
+    alg = build(data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small)))
+    lat = enumerate_ideals(alg)
+    all_pairs, scan = lattice_oracles
+    assert {(i, j): w for i, j, w in witness_joins(lat)} == all_pairs(lat)
+    for imask in lat.masks:
+        for jmask in lat.masks:
+            assert lat._residuation_mask(imask, jmask) == scan(lat, imask, jmask)
+    subsets = st.integers(min_value=0, max_value=alg.full_mask)
+    for _ in range(10):
+        imask, jmask = data.draw(subsets), data.draw(subsets)
+        assert lat._residuation_mask(imask, jmask) == scan(lat, imask, jmask)
 
 
 @given(data=st.data())

@@ -6,7 +6,7 @@ import pytest
 from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import structure_flags, validate
-from lalg.errors import NonUniqueAttachment
+from lalg.errors import DistributivityFailure, NonUniqueAttachment
 from lalg.ideals import close_under_rules, enumerate_ideals, labels_of, mask_of
 from lalg.laws import _principal_primality, replay, run_law
 from lalg.spectrum import (
@@ -273,6 +273,43 @@ def test_reversed_points_fail_the_frame_law(monkeypatch, chain3):
     report = run_law("spectrum.frame-bijection", Fixture("chain3", chain3))
     assert report.verdict == "fail"
     assert report.witness["problem"] == "U_I is not the set of primes P with I not inside P"
+
+
+def test_each_point_that_is_not_meet_prime_fails_the_frame_law(monkeypatch, algebras):
+    # the principal meet form planted false on one point of omega5 at a time:
+    # U no longer preserves the meets at that point, and the law must say
+    # so whichever point it is, after the m re-read opens and the points
+    # before it
+    alg = algebras["omega5"]
+    lat = enumerate_ideals(alg)
+    points = prime_ideals(lat).points
+    real = laws._principal_primality
+    for a, planted in enumerate(points):
+
+        def primality(lat, p, planted=planted):
+            return dict(real(lat, p), meet_form=False) if p == planted else real(lat, p)
+
+        monkeypatch.setattr(laws, "_principal_primality", primality)
+        report = run_law("spectrum.frame-bijection", Fixture(alg.name, alg))
+        assert (report.verdict, report.instances) == ("fail", len(lat) + a + 1), a
+        assert report.witness["problem"] == "U_(I n J) != U_I n U_J"
+
+
+def test_a_failed_certificate_fails_the_frame_law(monkeypatch, algebras):
+    # I -> S_I preserves joins exactly when the distributivity certificate
+    # holds, so the frame law reads the certificate's outcome; planted as a
+    # failure, the join half fails after every point was decided
+    alg = algebras["omega5"]
+    lat = enumerate_ideals(alg)
+
+    def failed(*args):
+        raise DistributivityFailure("planted", witness={})
+
+    monkeypatch.setattr(laws, "certify_distributive", failed)
+    report = run_law("spectrum.frame-bijection", Fixture(alg.name, alg))
+    assert (report.verdict, report.instances) == ("fail", len(lat) + prime_ideals(lat).point_count)
+    assert report.witness["problem"] == "U_(I v J) != U_I u U_J"
+    assert run_law("ideal-lattice.distributive", Fixture(alg.name, alg)).verdict == "fail"
 
 
 def test_empty_spectrum_is_vacuously_fine(algebras):
@@ -565,13 +602,14 @@ def test_point_map_chain3_three_to_three(chain3):
     assert _point_map_row(chain3) == "injective, Brouwerian"
 
 
-def test_spatiality_and_frame(algebras, small_corpus):
+def test_spatiality_and_frame(algebras, small_corpus, frame_facts):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
         spatiality_check(spec)
-        instances, problem = check_frame_map(spec)
+        instances, problem = check_frame_map(spec, *frame_facts(lat))
         assert problem is None
+        assert instances == len(lat) + spec.point_count
 
 
 def test_spec_counts_of_omega_fixtures(omega3, algebras):
