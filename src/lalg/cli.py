@@ -25,7 +25,7 @@ from .formats import (
 )
 from .ideals import braced, close_under_rules, enumerate_ideals, is_ideal, labels_of, mask_of, quotient
 from .laws import all_pass, run_suite
-from .spectrum import compact_basis_failure, prime_ideals, topology_report
+from .spectrum import compact_basis_failure, prime_ideals, spectrum_facts, topology_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,12 +126,17 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    # the points need no lattice; only the topology report reads one
     alg = load_algebra(args.file)
-    lat = enumerate_ideals(alg)
-    spec = prime_ideals(lat)
-    print(f"{alg.name}: {spec.point_count} point(s)")
-    for p in sorted(spec.points):
-        print(f"  {braced(alg, lat.masks[p])}")
+    if args.topology:
+        lat = enumerate_ideals(alg)
+        spec = prime_ideals(lat)
+        points = tuple(lat.masks[p] for p in sorted(spec.points))
+    else:
+        points = spectrum_facts(alg, {})[1]
+    print(f"{alg.name}: {len(points)} point(s)")
+    for mask in points:
+        print(f"  {braced(alg, mask)}")
     if args.topology:
         rep = topology_report(spec)
         print(f"T0: {'yes' if rep.t0 else 'NO'}")
@@ -221,8 +226,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     try:
         members = mask_of(alg.index_of(lab) for lab in labels)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 1
+        raise _Usage(exc.args[0]) from None
     if not is_ideal(alg, members):
         print(
             f"{{{','.join(labels)}}} is not an ideal of {alg.name}; "

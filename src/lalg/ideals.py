@@ -19,7 +19,7 @@ derive from x, and x's row gives detachment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -161,26 +161,35 @@ def _ideal_masks(
     return out
 
 
-@dataclass
-class TableEntry:
-    """What one law run keeps for one operation table (see :data:`TableMemo`).
+def point_masks(
+    alg: FiniteLAlgebra, principal: Sequence[int], joinirr: Sequence[int]
+) -> tuple[int, ...]:
+    """The prime ideals, one per join-irreducible ideal, in the order of ``joinirr``.
 
-    :func:`enumerate_ideals` fills in the (mask, S_I) pairs of
-    :func:`_ideal_masks`, the principal masks and the join-irreducibles;
-    ``primes``, the prime masks by ascending lattice index, is filled in by
-    :func:`lalg.spectrum.relative_spectrum` when it first reads a
-    sub-algebra with this table.  None of it carries a label.
+    In a finite distributive lattice the primes are exactly the P_j, one for
+    each join-irreducible j, whose down-set S_j holds the join-irreducibles
+    not above j (Birkhoff; Davey & Priestley, ch. 5 and 10).  P_j is the
+    candidate cand(S_j) of :func:`_ideal_masks`, read off the principal
+    masks without a lattice.  ``is_ideal`` gates each candidate, and one
+    that is no ideal raises :class:`DistributivityFailure` naming j.  The
+    law ``prime.definitions-agree`` checks that these are the primes.
     """
-
-    pairs: tuple[tuple[int, int], ...]
-    principal: tuple[int, ...]
-    join_irreducibles: tuple[int, ...]
-    primes: tuple[int, ...] | None = None
-
-
-#: One law run's :class:`TableEntry` per operation table, keyed by
-#: ``(alg.unit, alg.table)``.
-TableMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], TableEntry]
+    every = (1 << len(joinirr)) - 1
+    need = _downsets(joinirr, principal)
+    out = []
+    for jmask in joinirr:
+        down = every & ~mask_of(b for b, q in enumerate(joinirr) if jmask & ~q == 0)
+        cand = mask_of(x for x, nx in enumerate(need) if nx & ~down == 0)
+        if not is_ideal(alg, cand):
+            raise DistributivityFailure(
+                f"{alg.name}: no ideal has the join-irreducibles not above j as its down-set",
+                witness={
+                    "algebra": alg.name,
+                    "join_irreducible": labels_of(alg, jmask),
+                },
+            )
+        out.append(cand)
+    return tuple(out)
 
 
 class IdealLattice:
@@ -201,13 +210,12 @@ class IdealLattice:
     :class:`DistributivityFailure` (only a non-distributive lattice lacks
     it), a residual :class:`ResiduationNotGreatest`.  ``by_downset`` and
     ``residuation_table``, the one m x m table, are built when first read,
-    so the lattices that serve only masks and spectra never build it;
-    :meth:`quotient_by` builds X/I once per ideal.  The theorems are
-    checked in the laws ``ideal-lattice.distributive``, ``join.witness-form``
-    and ``residuation.adjunction``.
-
-    A lattice built through a :data:`TableMemo` keeps it (``memo``), and
-    the lattices of its quotients are built through the same one.
+    so the lattices that serve only masks and spectra never build it, and
+    :meth:`residual` gives one residual without it; :meth:`quotient_by`
+    builds X/I once per ideal, as an algebra with its congruence and no
+    lattice.  The theorems are checked in the laws
+    ``ideal-lattice.distributive``, ``join.witness-form`` and
+    ``residuation.adjunction``.
 
     Construction does not check the family.  A hand-built family in which
     two members share a down-set is accepted, and ``by_downset`` then keeps
@@ -221,10 +229,8 @@ class IdealLattice:
         pairs: Iterable[tuple[int, int]],
         principal: Iterable[int],
         join_irreducibles: Iterable[int],
-        memo: TableMemo | None = None,
     ):
         self.algebra = algebra
-        self.memo = memo
         pairs = sorted(pairs, key=lambda pair: (pair[0].bit_count(), pair[0]))
         self.masks: tuple[int, ...] = tuple(mask for mask, _ in pairs)
         self.downsets: tuple[int, ...] = tuple(down for _, down in pairs)
@@ -250,10 +256,10 @@ class IdealLattice:
         return (k for k in range(len(self.masks)) if k != self.top)
 
     def quotient_by(self, k: int) -> Quotient:
-        """X/I for the k-th ideal I, built once; its lattice goes through ``memo``."""
+        """X/I for the k-th ideal I, built once."""
         quot = self._quotients.get(k)
         if quot is None:
-            quot = self._quotients[k] = quotient(self.algebra, self.masks[k], self.memo)
+            quot = self._quotients[k] = quotient(self.algebra, self.masks[k])
         return quot
 
     @cached_property
@@ -291,6 +297,20 @@ class IdealLattice:
             out &= ~up[e]
         return out
 
+    def residual(self, imask: int, jmask: int) -> int:
+        """Index of I*J; an element-wise residual that is not an ideal raises
+        :class:`ResiduationNotGreatest` naming I and J."""
+        r = self._residuation_mask(imask, jmask)
+        k = self._index.get(r)
+        if k is None:
+            a = self.algebra
+            witness = {"algebra": a.name, "I": labels_of(a, imask), "J": labels_of(a, jmask)}
+            raise ResiduationNotGreatest(
+                f"{a.name}: element-wise residuation is not an ideal",
+                witness={**witness, "elementwise": labels_of(a, r)},
+            )
+        return k
+
     @cached_property
     def residuation_table(self) -> tuple[tuple[int, ...], ...]:
         # I*J depends on I \ J only: one residual and look-up per distinct difference
@@ -302,15 +322,7 @@ class IdealLattice:
                 outside = imask & ~jmask
                 k = by_outside.get(outside)
                 if k is None:
-                    r = self._residuation_mask(imask, jmask)
-                    k = by_outside[outside] = self._index.get(r)
-                    if k is None:
-                        a = self.algebra
-                        witness = {"algebra": a.name, "I": labels_of(a, imask), "J": labels_of(a, jmask)}
-                        raise ResiduationNotGreatest(
-                            f"{a.name}: element-wise residuation is not an ideal",
-                            witness={**witness, "elementwise": labels_of(a, r)},
-                        )
+                    k = by_outside[outside] = self.residual(imask, jmask)
                 row.append(k)
             table.append(tuple(row))
         return tuple(table)
@@ -361,30 +373,19 @@ def certify_distributive(
     return len(masks) + len(join_irreducibles)
 
 
-def enumerate_ideals(alg: FiniteLAlgebra, memo: TableMemo | None = None) -> IdealLattice:
+def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
     """Materialize the full ideal lattice.
 
     The n principal ideals are closed and the join-irreducible ones found
     once; the ideals are read off the down-sets of the join-irreducibles
     (see :func:`_ideal_masks`), and the lattice takes each mask with its
-    down-set.
-
-    With a ``memo``, an operation table whose ideals it already holds is not
-    enumerated again: the lattice is built from the stored pairs, principal
-    masks and join-irreducibles, bound to ``alg``, so what it names carries
-    ``alg``'s name and labels.  The lattice keeps the memo for the lattices
-    of its quotients.  A law run holds one memo for its length (see
-    :func:`lalg.laws.run_suite`); without one, every call enumerates.
+    down-set.  Every call enumerates; the points alone come from
+    :func:`point_masks`, which needs no lattice, so the laws enumerate no
+    quotient or sub-algebra.
     """
-    key = (alg.unit, alg.table)
-    built = None if memo is None else memo.get(key)
-    if built is None:
-        principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
-        joinirr = _join_irreducibles(alg, principal)
-        built = TableEntry(tuple(_ideal_masks(alg, principal, joinirr)), principal, joinirr)
-        if memo is not None:
-            memo[key] = built
-    return IdealLattice(alg, built.pairs, built.principal, built.join_irreducibles, memo=memo)
+    principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
+    joinirr = _join_irreducibles(alg, principal)
+    return IdealLattice(alg, _ideal_masks(alg, principal, joinirr), principal, joinirr)
 
 
 def witness_joins(lattice: IdealLattice) -> Iterator[tuple[int, int, int]]:
@@ -486,14 +487,14 @@ def congruence_of(alg: FiniteLAlgebra, imask: int) -> Congruence:
     return Congruence(algebra=alg, class_of=class_of, classes=tuple(class_masks))
 
 
-def quotient(alg: FiniteLAlgebra, imask: int, memo: TableMemo | None = None) -> Quotient:
+def quotient(alg: FiniteLAlgebra, imask: int) -> Quotient:
     """X/I for the ideal ``imask``, with the congruence it is read off.
 
     Class representatives are least member indices and quotient elements
     follow representative order, so serialized output is reproducible.  The
     table is read off the representatives and is not validated: that it
     does not depend on them and satisfies the axioms is checked by the law
-    ``quotient.morphism``.  ``memo`` goes to the lattice of X/I.
+    ``quotient.morphism``.
     """
     cong = congruence_of(alg, imask)
     reps = [(m & -m).bit_length() - 1 for m in cong.classes]
@@ -506,22 +507,17 @@ def quotient(alg: FiniteLAlgebra, imask: int, memo: TableMemo | None = None) -> 
         unit=cong.class_of[alg.unit],
         table=table,
     )
-    return Quotient(quot, cong, memo)
+    return Quotient(quot, cong)
 
 
 @dataclass(frozen=True)
 class Quotient:
-    """X/I with the congruence it is read off; its lattice is built on first read.
+    """X/I with the congruence it is read off.
 
     ``congruence.class_of`` is the projection and ``congruence.algebra`` X.
-    One object per ideal lets the laws share one build of X/I, and ``memo``,
-    the source lattice's, lets quotients with one table share one enumeration.
+    One object per ideal lets the laws share one build of X/I; it carries
+    no lattice (see :func:`lalg.spectrum.spectrum_facts`).
     """
 
     algebra: FiniteLAlgebra
     congruence: Congruence
-    memo: TableMemo | None = field(compare=False, repr=False)
-
-    @cached_property
-    def lattice(self) -> IdealLattice:
-        return enumerate_ideals(self.algebra, self.memo)

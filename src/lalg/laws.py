@@ -19,8 +19,8 @@ from .core import FiniteLAlgebra, axiom_violations, partial_product, structure_f
 from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError
 from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
-    Congruence, IdealLattice, TableMemo, bits, braced, certify_distributive, close_under_rules,
-    enumerate_ideals, labels_of, mask_of, witness_joins,
+    Congruence, IdealLattice, bits, braced, certify_distributive, close_under_rules, enumerate_ideals,
+    labels_of, mask_of, witness_joins,
 )
 from .spectrum import (
     SpectrumTopology, attach_prime_ideal, check_frame_map, compact_basis_failure, prime_elements,
@@ -39,32 +39,32 @@ class Context:
     read what they need off those, so every law that reads X/I, the table,
     the spectrum, the topology report, the structure flags or the
     quasi-prime elements reads the one copy built here.  The table is built
-    by the first law that reads it (``residuation.adjunction``,
-    ``ideal-lattice.is-l-algebra``, ``relative-spectrum.bijection``); the
-    other laws never build it.  The per-algebra facts are decided once too:
-    ``distributive`` is the :func:`certify_distributive` outcome (its
-    instance count, or the :class:`DistributivityFailure` it raised), read
-    by ``ideal-lattice.distributive``, ``residuation.adjunction`` and
+    by the first of the two laws that read it (``residuation.adjunction``,
+    ``ideal-lattice.is-l-algebra``); the other laws never build it.  The
+    per-algebra facts are decided once too: ``distributive`` is the
+    :func:`certify_distributive` outcome (its instance count, or the
+    :class:`DistributivityFailure` it raised), read by
+    ``ideal-lattice.distributive``, ``residuation.adjunction`` and
     ``spectrum.frame-bijection``; :meth:`primality` is the
     :func:`_principal_primality` verdict of one ideal, decided on first
     read, for ``prime.definitions-agree``, ``ideal-lattice.is-l-algebra``
     and the frame law.  Each law decides its own verdict from these facts.
-    ``memo`` is the :data:`~lalg.ideals.TableMemo` of
-    the run: the lattices of X, of its quotients and sub-algebras and of its
-    factors are built through it, so each operation table's ideals are
-    enumerated once per run.
+    Only X has a lattice: the spectra of its quotients and sub-algebras are
+    the run's ``facts`` (:func:`~lalg.spectrum.spectrum_facts`), which
+    ``prime.iff-quotient-irreducible`` and ``relative-spectrum.bijection``
+    are passed, so each operation table's facts are built once per run.
     """
 
-    def __init__(self, fixture: Fixture, memo: TableMemo):
+    def __init__(self, fixture: Fixture, facts: dict):
         self.fixture = fixture
         self.algebra = fixture.algebra
         self.factors = fixture.factors
-        self.memo = memo
+        self.facts = facts
         self._primality: dict[int, dict[str, bool]] = {}
 
     @cached_property
     def lattice(self):
-        return enumerate_ideals(self.algebra, self.memo)
+        return enumerate_ideals(self.algebra)
 
     @cached_property
     def distributive(self) -> int | DistributivityFailure:
@@ -570,7 +570,7 @@ def _check_prime_quotient(ctx: Context) -> CheckResult:
     """One instance per proper ideal P decided: P is a point exactly when X/P
     is subdirectly irreducible."""
     lat = ctx.lattice
-    p = prime_quotient_oracle(ctx.topology)
+    p = prime_quotient_oracle(ctx.topology, ctx.facts)
     if p is None:
         return len(lat) - 1, None, None
     prime = p in ctx.topology.points
@@ -641,7 +641,7 @@ def _check_attachment(ctx: Context) -> CheckResult:
 def _check_relative_spectrum(ctx: Context) -> CheckResult:
     lat = ctx.lattice
     for k in range(len(lat)):
-        relative_spectrum(ctx.topology, k)
+        relative_spectrum(ctx.topology, k, ctx.facts)
     return len(lat), None, None
 
 
@@ -698,8 +698,8 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
     a = ctx.algebra
     left, right = product_injections(x, y)
     lat = ctx.lattice
-    lat_x = enumerate_ideals(x, ctx.memo)
-    lat_y = enumerate_ideals(y, ctx.memo)
+    lat_x = enumerate_ideals(x)
+    lat_y = enumerate_ideals(y)
     instances = 0
 
     pairs = set()
@@ -807,16 +807,18 @@ def _laws_for(selection: Sequence[str] | None) -> tuple[Law, ...]:
 def run_suite(corpus: Sequence[Fixture], laws: Sequence[str] | None = None) -> list[LawReport]:
     """Evaluate the selected laws on every corpus algebra.
 
-    Rows come back sorted by (law id, corpus id).  One
-    :data:`~lalg.ideals.TableMemo` serves the whole call and goes with it:
-    a memo kept across calls would hand a later run the enumerations of an
+    Rows come back sorted by (law id, corpus id).  One dict of
+    :func:`~lalg.spectrum.spectrum_facts` serves the whole call and goes
+    with it: facts kept across calls would hand a later run the work of an
     earlier one, which a single run from the command line never gets.
+    Sub-algebras and quotients with one operation table share their facts
+    (anti7's 128 sub-algebras have 8 tables).
     """
     selected = _laws_for(laws)  # fails fast on unknown ids
-    memo: TableMemo = {}
+    facts: dict = {}
     reports = []
     for fixture in corpus:
-        ctx = Context(fixture, memo)
+        ctx = Context(fixture, facts)
         reports.extend(_run_one(law, ctx, fixture.name) for law in selected)
     reports.sort(key=lambda r: (r.law, r.corpus))
     return reports

@@ -14,16 +14,20 @@ functions return the facts (indices, masks, counts) and leave the verdicts
 to the laws in :mod:`lalg.laws`; only :class:`TopologyReport`, which the
 CLI prints, gathers several of them.
 
-The points come from the Birkhoff dual of the (distributive) ideal lattice:
-one prime P_j per join-irreducible ideal j, looked up by its down-set, and
-the opens are the lattice's down-sets, so a spectrum and its topology report
-read none of the lattice's m x m tables.  The two textbook definitions of
-primality run once per algebra, in the law ``prime.definitions-agree``.
+The points come from the Birkhoff dual of the (distributive) ideal lattice
+along one route, :func:`lalg.ideals.point_masks`: one prime P_j per
+join-irreducible ideal j, read off the principal masks without a lattice.
+The opens are the lattice's down-sets, so a spectrum and its topology
+report read none of the lattice's m x m tables, and sub-algebras and
+quotients get no lattice at all (:func:`spectrum_facts`).  The two textbook
+definitions of primality run once per algebra, in the law
+``prime.definitions-agree``.
 
 Each function takes what it reads and nothing else: a spectrum carries its
-lattice (``spec.lattice``), and a lattice its algebra (``lat.algebra``) and
-its quotients (:meth:`IdealLattice.quotient_by`), so there is one way to
-call each and no fallback that builds a second copy.
+lattice (``spec.lattice``), a lattice its algebra (``lat.algebra``) and
+its quotients (:meth:`IdealLattice.quotient_by`), and a law run passes its
+dict of facts, so there is one way to call each and no fallback that
+builds a second copy.
 """
 
 from __future__ import annotations
@@ -34,20 +38,20 @@ from typing import Callable
 from .core import FiniteLAlgebra, subalgebra
 from .errors import (
     BijectionFailure,
-    DistributivityFailure,
     MaximalAvoiderNotPrime,
     NonUniqueAttachment,
     SpatialityFailure,
 )
 from .ideals import (
     IdealLattice,
+    _join_irreducibles,
     bits,
     braced,
     close_under_rules,
-    enumerate_ideals,
     is_ideal,
     labels_of,
     mask_of,
+    point_masks,
 )
 
 
@@ -80,33 +84,32 @@ class SpectrumTopology:
 def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
     """The spectrum, read off the join-irreducibles by Birkhoff duality.
 
-    In a finite distributive lattice the prime ideals are exactly the P_j,
-    one for each join-irreducible j, whose down-set S_P holds every
-    join-irreducible not above j (Birkhoff; Davey & Priestley, ch. 5 and 10).
-    ``points[j]`` is P_j, looked up in ``lat.by_downset``.  I is not inside
-    P_j exactly when the down-set S_I holds j, so the opens are
-    ``lat.downsets``; no table is read.  A j without P_j raises
-    :class:`DistributivityFailure` naming j.  That these points are the
-    primes of both definitions (residuation and meet) is the law
-    ``prime.definitions-agree``.
+    ``points[j]`` is the lattice index of P_j, the mask that
+    :func:`lalg.ideals.point_masks` gives for the j-th join-irreducible
+    (which raises :class:`DistributivityFailure` for a j without P_j).
+    I is not inside P_j exactly when the down-set S_I holds j, so the opens
+    are ``lat.downsets``; no table is read.
     """
-    alg = lat.algebra
-    joinirr = lat.join_irreducibles
-    every = (1 << len(joinirr)) - 1
-    points = []
-    for jmask in joinirr:
-        above = mask_of(b for b, q in enumerate(joinirr) if jmask & ~q == 0)
-        p = lat.by_downset.get(every & ~above)
-        if p is None:
-            raise DistributivityFailure(
-                f"{alg.name}: no ideal has the join-irreducibles not above j as its down-set",
-                witness={
-                    "algebra": alg.name,
-                    "join_irreducible": labels_of(alg, jmask),
-                },
-            )
-        points.append(p)
-    return SpectrumTopology(lattice=lat, points=tuple(points), opens=lat.downsets)
+    principal = [lat.masks[k] for k in lat.principal]
+    masks = point_masks(lat.algebra, principal, lat.join_irreducibles)
+    return SpectrumTopology(lattice=lat, points=tuple(map(lat.index, masks)), opens=lat.downsets)
+
+
+def spectrum_facts(alg: FiniteLAlgebra, facts: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The principal masks of ``alg`` and its point masks sorted by
+    (popcount, mask), kept in ``facts`` by ``(alg.unit, alg.table)``.
+
+    No lattice is built.  The facts carry no label, so algebras with one
+    unit and table share them; a failure raises before anything is kept,
+    and so names the algebra that asked.
+    """
+    key = (alg.unit, alg.table)
+    got = facts.get(key)
+    if got is None:
+        principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
+        points = point_masks(alg, principal, _join_irreducibles(alg, principal))
+        got = facts[key] = (principal, tuple(sorted(points, key=lambda m: (m.bit_count(), m))))
+    return got
 
 
 @dataclass(frozen=True)
@@ -314,51 +317,52 @@ def attach_prime_ideal(spec: SpectrumTopology, x: int, quasi: tuple[int, ...]) -
     return tuple(maximal)
 
 
-def subdirectly_irreducible(lat: IdealLattice) -> bool:
-    """No two non-trivial ideals may intersect down to the bottom.
+def at_most_one_atom(alg: FiniteLAlgebra, facts: dict) -> bool:
+    """Is the ideal lattice of ``alg`` subdirectly irreducible?
 
-    Finite criterion: the intersection of all non-trivial ideals (the
-    monolith) is itself non-trivial, vacuously true without non-trivial
-    ideals.  Equivalent to the pair-wise definition on finite lattices.
+    A finite lattice is, exactly when it has at most one atom, and the atoms
+    of the ideal lattice are its minimal non-bottom principal ideals (a
+    non-bottom ideal inside <x> holds some <y> above the bottom), read off
+    the principal masks of :func:`spectrum_facts`.
     """
-    bottom = lat.masks[lat.bottom]
-    nontrivial = [m for m in lat.masks if m != bottom]
-    if not nontrivial:
-        return True
-    monolith = lat.algebra.full_mask
-    for m in nontrivial:
-        monolith &= m
-    return monolith != bottom
+    principal = spectrum_facts(alg, facts)[0]
+    above = set(principal) - {principal[alg.unit]}
+    atoms = [q for q in above if not any(r != q and r & ~q == 0 for r in above)]
+    return len(atoms) <= 1
 
 
-def prime_quotient_oracle(spec: SpectrumTopology) -> int | None:
+def prime_quotient_oracle(spec: SpectrumTopology, facts: dict) -> int | None:
     """Index of the first proper ideal P where "P is a point" and "X/P is
-    subdirectly irreducible" disagree; None when they agree on every one.
+    subdirectly irreducible" (:func:`at_most_one_atom`) disagree; None when
+    they agree on every one.
 
-    X/P and its ideal lattice come from ``spec.lattice.quotient_by``, so they
-    are built once per ideal and shared with the other laws that read them.
+    X/P comes from ``spec.lattice.quotient_by``, built once per ideal, so
+    the route reads X/P and not the points of X.
     """
     lat = spec.lattice
+    points = set(spec.points)
     for p in lat.proper_indices():
-        if (p in spec.points) != subdirectly_irreducible(lat.quotient_by(p).lattice):
+        if (p in points) != at_most_one_atom(lat.quotient_by(p).algebra, facts):
             return p
     return None
 
 
-def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
+def relative_spectrum(spec: SpectrumTopology, i_index: int, facts: dict) -> tuple[int, int]:
     """Check that P -> I*P and Q -> Q n I invert between Spec I and U_I.
 
     I is the ideal at lattice index ``i_index``.  It is an algebra in its
-    own right (ideals are operation-closed); with a ``spec.lattice.memo``
-    its lattice and spectrum are built once per operation table and run,
-    and the masks of its primes are kept in the table's
-    :class:`~lalg.ideals.TableEntry`.  Its primes must land exactly on
-    the open set U_I of the ambient spectrum, and the primes of X/I (from
-    ``spec.lattice.quotient_by``) must pull back exactly onto the
-    complement.  Points are visited by ascending lattice index, so the first
-    failure named does not depend on the order of ``spec.points``.  Any
-    failure, a sum |Spec I| + |Spec X/I| other than |Spec X| included,
-    raises :class:`BijectionFailure` with the offending piece named.
+    own right (ideals are operation-closed), and its point masks, like
+    those of X/I (from ``spec.lattice.quotient_by``), come from
+    :func:`spectrum_facts`, once per operation table in ``facts``.  Its
+    primes must land exactly on the open set U_I of the ambient spectrum,
+    and the primes of X/I must pull back exactly onto the complement.
+    I*P and I*(Q n I) are single residuals (:meth:`IdealLattice.residual`),
+    so no m x m table is read, and a residual that is not an ideal raises
+    :class:`~lalg.errors.ResiduationNotGreatest` for that pair.  Points are
+    visited by ascending lattice index, so the first failure named does not
+    depend on the order of ``spec.points``.  Any other failure, a sum
+    |Spec I| + |Spec X/I| other than |Spec X| included, raises
+    :class:`BijectionFailure` with the offending piece named.
     Returns (|Spec I|, |Spec X/I|).
     """
     lat = spec.lattice
@@ -372,13 +376,7 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
         )
 
     sub, elems = subalgebra(alg, imask)
-    entry = None if lat.memo is None else lat.memo.get((sub.unit, sub.table))
-    sub_primes = None if entry is None else entry.primes
-    if sub_primes is None:
-        sub_lat = enumerate_ideals(sub, lat.memo)
-        sub_primes = tuple(sub_lat.masks[p] for p in sorted(prime_ideals(sub_lat).points))
-        if lat.memo is not None:
-            lat.memo[sub.unit, sub.table].primes = sub_primes
+    sub_primes = spectrum_facts(sub, facts)[1]
 
     u_open = spec.opens[i_index]
     u_lattice_indices = sorted(p for j, p in enumerate(spec.points) if (u_open >> j) & 1)
@@ -391,7 +389,7 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
             lifted |= 1 << elems[b]
         if not is_ideal(alg, lifted):
             raise fail("a prime of the ideal is not an ideal of the ambient algebra")
-        target = lat.residuation_table[i_index][lat.index(lifted)]
+        target = lat.residual(imask, lifted)
         if target not in u_members:
             raise fail("I*P escaped the open set U_I", prime=labels_of(alg, lifted))
         # round trip back: (I*P) n I must be P again
@@ -408,7 +406,7 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
         if sub_mask not in sub_primes:
             ideal = is_ideal(sub, sub_mask)
             raise fail("Q n I is not prime in I" if ideal else "Q n I is not an ideal of I")
-        back = lat.residuation_table[i_index][lat.index(restricted)]
+        back = lat.residual(imask, restricted)
         if back != q_idx:
             raise fail("I*(Q n I) differs from Q")
         if q_idx not in seen:
@@ -417,12 +415,10 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
     # closed part: Spec X/I against the complement A_I
     quot = lat.quotient_by(i_index)
     proj = quot.congruence.class_of
-    q_lat = quot.lattice
-    q_spec = prime_ideals(q_lat)
+    q_primes = spectrum_facts(quot.algebra, facts)[1]
     complement = {p for j, p in enumerate(spec.points) if not (u_open >> j) & 1}
     pulled = set()
-    for r_idx in sorted(q_spec.points):
-        rmask = q_lat.masks[r_idx]
+    for rmask in q_primes:
         pullback = 0
         for x in range(alg.n):
             if (rmask >> proj[x]) & 1:
@@ -436,7 +432,7 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int) -> tuple[int, int]:
     if pulled != complement:
         raise fail("quotient primes do not cover the closed set")
 
-    counts = (len(sub_primes), q_spec.point_count)
+    counts = (len(sub_primes), len(q_primes))
     if sum(counts) != spec.point_count:
         raise fail("|Spec I| + |Spec X/I| != |Spec X|", counts=[*counts, spec.point_count])
     return counts

@@ -211,3 +211,27 @@ def lattice_oracles():
     join (lat -> {(i, j): mask}) and the element-by-element residual
     (lat, imask, jmask -> mask)."""
     return _witness_joins_all_pairs, _residuation_scan
+
+
+def _subdirectly_irreducible(lat):
+    """Test-only oracle: no two non-trivial ideals may intersect down to
+    the bottom.
+
+    Finite criterion: the intersection of all non-trivial ideals (the
+    monolith) is itself non-trivial, vacuously true without non-trivial
+    ideals.  Equivalent to the pair-wise definition on finite lattices.
+    """
+    bottom = lat.masks[lat.bottom]
+    nontrivial = [m for m in lat.masks if m != bottom]
+    if not nontrivial:
+        return True
+    monolith = lat.algebra.full_mask
+    for m in nontrivial:
+        monolith &= m
+    return monolith != bottom
+
+
+@pytest.fixture(scope="session")
+def subdirectly_irreducible():
+    """lat -> bool, the monolith scan over every ideal of a built lattice."""
+    return _subdirectly_irreducible

@@ -140,6 +140,50 @@ def test_spectrum_topology(diamond_file, capsys):
     assert "sober: yes" in out
 
 
+def _poset_file(path, name, labels, leq):
+    """The implication algebra of a poset, x*y = 1 when x <= y and y
+    otherwise, written in the line format from its definition alone;
+    ``labels[0]`` is the top."""
+    rows = [
+        f"row {x}: " + " ".join(labels[0] if leq(i, j) else y for j, y in enumerate(labels))
+        for i, x in enumerate(labels)
+    ]
+    path.write_text("\n".join([f"name: {name}", f"elements: {' '.join(labels)}", "unit: 1", *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("chain", [0, 47])
+def test_spectrum_at_sixty_four_elements_builds_no_lattice(monkeypatch, tmp_path, capsys, chain):
+    # anti63 (63 atoms under a top, 2^63 ideals) and chain47/anti16 (a
+    # 47-element chain above 16 atoms, under a top; 65,583 ideals): the
+    # points of a poset's implication algebra are the sets {y | not y <= x},
+    # one per x below the top, printed in (size, mask) order, and no lattice
+    # is enumerated to find them
+    import lalg.ideals as ideals
+
+    def unbuilt(self, *args):
+        raise AssertionError("an ideal lattice was built")
+
+    monkeypatch.setattr(ideals.IdealLattice, "__init__", unbuilt)
+    labels = ["1"] + [f"c{i}" for i in range(chain)] + [f"a{i}" for i in range(63 - chain)]
+
+    def leq(i, j):
+        # the top, then c0 > c1 > ... above the atoms, which are incomparable
+        if i == j or j == 0:
+            return True
+        if i == 0:
+            return False
+        return j <= chain and (i > j or i > chain)
+
+    name = f"chain{chain}/anti{63 - chain}" if chain else "anti63"
+    path = _poset_file(tmp_path / "poset.lalg", name, labels, leq)
+    assert main(["spectrum", path]) == 0
+    points = [sum(1 << y for y in range(64) if not leq(y, x)) for x in range(1, 64)]
+    points.sort(key=lambda m: (m.bit_count(), m))
+    braced = ["  {" + ",".join(labels[y] for y in range(64) if (m >> y) & 1) + "}" for m in points]
+    assert capsys.readouterr().out.splitlines() == [f"{name}: 63 point(s)", *braced]
+
+
 def test_spectrum_topology_reports_a_planted_open(monkeypatch, tmp_path, capsys):
     # U_X emptied on chain3: it is no longer the union of the principal
     # opens inside X
@@ -358,8 +402,8 @@ def test_quotient_validates_the_algebra_it_writes(monkeypatch, diamond_file, tmp
 
     real = cli.quotient
 
-    def broken(alg, ideal, memo=None):
-        q = real(alg, ideal, memo)
+    def broken(alg, ideal):
+        q = real(alg, ideal)
         table = [list(row) for row in q.algebra.table]
         table[1][1] = 1  # p*p = p, not 1
         return replace(q, algebra=replace(q.algebra, table=tuple(map(tuple, table))))
@@ -380,7 +424,10 @@ def test_quotient_rejects_non_ideal(diamond_file, tmp_path, capsys):
 
 
 def test_quotient_unknown_label(diamond_file, tmp_path, capsys):
-    assert main(["quotient", diamond_file, "--ideal", "zap", "-o", str(tmp_path / "q")]) == 1
+    # a label the algebra lacks is a usage error, and nothing is written
+    assert main(["quotient", diamond_file, "--ideal", "zap", "-o", str(tmp_path / "q")]) == 2
+    assert capsys.readouterr().err == "error: diamond: no element labelled 'zap'\n"
+    assert not (tmp_path / "q").exists()
 
 
 @pytest.fixture()

@@ -1,6 +1,6 @@
 import pytest
 
-from lalg import ideals, laws
+from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra, product_pairs
 from lalg.core import FiniteLAlgebra, subalgebra
 from lalg.errors import (
@@ -21,6 +21,7 @@ from lalg.ideals import (
     witness_joins,
 )
 from lalg.laws import run_law, run_suite
+from lalg.spectrum import prime_ideals, prime_quotient_oracle, relative_spectrum, spectrum_facts
 
 
 def _labels(alg, mask):
@@ -216,14 +217,15 @@ def _relabelled(alg):
 
 
 def test_a_memo_hit_equals_a_cold_build(monkeypatch, corpus_to_five):
-    # the memo holds each table's lattice, built for a relabelled twin; the
-    # hit enumerates nothing and is the cold lattice, bound to the caller's
-    # algebra and labels, on every algebra of the corpus and every
-    # sub-algebra and quotient of their ideals
+    # a run's facts hold each table's principal and point masks, here built
+    # for a relabelled twin; the hit computes nothing and is the cold build,
+    # which is the lattice's principal ideals and its points in (popcount,
+    # mask) order, on every algebra of the corpus and every sub-algebra and
+    # quotient of their ideals
     cold_builds = []
-    real_masks = ideals._ideal_masks
+    real_points = spectrum.point_masks
     monkeypatch.setattr(
-        ideals, "_ideal_masks", lambda alg, *a: cold_builds.append(alg) or real_masks(alg, *a)
+        spectrum, "point_masks", lambda alg, *a: cold_builds.append(alg) or real_points(alg, *a)
     )
     corpus = list(corpus_to_five) + [f.algebra for f in product_pairs()]
     algs = list(corpus)
@@ -232,41 +234,41 @@ def test_a_memo_hit_equals_a_cold_build(monkeypatch, corpus_to_five):
             algs.append(subalgebra(alg, mask)[0])
             algs.append(quotient(alg, mask).algebra)
     for alg in algs:
-        cold = enumerate_ideals(alg)
-        memo = {}
-        enumerate_ideals(_relabelled(alg), memo)
+        cold = spectrum_facts(alg, {})
+        facts = {}
+        spectrum_facts(_relabelled(alg), facts)
         before = len(cold_builds)
-        hit = enumerate_ideals(alg, memo)
+        assert spectrum_facts(alg, facts) == cold, alg.name
         assert len(cold_builds) == before, alg.name
-        assert hit.algebra is alg and hit.memo is memo
-        assert hit.masks == cold.masks, alg.name
-        assert hit.downsets == cold.downsets, alg.name
-        assert hit.principal == cold.principal, alg.name
-        assert hit.join_irreducibles == cold.join_irreducibles, alg.name
-        assert [labels_of(hit.algebra, m) for m in hit.masks] == [
-            labels_of(cold.algebra, m) for m in cold.masks
-        ], alg.name
+        lat = enumerate_ideals(alg)
+        assert cold[0] == tuple(lat.masks[k] for k in lat.principal), alg.name
+        assert cold[1] == tuple(lat.masks[p] for p in sorted(prime_ideals(lat).points)), alg.name
 
 
 def test_the_memo_keys_on_the_unit_and_the_table(chain3):
-    # chain3's table with the unit moved to a: one table, two lattices
+    # chain3's table with the unit moved to a: one table, two sets of facts
     moved = FiniteLAlgebra("chain3@a", chain3.labels, chain3.index_of("a"), chain3.table)
-    memo = {}
-    lat = enumerate_ideals(chain3, memo)
-    other = enumerate_ideals(moved, memo)
-    assert len(memo) == 2
-    assert other.masks == enumerate_ideals(moved).masks != lat.masks
-    assert lat.masks == enumerate_ideals(chain3).masks
+    facts = {}
+    mine = spectrum_facts(chain3, facts)
+    other = spectrum_facts(moved, facts)
+    assert len(facts) == 2
+    assert other == spectrum_facts(moved, {}) != mine
+    assert mine == spectrum_facts(chain3, {})
 
 
-def test_quotient_lattices_are_built_through_the_memo(chain3):
-    memo = {}
-    lat = enumerate_ideals(chain3, memo)
+def test_quotient_spectra_are_read_through_the_run_facts(chain3):
+    # the facts of X/P and of the sub-algebras go into the dict the caller
+    # passes, one entry per table: chain3/{1} has chain3's table and
+    # chain3/{1,a} adds one; the sub-algebras add only {1}, whose table
+    # X/X shares
+    lat = enumerate_ideals(chain3)
+    spec = prime_ideals(lat)
+    facts = {}
+    assert prime_quotient_oracle(spec, facts) is None
+    assert set(facts) == {(chain3.unit, chain3.table), (0, ((0, 1), (0, 0)))}
     for k in range(len(lat)):
-        assert lat.quotient_by(k).lattice.memo is memo
-    # chain3/{1} has chain3's table, and the other two quotients add one each
-    assert len(memo) == 3
-    assert enumerate_ideals(chain3).quotient_by(0).lattice.memo is None
+        relative_spectrum(spec, k, facts)
+    assert set(facts) == {(chain3.unit, chain3.table), (0, ((0, 1), (0, 0))), (0, ((0,),))}
 
 
 def test_join_irreducible_route_matches_subset_filter_at_twelve_elements():
@@ -402,7 +404,7 @@ def test_shared_down_set_fails_the_distributivity_law(monkeypatch, chain3):
     # certificate's injectivity check is what must name both
     real = enumerate_ideals(chain3)
     lat = _with_downsets(real, real.downsets[:-1] + real.downsets[-2:-1])
-    monkeypatch.setattr(laws, "enumerate_ideals", lambda alg, memo=None: lat)
+    monkeypatch.setattr(laws, "enumerate_ideals", lambda alg: lat)
     fixture = Fixture("chain3", chain3)
     report = run_law("ideal-lattice.distributive", fixture)
     assert report.verdict == "fail"

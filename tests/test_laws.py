@@ -309,8 +309,8 @@ def test_quotient_law_fails_on_a_planted_axiom_break(monkeypatch, b2):
 
     real = ideals.quotient
 
-    def broken(alg, ideal, memo=None):
-        q = real(alg, ideal, memo)
+    def broken(alg, ideal):
+        q = real(alg, ideal)
         quot = q.algebra
         x = next(i for i in range(quot.n) if i != quot.unit)
         table = [list(row) for row in quot.table]
@@ -486,127 +486,174 @@ def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five, m
 
 def test_one_quotient_per_ideal_in_a_law_run(monkeypatch, full_corpus):
     # quotient.morphism, congruence.bijection, prime.iff-quotient-irreducible
-    # and relative-spectrum.bijection share X/I and its ideal lattice: one
-    # quotient, one congruence and one quotient lattice per (algebra, ideal);
-    # the 80 quotients have 14 operation tables not met before in the run
-    # (X/{1} has X's table), and only those are enumerated
-    from lalg import ideals
+    # and relative-spectrum.bijection share X/I: one quotient and one
+    # congruence per (algebra, ideal), and no quotient gets a lattice; the
+    # 80 quotients have 31 operation tables, their spectrum facts are
+    # requested 144 times (64 proper ideals, then all 80), and the 29 tables
+    # the sub-algebras have not filled first are computed once each
+    from lalg import ideals, spectrum
 
-    quotients, congruences, lattices, cold = [], [], [], []
-    real_quotient, real_congruence, real_enumerate, real_masks = (
-        ideals.quotient,
-        ideals.congruence_of,
-        ideals.enumerate_ideals,
-        ideals._ideal_masks,
-    )
+    quotients, congruences, lattices, requested, cold = [], [], [], [], []
+    real_quotient, real_congruence = ideals.quotient, ideals.congruence_of
+    real_init, real_facts, real_points = ideals.IdealLattice.__init__, spectrum.spectrum_facts, spectrum.point_masks
 
-    def counted_quotient(alg, imask, memo=None):
-        q = real_quotient(alg, imask, memo)
+    def is_quotient(alg):
+        return any(alg is quot for _, _, quot in quotients)
+
+    def counted_quotient(alg, imask):
+        q = real_quotient(alg, imask)
         quotients.append((alg.name, imask, q.algebra))
         return q
 
-    def counted_enumerate(alg, memo=None):
-        if any(alg is quot for _, _, quot in quotients):
+    def counted_init(self, alg, *args):
+        if is_quotient(alg):
             lattices.append(alg)
-        return real_enumerate(alg, memo)
+        real_init(self, alg, *args)
 
-    def counted_masks(alg, *args):
-        if any(alg is quot for _, _, quot in quotients):
-            cold.append(alg)
-        return real_masks(alg, *args)
+    def counted_facts(alg, facts):
+        if is_quotient(alg):
+            requested.append((alg.unit, alg.table))
+        return real_facts(alg, facts)
+
+    def counted_points(alg, *args):
+        if is_quotient(alg):
+            cold.append((alg.unit, alg.table))
+        return real_points(alg, *args)
 
     monkeypatch.setattr(ideals, "quotient", counted_quotient)
     monkeypatch.setattr(ideals, "congruence_of", lambda *a: congruences.append(1) or real_congruence(*a))
-    monkeypatch.setattr(ideals, "enumerate_ideals", counted_enumerate)
-    monkeypatch.setattr(ideals, "_ideal_masks", counted_masks)
+    monkeypatch.setattr(ideals.IdealLattice, "__init__", counted_init)
+    monkeypatch.setattr(spectrum, "spectrum_facts", counted_facts)
+    monkeypatch.setattr(spectrum, "point_masks", counted_points)
     reports = run_suite(full_corpus)
     assert all_pass(reports)
     pairs = {(name, members) for name, members, _ in quotients}
     assert len(pairs) == len(quotients) == 80
     assert len(congruences) == 80
-    assert len({id(quot) for quot in lattices}) == len(lattices) == 80
-    assert len({(quot.unit, quot.table) for quot in cold}) == len(cold) == 14
+    assert lattices == []
+    assert len(requested) == 144 and len(set(requested)) == 31
+    assert len(cold) == len(set(cold)) == 29
+
+
+def _spectrum_fact_counts(monkeypatch, corpus, laws=None):
+    """Run the suite and return the algebras that got a lattice, the tables
+    whose spectrum facts were requested, and the tables computed cold."""
+    from lalg import ideals, spectrum
+
+    lattices, requested, cold = [], [], []
+    real_init, real_facts, real_join_irreducibles = (
+        ideals.IdealLattice.__init__,
+        spectrum.spectrum_facts,
+        spectrum._join_irreducibles,
+    )
+
+    def counted_init(self, alg, *args):
+        lattices.append(alg)
+        real_init(self, alg, *args)
+
+    def counted_facts(alg, facts):
+        requested.append((alg.unit, alg.table))
+        return real_facts(alg, facts)
+
+    def counted_join_irreducibles(alg, principal):
+        # in spectrum only the facts read the join-irreducibles off the
+        # principal masks; a lattice finds its own in ideals
+        cold.append((alg.unit, alg.table))
+        return real_join_irreducibles(alg, principal)
+
+    monkeypatch.setattr(ideals.IdealLattice, "__init__", counted_init)
+    monkeypatch.setattr(spectrum, "spectrum_facts", counted_facts)
+    monkeypatch.setattr(spectrum, "_join_irreducibles", counted_join_irreducibles)
+    assert all_pass(run_suite(corpus, laws))
+    return lattices, requested, cold
 
 
 def test_one_enumeration_per_table_in_a_law_run(monkeypatch, full_corpus):
-    # one run over the default corpus requests 145 ideal lattices, of X, of
-    # its quotients and sub-algebras and of the factors, on 36 operation
-    # tables; the run's memo enumerates each table once (the 80 sub-algebras
-    # of relative-spectrum.bijection request one lattice per table, 31, see
-    # test_one_sub_spectrum_per_table_in_a_law_run)
-    from lalg import ideals, laws, spectrum
-
-    requested, cold = [], []
-    real_enumerate, real_masks = ideals.enumerate_ideals, ideals._ideal_masks
-
-    def counted_enumerate(alg, memo=None):
-        requested.append((alg.unit, alg.table))
-        return real_enumerate(alg, memo)
-
-    def counted_masks(alg, *args):
-        cold.append((alg.unit, alg.table))
-        return real_masks(alg, *args)
-
-    for module in (ideals, laws, spectrum):
-        monkeypatch.setattr(module, "enumerate_ideals", counted_enumerate)
-    monkeypatch.setattr(ideals, "_ideal_masks", counted_masks)
-    assert all_pass(run_suite(full_corpus))
-    assert len(requested) == 145
+    # one run over the default corpus builds 34 ideal lattices, of its 16
+    # algebras and of the 18 factors of its 9 products, and none of a
+    # quotient or a sub-algebra; their spectra are 224 requests for spectrum
+    # facts (64 + 80 quotients, 80 sub-algebras) on 36 operation tables,
+    # and each table is computed once
+    lattices, requested, cold = _spectrum_fact_counts(monkeypatch, full_corpus)
+    owners = [f.algebra for f in full_corpus] + [x for f in full_corpus if f.factors for x in f.factors]
+    assert sum(1 for f in full_corpus if f.factors) == 9
+    assert len(lattices) == 34 and all(any(alg is a for a in owners) for alg in lattices)
+    assert len(requested) == 224
     assert len(cold) == len(set(cold)) == len(set(requested)) == 36
 
 
 def test_one_sub_spectrum_per_table_in_a_law_run(monkeypatch, full_corpus):
-    # relative-spectrum.bijection reads the lattice and spectrum of 80
-    # sub-algebras on 31 operation tables; the run's memo serves each table's
-    # pair from one build, and without a memo every call builds its own
+    # relative-spectrum.bijection reads the spectra of 80 sub-algebras on 31
+    # operation tables; the run's facts serve each table from one
+    # computation, and with a fresh dict per call every call computes its own
     from lalg import spectrum
 
-    subs, built = [], []
-    real_subalgebra, real_enumerate = spectrum.subalgebra, spectrum.enumerate_ideals
+    subs = []
+    real_subalgebra = spectrum.subalgebra
 
     def counted_subalgebra(alg, mask):
-        subs.append(real_subalgebra(alg, mask)[0])
-        return real_subalgebra(alg, mask)
+        sub, elems = real_subalgebra(alg, mask)
+        subs.append((sub.unit, sub.table))
+        return sub, elems
 
     monkeypatch.setattr(spectrum, "subalgebra", counted_subalgebra)
-    monkeypatch.setattr(
-        spectrum, "enumerate_ideals", lambda alg, memo=None: built.append(alg) or real_enumerate(alg, memo)
-    )
-    assert all_pass(run_suite(full_corpus, ["relative-spectrum.bijection"]))
-    tables = [(sub.unit, sub.table) for sub in subs]
-    assert len(tables) == 80 and len(set(tables)) == 31
-    assert len(built) == 31 and {(sub.unit, sub.table) for sub in built} == set(tables)
-    built.clear()
-    lat = enumerate_ideals(next(f.algebra for f in full_corpus if f.name == "omega5"))
+    lattices, _, cold = _spectrum_fact_counts(monkeypatch, full_corpus, ["relative-spectrum.bijection"])
+    assert len(subs) == 80 and len(set(subs)) == 31
+    assert len(lattices) == len(full_corpus)
+    assert len(cold) == len(set(cold)) and set(subs) <= set(cold)
+    subs.clear()
+    # B2xB2's two atoms are sub-algebras with one table
+    lat = enumerate_ideals(next(f.algebra for f in full_corpus if f.name == "B2xB2"))
     spec = spectrum.prime_ideals(lat)
     for k in range(len(lat)):
-        spectrum.relative_spectrum(spec, k)
-    assert len(built) == len(lat) > 4
+        before = len(cold)
+        spectrum.relative_spectrum(spec, k, {})
+        # I and X/I, or one computation when they share a table
+        assert len(cold) - before in (1, 2)
+    assert len(subs) == len(lat) == len(set(subs)) + 1
 
 
 def test_a_law_run_keeps_no_sub_algebra_lattice_alive(monkeypatch, full_corpus):
-    # the memo keeps the masks of a sub-algebra's primes, not its lattice,
-    # which refers back to the memo: that cycle would keep every run's
-    # enumerations alive until the cyclic collector runs, and raise the
-    # peak memory of a process that runs the suite again and again
+    # no sub-algebra gets a lattice, and what a run builds (its contexts,
+    # which hold the run's facts, and its lattices) is gone when it returns
+    # with the cyclic collector off: a reference cycle would keep every
+    # run's structures alive until the collector runs, and raise the peak
+    # memory of a process that runs the suite again and again
     import gc
     import weakref
 
-    from lalg import spectrum
+    from lalg import ideals, laws, spectrum
 
-    refs = []
-    real = spectrum.enumerate_ideals
+    refs, subs, sub_lattices = [], [], []
+    real_init, real_context, real_subalgebra = (
+        ideals.IdealLattice.__init__,
+        laws.Context.__init__,
+        spectrum.subalgebra,
+    )
 
-    def tracked(alg, memo=None):
-        lat = real(alg, memo)
-        refs.append(weakref.ref(lat))
-        return lat
+    def tracked_lattice(self, alg, *args):
+        real_init(self, alg, *args)
+        refs.append(weakref.ref(self))
+        if any(alg is sub for sub in subs):
+            sub_lattices.append(alg)
 
-    monkeypatch.setattr(spectrum, "enumerate_ideals", tracked)
+    def tracked_context(self, *args):
+        real_context(self, *args)
+        refs.append(weakref.ref(self))
+
+    def tracked_subalgebra(alg, mask):
+        sub, elems = real_subalgebra(alg, mask)
+        subs.append(sub)
+        return sub, elems
+
+    monkeypatch.setattr(ideals.IdealLattice, "__init__", tracked_lattice)
+    monkeypatch.setattr(laws.Context, "__init__", tracked_context)
+    monkeypatch.setattr(spectrum, "subalgebra", tracked_subalgebra)
     gc.disable()
     try:
         assert all_pass(run_suite(full_corpus))
-        assert len(refs) == 31 and all(ref() is None for ref in refs)
+        assert len(subs) == 80 and sub_lattices == []
+        assert len(refs) == 34 + 16 and all(ref() is None for ref in refs)
     finally:
         gc.enable()
 
@@ -633,18 +680,25 @@ def test_per_algebra_facts_are_decided_once_in_a_law_run(monkeypatch, full_corpu
 
 def test_each_law_run_has_its_own_memo(monkeypatch, fixture_map):
     # nothing is carried from one run_suite to the next: each run builds
-    # the top lattice cold
-    from lalg import ideals
+    # the top lattice and the spectrum facts of the quotients and
+    # sub-algebras cold
+    from lalg import ideals, spectrum
 
     fixture = fixture_map["omega3"]
-    cold = []
-    real_masks = ideals._ideal_masks
+    cold, facts = [], []
+    real_masks, real_points = ideals._ideal_masks, spectrum.point_masks
     monkeypatch.setattr(
         ideals, "_ideal_masks", lambda alg, *a: cold.append(alg) or real_masks(alg, *a)
+    )
+    monkeypatch.setattr(
+        spectrum, "point_masks", lambda alg, *a: facts.append(alg) or real_points(alg, *a)
     )
     for runs in (1, 2):
         assert all_pass(run_suite([fixture]))
         assert sum(1 for alg in cold if alg is fixture.algebra) == runs
+    assert len(facts) % 2 == 0 and len(facts) > 2
+    first = facts[: len(facts) // 2]
+    assert [(a.unit, a.table) for a in first] == [(a.unit, a.table) for a in facts[len(first) :]]
 
 
 def _planted_flags(monkeypatch, **changes):

@@ -1,6 +1,7 @@
 """Property tests: closure confluence, monotonicity, builder soundness,
-primality on principal ideals, witness joins and residuals against their
-oracles, element-order invariance, file round trips."""
+primality on principal ideals, witness joins and residuals, point masks and
+the atom test against their oracles, element-order invariance, file round
+trips."""
 
 import tempfile
 from itertools import permutations
@@ -19,9 +20,9 @@ from lalg.constructions import (
 from lalg.core import validate
 from lalg.errors import UnwritableLabel
 from lalg.formats import load_algebra, save_algebra
-from lalg.ideals import bits, close_under_rules, enumerate_ideals, witness_joins
+from lalg.ideals import bits, close_under_rules, enumerate_ideals, quotient, witness_joins
 from lalg.laws import _principal_primality
-from lalg.spectrum import prime_ideals
+from lalg.spectrum import at_most_one_atom, prime_ideals, spectrum_facts
 
 CORPUS = list(enumerate_all(3)) + list(enumerate_all(4, up_to_iso=True))
 
@@ -209,6 +210,24 @@ def test_column_joins_and_bit_parallel_residuals_match_the_oracles(data, lattice
     for _ in range(10):
         imask, jmask = data.draw(subsets), data.draw(subsets)
         assert lat._residuation_mask(imask, jmask) == scan(lat, imask, jmask)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_point_masks_and_the_atom_test_match_the_scans(data, prime_oracles, subdirectly_irreducible):
+    """On products and ordered sums of small fixtures, the point masks read
+    off the principal masks are the meet-prime ideals of the m^2 scan, and
+    the atom test on every proper quotient is the monolith scan of its
+    lattice."""
+    small = [a for a in FIXTURES if a.n <= 5]
+    build = data.draw(st.sampled_from([product, ordered_sum]))
+    alg = build(data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small)))
+    lat = enumerate_ideals(alg)
+    _, by_meets = prime_oracles
+    assert spectrum_facts(alg, {})[1] == tuple(mask for p, mask in enumerate(lat.masks) if by_meets(lat, p))
+    for p in lat.proper_indices():
+        quot = quotient(alg, lat.masks[p]).algebra
+        assert at_most_one_atom(quot, {}) == subdirectly_irreducible(enumerate_ideals(quot))
 
 
 @given(data=st.data())

@@ -3,13 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from lalg import ideals, laws, spectrum
+from lalg import ideals, laws
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import structure_flags, validate
 from lalg.errors import DistributivityFailure, NonUniqueAttachment
-from lalg.ideals import close_under_rules, enumerate_ideals, labels_of, mask_of
+from lalg.ideals import close_under_rules, enumerate_ideals, labels_of, mask_of, quotient
 from lalg.laws import _principal_primality, replay, run_law
 from lalg.spectrum import (
+    at_most_one_atom,
     attach_prime_ideal,
     check_frame_map,
     point_closures,
@@ -19,7 +20,7 @@ from lalg.spectrum import (
     quasi_prime_elements,
     relative_spectrum,
     spatiality_check,
-    subdirectly_irreducible,
+    spectrum_facts,
     topology_report,
 )
 
@@ -132,24 +133,25 @@ def test_one_planted_residual_fails_the_definitions_law(monkeypatch, algebras):
 
 def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
     # prime_ideals reads no table; relative_spectrum and prime_quotient_oracle
-    # build lattices of ideals and quotients only for their masks and spectra
+    # read the spectra of sub-algebras and quotients off their principal
+    # masks and build no lattice, and relative_spectrum reads I*P and
+    # I*(Q n I) as single residuals, so X's table stays unbuilt
     tables = {"residuation_table"}
     built = []
-    real = spectrum.enumerate_ideals
-    monkeypatch.setattr(spectrum, "enumerate_ideals", lambda a, memo=None: built.append(real(a, memo)) or built[-1])
-    # the lattices of quotients are built by ideals.Quotient
-    monkeypatch.setattr(ideals, "enumerate_ideals", lambda a, memo=None: built.append(real(a, memo)) or built[-1])
-    for name in ("B2xB2", "chain3", "omega3", "diamond"):
+    real = ideals.IdealLattice.__init__
+    monkeypatch.setattr(ideals.IdealLattice, "__init__", lambda self, a, *args: built.append(a) or real(self, a, *args))
+    for name in ("B2xB2", "chain3", "omega3", "diamond", "omega5"):
         alg = algebras[name]
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
         assert not tables & set(vars(lat)), name
+        facts = {}
         for k in range(len(lat)):
-            relative_spectrum(spec, k)
-        prime_quotient_oracle(spec)
-    assert len(built) > 4
-    for sub in built:
-        assert not tables & set(vars(sub)), sub.algebra.name
+            relative_spectrum(spec, k, facts)
+        prime_quotient_oracle(spec, facts)
+        assert len(facts) > 1 and not tables & set(vars(lat)), name
+        assert built == [alg], name
+        built.clear()
 
 
 def test_topology_report_builds_no_tables(algebras):
@@ -480,11 +482,11 @@ def test_every_diamond_element_attaches_to_one_prime(diamond):
     assert set(prime_elements(diamond)) <= set(quasi_prime_elements(lat))
 
 
-def test_subdirectly_irreducible(b2, diamond, algebras, small_corpus):
-    assert subdirectly_irreducible(enumerate_ideals(b2))
-    assert subdirectly_irreducible(enumerate_ideals(diamond))
-    assert not subdirectly_irreducible(enumerate_ideals(algebras["B2xB2"]))
-    assert subdirectly_irreducible(enumerate_ideals(algebras["unit"]))
+def test_subdirectly_irreducible(b2, diamond, algebras, small_corpus, subdirectly_irreducible):
+    # the monolith scan (the test-side oracle) and the atom test of the law
+    for alg, expected in ((b2, True), (diamond, True), (algebras["B2xB2"], False), (algebras["unit"], True)):
+        assert subdirectly_irreducible(enumerate_ideals(alg)) == expected, alg.name
+        assert at_most_one_atom(alg, {}) == expected, alg.name
     # the monolith criterion agrees with the pairwise definition everywhere
     for alg in small_corpus + list(algebras.values()):
         lat = enumerate_ideals(alg)
@@ -496,10 +498,53 @@ def test_subdirectly_irreducible(b2, diamond, algebras, small_corpus):
         assert subdirectly_irreducible(lat) == pairwise
 
 
+def test_point_masks_and_the_atom_test_match_the_oracles(
+    corpus_to_five, magma, absorption_magma, prime_oracles, subdirectly_irreducible
+):
+    # the two routes that build no lattice against the scans over a built
+    # one: the point masks, in (popcount, mask) order, are the meet-prime
+    # ideals, and "X/P has at most one atom" is the monolith scan of the
+    # lattice of X/P, on every proper quotient; the magmas are not L-algebras
+    _, by_meets = prime_oracles
+    for alg in corpus_to_five + [magma, absorption_magma]:
+        lat = enumerate_ideals(alg)
+        meet_primes = tuple(mask for p, mask in enumerate(lat.masks) if by_meets(lat, p))
+        assert spectrum_facts(alg, {})[1] == meet_primes, alg.name
+        for p in lat.proper_indices():
+            quot = quotient(alg, lat.masks[p]).algebra
+            assert at_most_one_atom(quot, {}) == subdirectly_irreducible(enumerate_ideals(quot)), quot.name
+
+
+def test_a_candidate_that_is_no_ideal_fails_the_gate(monkeypatch, algebras, tmp_path, capsys):
+    # each candidate P_j passes is_ideal before it is a point; planted as
+    # rejected for one join-irreducible j of omega3 at a time, prime_ideals
+    # raises naming j, and lalg spectrum reports a falsification
+    from lalg.cli import main
+    from lalg.formats import save_algebra
+
+    alg = algebras["omega3"]
+    lat = enumerate_ideals(alg)
+    spec = prime_ideals(lat)
+    path = tmp_path / "omega3.lalg"
+    save_algebra(alg, path)
+    real = ideals.is_ideal
+    assert len(lat.join_irreducibles) == spec.point_count > 1
+    for jmask, point in zip(lat.join_irreducibles, spec.points):
+        planted = lat.masks[point]
+        monkeypatch.setattr(ideals, "is_ideal", lambda a, mask, planted=planted: mask != planted and real(a, mask))
+        with pytest.raises(DistributivityFailure) as caught:
+            prime_ideals(lat)
+        assert caught.value.witness == {"algebra": alg.name, "join_irreducible": labels_of(alg, jmask)}
+        assert main(["spectrum", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"falsification: {alg.name}: no ideal has the join-irreducibles not above j as its down-set\n"
+
+
 def test_prime_quotient_oracle(algebras, small_corpus):
     for alg in list(algebras.values()) + small_corpus:
         lat = enumerate_ideals(alg)
-        assert prime_quotient_oracle(prime_ideals(lat)) is None, alg.name
+        assert prime_quotient_oracle(prime_ideals(lat), {}) is None, alg.name
 
 
 def test_relative_spectrum_b2xb2(algebras):
@@ -507,15 +552,15 @@ def test_relative_spectrum_b2xb2(algebras):
     lat = enumerate_ideals(alg)
     left = lat.index(mask_of([alg.index_of("(1,1)"), alg.index_of("(0,1)")]))
     spec = prime_ideals(lat)
-    assert relative_spectrum(spec, left) == (1, 1)
+    assert relative_spectrum(spec, left, {}) == (1, 1)
     assert spec.point_count == 2
 
 
 def test_relative_spectrum_trivial_ideals(diamond):
     lat = enumerate_ideals(diamond)
     spec = prime_ideals(lat)
-    assert relative_spectrum(spec, lat.bottom) == (0, spec.point_count)
-    assert relative_spectrum(spec, lat.top) == (spec.point_count, 0)
+    assert relative_spectrum(spec, lat.bottom, {}) == (0, spec.point_count)
+    assert relative_spectrum(spec, lat.top, {}) == (spec.point_count, 0)
 
 
 def test_relative_spectrum_all_fixture_ideals(algebras):
@@ -523,7 +568,7 @@ def test_relative_spectrum_all_fixture_ideals(algebras):
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
         for k in range(len(lat)):
-            assert sum(relative_spectrum(spec, k)) == spec.point_count
+            assert sum(relative_spectrum(spec, k, {})) == spec.point_count
 
 
 def test_relative_spectrum_visits_the_points_of_u_i_in_ascending_order(monkeypatch, algebras):
@@ -537,9 +582,9 @@ def test_relative_spectrum_visits_the_points_of_u_i_in_ascending_order(monkeypat
     u_points = [p for j, p in enumerate(spec.points) if (spec.opens[i] >> j) & 1]
     assert u_points == [0, 9, 2]
     looked_up = []
-    real = lat.index
-    monkeypatch.setattr(lat, "index", lambda mask: looked_up.append(mask) or real(mask))
-    relative_spectrum(spec, i)
+    real = lat._residuation_mask
+    monkeypatch.setattr(lat, "_residuation_mask", lambda imask, jmask: looked_up.append(jmask) or real(imask, jmask))
+    relative_spectrum(spec, i, {})
     expected = [lat.masks[q] & lat.masks[i] for q in sorted(u_points)]
     assert looked_up[-len(expected):] == expected
 
@@ -564,7 +609,7 @@ def test_relative_spectrum_counterexample_at_four_elements():
     lat = enumerate_ideals(alg)
     ideal = lat.index(mask_of([0, 2, 3]))
     with pytest.raises(BijectionFailure):
-        relative_spectrum(prime_ideals(lat), ideal)
+        relative_spectrum(prime_ideals(lat), ideal, {})
 
 
 def _principal_opens(alg):
