@@ -108,13 +108,18 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        every = range(len(lat))
+        # looked up off the masks and down-sets; lat.join raises on a missed join
+        index, downsets, by_downset = lat._index, lat.downsets, lat.by_downset
+        join = [[by_downset.get(a | b) for b in downsets] for a in downsets]
+        for i, row in enumerate(join):
+            if None in row:
+                lat.join(i, row.index(None))
         payload = {
             "schema": 1,
             "algebra": alg.name,
             "ideals": [labels_of(alg, a) for a in masks],
-            "meet": [[lat.index(a & b) for b in masks] for a in masks],
-            "join": [[lat.join(i, j) for j in every] for i in every],
+            "meet": [[index[a & b] for b in masks] for a in masks],
+            "join": join,
             "residuation": lat.residuation_table,
         }
         print(json.dumps(payload, separators=(",", ":")))

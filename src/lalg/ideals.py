@@ -128,37 +128,36 @@ def _downsets(joinirr: Sequence[int], masks: Iterable[int]) -> list[int]:
     return [mask_of(j for j, q in enumerate(joinirr) if q & ~m == 0) for m in masks]
 
 
+def _point_candidates(principal: Sequence[int], joinirr: Sequence[int]) -> list[int]:
+    """P_j = {x | j not inside <x>}, ungated, for each join-irreducible j in order."""
+    return [mask_of(x for x, p in enumerate(principal) if q & ~p) for q in joinirr]
+
+
 def _ideal_masks(
     alg: FiniteLAlgebra, principal: tuple[int, ...], joinirr: tuple[int, ...]
 ) -> list[tuple[int, int]]:
     """All ideals as (mask, S_I) pairs, from the join-irreducible principal ideals ``joinirr``.
 
-    An ideal I is {x | every join-irreducible inside <x> lies in I}, read
-    off the down-set S_I of join-irreducibles inside I; that holds in any
-    finite lattice.  Each down-set S of the join-irreducibles gives one
-    candidate cand(S) of that form, and ``is_ideal`` keeps the candidates
-    that are ideals, so nothing here presupposes the distributivity that the
-    laws check.  The down-set of a leaf is S_cand(S), as bits over
-    ``joinirr``: each j in S is some <x> with x in cand(S), so j lies inside
-    cand(S), and a join-irreducible <x> inside cand(S) has x in cand(S) and
-    so lies in S.  Distinct leaves thus give distinct masks.
+    An ideal I is cand(S_I) = {x | every join-irreducible inside <x> lies
+    in S_I}; that holds in any finite lattice.  The walk decides one
+    join-irreducible j at a time, adding j to a down-set S when all below it
+    are in S, and carries cand(S) as the AND of the P_j of
+    :func:`_point_candidates` over the j left out, one AND per node.  Ideals
+    are closed under intersection (the rules are Horn clauses), so once
+    ``is_ideal`` accepts the k P_j every leaf is an ideal; a failed P_j,
+    which only a table that is no L-algebra can cause, makes ``is_ideal``
+    gate each leaf.  Nothing here presupposes distributivity.  The down-set
+    of a leaf is S_cand(S): each j in S is some <x> with x in cand(S), and
+    a join-irreducible <x> inside cand(S) lies in S, so distinct leaves give
+    distinct masks.
     """
-    k = len(joinirr)
-    lower = [d ^ 1 << j for j, d in enumerate(_downsets(joinirr, joinirr))]
-    need = _downsets(joinirr, principal)
-    out = []
-    stack = [(0, 0)]
-    while stack:
-        j, down = stack.pop()
-        if j == k:
-            cand = mask_of(x for x, nx in enumerate(need) if nx & ~down == 0)
-            if is_ideal(alg, cand):
-                out.append((cand, down))
-            continue
-        stack.append((j + 1, down))
-        if lower[j] & ~down == 0:
-            stack.append((j + 1, down | 1 << j))
-    return out
+    points = _point_candidates(principal, joinirr)
+    certified = all(is_ideal(alg, p) for p in points)
+    level = [(0, alg.full_mask)]  # (S, cand(S)) over the first j join-irreducibles
+    for j, below in enumerate(_downsets(joinirr, joinirr)):
+        bit, pj = 1 << j, points[j]
+        level = [(d, c & pj) for d, c in level] + [(d | bit, c) for d, c in level if below & ~d == bit]
+    return [(c, d) for d, c in level if certified or is_ideal(alg, c)]
 
 
 def point_masks(
@@ -167,19 +166,16 @@ def point_masks(
     """The prime ideals, one per join-irreducible ideal, in the order of ``joinirr``.
 
     In a finite distributive lattice the primes are exactly the P_j, one for
-    each join-irreducible j, whose down-set S_j holds the join-irreducibles
-    not above j (Birkhoff; Davey & Priestley, ch. 5 and 10).  P_j is the
-    candidate cand(S_j) of :func:`_ideal_masks`, read off the principal
-    masks without a lattice.  ``is_ideal`` gates each candidate, and one
-    that is no ideal raises :class:`DistributivityFailure` naming j.  The
-    law ``prime.definitions-agree`` checks that these are the primes.
+    each join-irreducible j: cand(S_j), S_j the join-irreducibles not above
+    j, which is {x | j not inside <x>} (Birkhoff; Davey & Priestley, ch. 5
+    and 10), read off the principal masks by :func:`_point_candidates`
+    without a lattice.  ``is_ideal`` gates each, and one that is no ideal
+    raises :class:`DistributivityFailure` naming j; they are the k masks
+    that certify the walk of :func:`_ideal_masks`.  The law
+    ``prime.definitions-agree`` checks that these are the primes.
     """
-    every = (1 << len(joinirr)) - 1
-    need = _downsets(joinirr, principal)
-    out = []
-    for jmask in joinirr:
-        down = every & ~mask_of(b for b, q in enumerate(joinirr) if jmask & ~q == 0)
-        cand = mask_of(x for x, nx in enumerate(need) if nx & ~down == 0)
+    out = _point_candidates(principal, joinirr)
+    for jmask, cand in zip(joinirr, out):
         if not is_ideal(alg, cand):
             raise DistributivityFailure(
                 f"{alg.name}: no ideal has the join-irreducibles not above j as its down-set",
@@ -188,7 +184,6 @@ def point_masks(
                     "join_irreducible": labels_of(alg, jmask),
                 },
             )
-        out.append(cand)
     return tuple(out)
 
 
@@ -279,6 +274,23 @@ class IdealLattice:
                 },
             )
         return k
+
+    @cached_property
+    def lower_neighbours(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(k, rest) for each ideal I: k indexes I', whose down-set is S_I
+        without its highest join-irreducible, and rest is I \\ I'; k is -1
+        and rest all of I where no such I' lies inside I at a lower index.
+        A union over I is the union over I' and rest: :func:`witness_joins`
+        and :func:`lalg.spectrum.compact_basis_failure` walk up along it."""
+        masks, by_downset = self.masks, self.by_downset
+        out = []
+        for i, (imask, down) in enumerate(zip(masks, self.downsets)):
+            k = by_downset.get(down & ~(1 << down.bit_length() >> 1), i)
+            if k < i and masks[k] & ~imask == 0:
+                out.append((k, tuple(bits(imask & ~masks[k]))))
+            else:
+                out.append((-1, tuple(bits(imask))))
+        return tuple(out)
 
     @cached_property
     def _up(self) -> list[int]:
@@ -377,11 +389,11 @@ def enumerate_ideals(alg: FiniteLAlgebra) -> IdealLattice:
     """Materialize the full ideal lattice.
 
     The n principal ideals are closed and the join-irreducible ones found
-    once; the ideals are read off the down-sets of the join-irreducibles
-    (see :func:`_ideal_masks`), and the lattice takes each mask with its
-    down-set.  Every call enumerates; the points alone come from
-    :func:`point_masks`, which needs no lattice, so the laws enumerate no
-    quotient or sub-algebra.
+    once; the ideals are read off the down-sets of the join-irreducibles by
+    the walk of :func:`_ideal_masks`, certified by ``is_ideal`` on its k
+    points, and the lattice takes each mask with its down-set.  Every call
+    enumerates; the points alone come from :func:`point_masks`, which needs
+    no lattice, so the laws enumerate no quotient or sub-algebra.
     """
     principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
     joinirr = _join_irreducibles(alg, principal)
@@ -394,27 +406,18 @@ def witness_joins(lattice: IdealLattice) -> Iterator[tuple[int, int, int]]:
 
     y is in the witness join W(I, J) when some x in I has x*y and y*x in J,
     so W is the union of the J-classes of the members of I.  Each column J
-    is walked upward along one lower neighbour per ideal: I', the ideal
-    whose down-set is S_I without its highest join-irreducible, has a lower
-    index, and when it lies inside I, W(I, J) = W(I', J) u the classes of
-    the members of I \\ I', a set identity; without such an I', W is the
-    union over all of I.  By detachment W lies inside every ideal that
-    holds I u J, so W is the closure of I u J exactly when it holds I u J
-    and is an ideal.  Each pair checks that and that W is the lattice's
-    join (:meth:`IdealLattice.join`, read off the down-sets), with
-    ``is_ideal`` run once per join; a miss computes the closure and raises
-    :class:`JoinWitnessMismatch` with all three.
+    is walked up :attr:`IdealLattice.lower_neighbours`: W(I, J) is W(I', J)
+    u the classes of the members of I \\ I'.  By detachment W lies inside
+    every ideal that holds I u J, so W is the closure of I u J exactly when
+    it holds I u J and is an ideal.  Each pair checks that and that W is
+    the lattice's join (:meth:`IdealLattice.join`, read off the down-sets),
+    with ``is_ideal`` run once per join; a miss computes the closure and
+    raises :class:`JoinWitnessMismatch` with all three.
     """
     alg = lattice.algebra
     t = alg.table
     masks, downsets, by_downset = lattice.masks, lattice.downsets, lattice.by_downset
-    lower = []  # (index of I' or -1, the members of I that W(I', J) lacks)
-    for i, (imask, down) in enumerate(zip(masks, downsets)):
-        k = by_downset.get(down & ~(1 << down.bit_length() >> 1), i)
-        if k < i and masks[k] & ~imask == 0:
-            lower.append((k, tuple(bits(imask & ~masks[k]))))
-        else:
-            lower.append((-1, tuple(bits(imask))))
+    lower = lattice.lower_neighbours
     entry_is_ideal: dict[int, bool] = {}
     for j, jmask in enumerate(masks):
         wit = [

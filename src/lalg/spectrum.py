@@ -77,9 +77,6 @@ class SpectrumTopology:
     def all_points_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
-    def closed_of(self, ideal_index: int) -> int:
-        return self.all_points_mask & ~self.opens[ideal_index]
-
 
 def prime_ideals(lat: IdealLattice) -> SpectrumTopology:
     """The spectrum, read off the join-irreducibles by Birkhoff duality.
@@ -127,23 +124,28 @@ def _minimal_generator_counts(lat: IdealLattice) -> tuple[int, ...]:
     """Size of a smallest generating subset of each ideal, by lattice index.
 
     The ideal generated by a set is the join of its members' principal
-    ideals.  A breadth-first search over :meth:`IdealLattice.join` finds,
-    level by level, the ideals that are joins of t principal ideals: level 1 is the
-    principal ideals, and level t+1 every join of a level-t ideal with a
-    principal ideal.  An ideal's count is the first level it appears in, and
-    the bottom's (generated by the empty set) is 0.  Finiteness makes every
-    ideal finitely generated; the numbers are what the quasi-compactness
-    report records.
+    ideals, whose down-set is the union of theirs.  A breadth-first search
+    over down-sets (ints) finds at level t the joins of t principal ideals:
+    level t+1 is every S u S_<x> for S new at level t, each new set looked
+    up once in ``lat.by_downset``; one that no ideal has goes to
+    :meth:`IdealLattice.join`, which raises.  The bottom's count is 0; the
+    counts are what the quasi-compactness report records.
     """
-    principal = set(lat.principal)
+    downsets, by_downset = lat.downsets, lat.by_downset
+    generators = {downsets[p]: p for p in lat.principal}  # S_<x> -> the index of <x>
     counts = [-1] * len(lat)
     counts[lat.bottom] = 0
-    level, t = principal, 1
+    seen, level, t = {downsets[lat.bottom]}, set(generators), 1
     while level:
-        fresh = [k for k in level if counts[k] < 0]
-        for k in fresh:
+        fresh = level - seen
+        for d in fresh:
+            k = by_downset.get(d)
+            if k is None:  # S u S_<x> for some S met before: raises
+                pairs = ((by_downset[e], p) for e in seen for g, p in generators.items() if e | g == d)
+                lat.join(*next(pairs))
             counts[k] = t
-        level = {lat.join(k, p) for k in fresh for p in principal}
+        seen |= fresh
+        level = {d | g for d in fresh for g in generators}
         t += 1
     return tuple(counts)
 
@@ -172,7 +174,8 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
     when they share a closure, and a non-empty closed set C is reducible
     exactly when it is the union of the point closures strictly inside it
     (if C is the union of two proper closed sets, each p in C lies in one
-    and cl(p) with it).  That is O(k) per closed set, and each is tested.
+    and cl(p) with it).  p lies in cl(p), so only the closures of the points
+    of C can lie inside C: O(|C|) per closed set, and each is tested.
     Every point closure is irreducible (p lies in cl(p) and in no point
     closure strictly inside it), so "each irreducible closed set has exactly
     one generic point" already makes p -> cl(p) a bijection onto the
@@ -195,11 +198,12 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
                     f"points {point(a)} and {point(b)} are topologically indistinguishable"
                 )
 
-    closed_sets = sorted(set(spec.closed_of(i) for i in range(len(lat))))
+    closed_sets = sorted({spec.all_points_mask & ~u for u in spec.opens})
 
     def irreducible(c_mask: int) -> bool:
         inside = 0
-        for cl in closures:
+        for p in bits(c_mask):
+            cl = closures[p]
             if cl != c_mask and cl & ~c_mask == 0:
                 inside |= cl
         return c_mask != 0 and inside != c_mask
@@ -224,13 +228,16 @@ def topology_report(spec: SpectrumTopology) -> TopologyReport:
 
 def compact_basis_failure(spec: SpectrumTopology) -> int | None:
     """Index of the first ideal I whose U_I is not the union of the U_<x>,
-    x in I; None when the principal (quasi-compact) opens form a basis."""
-    lat = spec.lattice
-    for i, imask in enumerate(lat.masks):
-        union = 0
-        for x in bits(imask):
-            union |= spec.opens[lat.principal[x]]
-        if union != spec.opens[i]:
+    x in I; None when the principal (quasi-compact) opens form a basis.
+    Walked up :attr:`lalg.ideals.IdealLattice.lower_neighbours`, the union
+    over I is U_I' (once I' has passed) u the U_<x> for x in I \\ I'."""
+    lat, opens = spec.lattice, spec.opens
+    principal = [opens[p] for p in lat.principal]
+    for i, (k, rest) in enumerate(lat.lower_neighbours):
+        union = opens[k] if k >= 0 else 0
+        for x in rest:
+            union |= principal[x]
+        if union != opens[i]:
             return i
     return None
 

@@ -235,3 +235,73 @@ def _subdirectly_irreducible(lat):
 def subdirectly_irreducible():
     """lat -> bool, the monolith scan over every ideal of a built lattice."""
     return _subdirectly_irreducible
+
+
+def _ideal_masks_gated(alg, principal, joinirr):
+    """Test-only oracle: the walk over the down-sets of the join-irreducibles
+    with ``is_ideal`` at every leaf, each cand(S) read off the principal
+    masks from scratch, as (mask, S) pairs.  It reads ``is_ideal`` off the
+    module, so a planted gate applies here too."""
+    from lalg import ideals
+
+    k = len(joinirr)
+    lower = [d ^ 1 << j for j, d in enumerate(ideals._downsets(joinirr, joinirr))]
+    need = ideals._downsets(joinirr, principal)
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        j, down = stack.pop()
+        if j == k:
+            cand = ideals.mask_of(x for x, nx in enumerate(need) if nx & ~down == 0)
+            if ideals.is_ideal(alg, cand):
+                out.append((cand, down))
+            continue
+        stack.append((j + 1, down))
+        if lower[j] & ~down == 0:
+            stack.append((j + 1, down | 1 << j))
+    return out
+
+
+@pytest.fixture(scope="session")
+def ideal_walk_oracle():
+    """(alg, principal, joinirr) -> (mask, S) pairs, gated leaf by leaf."""
+    return _ideal_masks_gated
+
+
+def _compact_basis_scan(spec):
+    """Test-only oracle: the first ideal I whose open is not the union of
+    U_<x> over all x in I, each union built from scratch (m x n); None when
+    there is none."""
+    lat = spec.lattice
+    for i, imask in enumerate(lat.masks):
+        union = 0
+        for x in range(lat.algebra.n):
+            if (imask >> x) & 1:
+                union |= spec.opens[lat.principal[x]]
+        if union != spec.opens[i]:
+            return i
+    return None
+
+
+def _generator_counts_by_joins(lat):
+    """Test-only oracle: the breadth-first search over
+    ``IdealLattice.join`` of lattice indices, level t+1 every join of a
+    level-t ideal with a principal ideal."""
+    principal = set(lat.principal)
+    counts = [-1] * len(lat)
+    counts[lat.bottom] = 0
+    level, t = principal, 1
+    while level:
+        fresh = [k for k in level if counts[k] < 0]
+        for k in fresh:
+            counts[k] = t
+        level = {lat.join(k, p) for k in fresh for p in principal}
+        t += 1
+    return tuple(counts)
+
+
+@pytest.fixture(scope="session")
+def topology_oracles():
+    """The compact-basis scan (spec -> index or None) and the generator
+    counts by lattice joins (lat -> counts)."""
+    return _compact_basis_scan, _generator_counts_by_joins

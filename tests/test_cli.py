@@ -208,6 +208,27 @@ def test_spectrum_topology_reports_a_planted_open(monkeypatch, tmp_path, capsys)
     assert "problem: U_I is not the union of its principal opens for I = {1,a,b}" in out
 
 
+def test_ideals_json_reports_a_planted_missing_join(monkeypatch, tmp_path, capsys):
+    # chain3's full ideal dropped from the down-set look-up: the joins that
+    # land on it miss, and the command falsifies before it prints
+    import lalg.cli as cli
+
+    real = cli.enumerate_ideals
+
+    def planted(alg):
+        lat = real(alg)
+        lat.by_downset = {d: k for k, d in enumerate(lat.downsets) if k != lat.top}
+        return lat
+
+    monkeypatch.setattr(cli, "enumerate_ideals", planted)
+    f = tmp_path / "chain3.lalg"
+    f.write_text(CHAIN3)
+    assert main(["ideals", "--json", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "falsification: chain3: no ideal has S_I u S_J as its down-set\n"
+
+
 def test_laws_on_files(diamond_file, capsys):
     code = main(["laws", diamond_file, "--law", "ideal-lattice.distributive", "--no-timing"])
     out = capsys.readouterr().out

@@ -36,9 +36,13 @@ PRODUCTS = {
 #: command -> (exit code, SHA-256 of stdout); a last word that names a
 #: fixture, a poset or a product stands for the file built for it.
 GOLDEN = {
+    "ideals --json anti6": (0, "37db991115160371c3a41b421110763d809ffb704375a760c5977f821fd22bd1"),
+    "ideals --json anti7": (0, "b2497fb0a085e4a136c3d05243f7eea1207a7518519bc6cba1c06b9ddf3506b4"),
     "ideals --json B2": (0, "80afe02cb51b5321cc3b3f070a06d7055d2505933009c3494191781e9ae5c610"),
+    "ideals --json B2^4": (0, "c71ec3406cf666859cf93fd2d2af374a9218a6944a478f759f8aea5110caa1f5"),
     "ideals --json B2xB2": (0, "282a09f8ddbd2db96ba6cc9a2a2660eb5a36e58b2a49f91de5f1ed90e9512f1f"),
     "ideals --json chain3": (0, "b132e1db2df9dd68281b880e61a79fc9bb3c1b73579216466bd244d0105345f1"),
+    "ideals --json chain3^2": (0, "c7f8ad660eb8ecb2c9585d16fcc1d7abf7d90a7751d28b8fa88d1cfef0400290"),
     "ideals --json diamond": (0, "afa4383809a9071b0369fb8a007920b9a1c8658991b618e8cc79b73ee4980a92"),
     "ideals --json diamondxB2": (0, "542b2c17aa1db74300431df9b58f3c19c0a4b7ba6cf5adb79af2733e3ea96e05"),
     "ideals --json example5": (0, "f4fc999409e0e29f5d5642694240f6ebed9b5e71832066fd3055298f3cb320ae"),
@@ -52,9 +56,13 @@ GOLDEN = {
     "laws --json --no-timing anti7": (0, "dacc33ba20ee3a5004df86ea4131164a350f6f7c556c4fc8a18000a6c4d9cfaf"),
     "laws --json --no-timing B2^4": (0, "8cee29dfbfafaa48788cab33a188e748649ba312ef71c1a4327e8ed7915fc2ec"),
     "laws --json --no-timing chain3^2": (0, "0e7163fd7083b2740e4a4871262155dd158f50f4236f0e3629fea75eb0f9f919"),
+    "spectrum --topology anti6": (0, "0c41aec2a02d5d3fda316dbc8505e948828ccf454bc2fa56c2402e5d0fa76a12"),
+    "spectrum --topology anti7": (0, "f3ebb09103a6434f385dcb925e1aa6b17309b815e4c5619ef84f4eb58775a153"),
     "spectrum --topology B2": (0, "424c580c6ac90253746a9c2c4f5ac5fabf9e64aa254279449ae52fb77d7731d4"),
+    "spectrum --topology B2^4": (0, "4e3acda38e703b13700839d401a0319d5204792991745376abf977b0bb27a9a6"),
     "spectrum --topology B2xB2": (0, "742b282f197ad265767c0f038b660178fc4a312b5272576f25ae2596b61392c1"),
     "spectrum --topology chain3": (0, "0931d351c82a5f13db86d0f78aa6a147c38a9a07e8a68dbf3c52c602bc19373b"),
+    "spectrum --topology chain3^2": (0, "cf30ccaf5692b4cc04d551eb80563f7b5c25dfd312edcd14224d2598248d1f03"),
     "spectrum --topology diamond": (0, "3287f26abcfe78856c2b53fa7c12ea01271ab3e73f6226b5b04cef81ce25d05b"),
     "spectrum --topology diamondxB2": (0, "366f0a6996b6ecd40587f91208dc1c4ce3dd3ebccc3d2cd650510b203454445f"),
     "spectrum --topology example5": (0, "a6b7e0097e7d7b164ba250c0f1e6062cd25278194c1115d6e8ba0dbb01128ec4"),

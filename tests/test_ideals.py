@@ -210,6 +210,35 @@ def test_the_walk_hands_over_each_ideals_down_set(corpus_to_five):
         assert list(lat.downsets) == recomputed, alg.name
 
 
+def test_the_walk_gates_its_k_points_and_no_leaf(monkeypatch, algebras):
+    # once each P_j passes is_ideal every leaf is an intersection of them,
+    # so a lattice build on an L-algebra calls is_ideal k times, not m
+    calls = []
+    real = ideals.is_ideal
+    monkeypatch.setattr(ideals, "is_ideal", lambda *a: calls.append(a) or real(*a))
+    for alg in algebras.values():
+        calls.clear()
+        lat = enumerate_ideals(alg)
+        assert len(calls) == len(lat.join_irreducibles), alg.name
+
+
+def test_a_point_that_fails_its_gate_gates_every_leaf(monkeypatch, algebras, ideal_walk_oracle):
+    # planted: is_ideal rejects one P_j at a time.  The walk then certifies
+    # nothing and gates each leaf, so P_j, and only P_j, drops out of the
+    # masks, as in the oracle that gates every leaf
+    real = ideals.is_ideal
+    lattices = {name: enumerate_ideals(algebras[name]) for name in ("omega3", "omega5", "B2xB2", "diamondxB2")}
+    for name, lat in lattices.items():
+        alg = lat.algebra
+        principal, joinirr = tuple(lat.masks[k] for k in lat.principal), lat.join_irreducibles
+        every = set(lat.masks)
+        for planted in ideals._point_candidates(principal, joinirr):
+            monkeypatch.setattr(ideals, "is_ideal", lambda a, m, planted=planted: m != planted and real(a, m))
+            got = ideals._ideal_masks(alg, principal, joinirr)
+            assert {mask for mask, _ in got} == every - {planted}, name
+            assert sorted(got) == sorted(ideal_walk_oracle(alg, principal, joinirr)), name
+
+
 def _relabelled(alg):
     """The same unit and table under other labels and another name."""
     labels = tuple(f"{label}'" for label in alg.labels)

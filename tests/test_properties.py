@@ -1,9 +1,10 @@
 """Property tests: closure confluence, monotonicity, builder soundness,
 primality on principal ideals, witness joins and residuals, point masks and
-the atom test against their oracles, element-order invariance, file round
-trips."""
+the atom test, the certified walk and the topology report against their
+oracles, element-order invariance, file round trips."""
 
 import tempfile
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -20,9 +21,23 @@ from lalg.constructions import (
 from lalg.core import validate
 from lalg.errors import UnwritableLabel
 from lalg.formats import load_algebra, save_algebra
-from lalg.ideals import bits, close_under_rules, enumerate_ideals, quotient, witness_joins
+from lalg.ideals import (
+    _ideal_masks,
+    _join_irreducibles,
+    bits,
+    close_under_rules,
+    enumerate_ideals,
+    quotient,
+    witness_joins,
+)
 from lalg.laws import _principal_primality
-from lalg.spectrum import at_most_one_atom, prime_ideals, spectrum_facts
+from lalg.spectrum import (
+    _minimal_generator_counts,
+    at_most_one_atom,
+    compact_basis_failure,
+    prime_ideals,
+    spectrum_facts,
+)
 
 CORPUS = list(enumerate_all(3)) + list(enumerate_all(4, up_to_iso=True))
 
@@ -228,6 +243,37 @@ def test_point_masks_and_the_atom_test_match_the_scans(data, prime_oracles, subd
     for p in lat.proper_indices():
         quot = quotient(alg, lat.masks[p]).algebra
         assert at_most_one_atom(quot, {}) == subdirectly_irreducible(enumerate_ideals(quot))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_certified_walk_and_topology_match_the_oracles(
+    data, magma, absorption_magma, ideal_walk_oracle, topology_oracles
+):
+    """On products and ordered sums of small fixtures and on the two magmas,
+    the walk certified by its k points returns the (mask, S) pairs of the
+    walk gated leaf by leaf, and the basis check along lower neighbours and
+    the generator counts over down-sets equal their scans over ideals."""
+    small = [a for a in FIXTURES if a.n <= 5]
+    build = data.draw(st.sampled_from([product, ordered_sum, None]))
+    if build is None:
+        alg = data.draw(st.sampled_from([magma, absorption_magma]))
+    else:
+        alg = build(data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small)))
+    principal = tuple(close_under_rules(alg, 1 << x) for x in range(alg.n))
+    joinirr = _join_irreducibles(alg, principal)
+    walk = _ideal_masks(alg, principal, joinirr)
+    assert sorted(walk) == sorted(ideal_walk_oracle(alg, principal, joinirr))
+    basis_scan, counts_by_joins = topology_oracles
+    spec = prime_ideals(enumerate_ideals(alg))
+    assert compact_basis_failure(spec) == basis_scan(spec)
+    opens = list(spec.opens)
+    opens[data.draw(st.integers(min_value=0, max_value=len(opens) - 1))] = data.draw(
+        st.integers(min_value=0, max_value=spec.all_points_mask)
+    )
+    planted = replace(spec, opens=tuple(opens))
+    assert compact_basis_failure(planted) == basis_scan(planted)
+    assert _minimal_generator_counts(spec.lattice) == counts_by_joins(spec.lattice)
 
 
 @given(data=st.data())

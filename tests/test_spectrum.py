@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from lalg import ideals, laws
+from lalg import ideals, laws, spectrum
 from lalg.constructions import Fixture, PosetSpec, enumerate_all, poset_algebra
 from lalg.core import structure_flags, validate
 from lalg.errors import DistributivityFailure, NonUniqueAttachment
@@ -13,6 +13,7 @@ from lalg.spectrum import (
     at_most_one_atom,
     attach_prime_ideal,
     check_frame_map,
+    compact_basis_failure,
     point_closures,
     prime_elements,
     prime_ideals,
@@ -212,7 +213,7 @@ def _topology_by_pairs(spec):
         for a in range(npts)
         for b in range(a + 1, npts)
     )
-    closed = sorted({spec.closed_of(i) for i in range(len(spec.lattice))})
+    closed = sorted({spec.all_points_mask & ~u for u in spec.opens})
     irr = [
         a
         for a in closed
@@ -319,6 +320,40 @@ def test_empty_spectrum_is_vacuously_fine(algebras):
     assert spec.point_count == 0
     rep = topology_report(spec)
     assert rep.t0 and rep.sober
+
+
+def test_the_lower_neighbour_walk_names_a_planted_open(algebras, topology_oracles):
+    # the open of one ideal of omega5 at a time replaced by its complement:
+    # the walk names that ideal, as the m x n scan does.  The union over the
+    # bottom, and over the atom <x> = {1,x}, reads the planted open only off
+    # itself, so there both name the first ideal above that reads it too
+    basis_scan, _ = topology_oracles
+    spec = prime_ideals(enumerate_ideals(algebras["omega5"]))
+    lat = spec.lattice
+    assert compact_basis_failure(spec) is None
+    unseen = {lat.bottom, lat.index(lat.masks[lat.bottom] | 1 << lat.algebra.index_of("x"))}
+    for i in range(len(lat)):
+        opens = list(spec.opens)
+        opens[i] ^= spec.all_points_mask
+        planted = replace(spec, opens=tuple(opens))
+        found = compact_basis_failure(planted)
+        assert found == basis_scan(planted), i
+        if i in unseen:
+            assert found == min(k for k in range(i + 1, len(lat)) if lat.leq(i, k)), i
+        else:
+            assert found == i
+
+
+def test_a_generator_union_that_no_ideal_has_raises(algebras, topology_oracles):
+    # planted: omega3's full ideal dropped from the down-set look-up.  It
+    # needs two generators, so the search meets its down-set as a union and
+    # hands the miss to IdealLattice.join, as the search over joins does
+    _, counts_by_joins = topology_oracles
+    for route in (spectrum._minimal_generator_counts, counts_by_joins):
+        lat = enumerate_ideals(algebras["omega3"])
+        lat.by_downset = {d: k for k, d in enumerate(lat.downsets) if k != lat.top}
+        with pytest.raises(DistributivityFailure, match="no ideal has S_I u S_J as its down-set"):
+            route(lat)
 
 
 def test_minimal_generator_counts(omega3):
