@@ -7,6 +7,7 @@ Exit codes: 0 on success (laws: all pass), 1 on law or validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .laws import all_pass, run_suite
 from .spectrum import compact_basis_failure, prime_ideals, spectrum_facts, topology_report
 
 
+@functools.cache  # built on the first call of ``main``; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lalg",
@@ -276,8 +278,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (_Usage, SizeTooLarge, UnwritableLabel) as exc:

@@ -15,7 +15,10 @@ The text format (``.lalg``) is UTF-8, line oriented and diff friendly::
 Column order inside a row is the ``elements`` order; one ``row`` line per
 element.  The JSON alternative mirrors the document field for field (plus an
 optional ``metadata`` object) and is chosen by the ``.json`` extension.
-Parse errors report exact one-based line and column positions.
+Poset files (``elements:``, ``top:`` and ``cover a < b`` lines) are read by
+the same line reader, so a repeated label on an ``elements:`` line is a parse
+error in both.  Parse errors report exact one-based line and column positions;
+a column is found only when an error is raised.
 """
 
 from __future__ import annotations
@@ -87,94 +90,86 @@ def algebra_to_document(alg: FiniteLAlgebra) -> AlgebraDocument:
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens(content: str) -> list[tuple[str, int]]:
-    """(token, one-based column) pairs of a line with comments stripped."""
-    hash_pos = content.find("#")
-    if hash_pos >= 0:
-        content = content[:hash_pos]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
+def _error(lineno: int, raw: str, k: int, message: str) -> ParseError:
+    """An error at the k-th token of a line; only here is its column found."""
+    return ParseError(lineno, [m.start() for m in _TOKEN.finditer(raw)][k] + 1, message)
+
+
+def _read_lines(text: str, singles: dict[str, bool], verb: str, handle) -> tuple[dict, int]:
+    """The reader both line formats share.
+
+    Blank lines and ``#`` comments are skipped.  Each ``key:`` directive is
+    read at most once: ``elements:`` as a dict of distinct labels in file
+    order, a key of ``singles`` as one label (required where it maps to
+    True).  A line headed by ``verb`` goes to ``handle(found, tokens, lineno,
+    raw)``.  Returns the directives found and the line after the last, where
+    a missing one is reported.
+    """
+    found: dict = {}
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.partition("#")[0].split()
+        if not toks:
+            continue
+        if toks[0] == verb:
+            handle(found, toks, lineno, raw)
+            continue
+        head, key, labels = toks[0], toks[0][:-1], toks[1:]
+        if head[-1:] != ":" or (key != "elements" and key not in singles):
+            raise _error(lineno, raw, 0, f"unknown directive {head!r}")
+        if key in found:
+            raise _error(lineno, raw, 0, f"duplicate {key} line")
+        if key in singles and len(labels) != 1:
+            raise _error(lineno, raw, 0, f"{key} takes exactly one label")
+        if not labels:
+            raise _error(lineno, raw, 0, "elements line lists no labels")
+        found[key] = labels[0] if key in singles else dict.fromkeys(labels)
+        if key not in singles and len(found[key]) != len(labels):
+            k = next(k for k in range(len(labels)) if labels[k] in labels[:k])
+            raise _error(lineno, raw, k + 1, f"duplicate element label {labels[k]!r}")
+    for key in ("elements", *singles):
+        if singles.get(key, True) and key not in found:
+            raise ParseError(lineno + 1, 1, f"missing {key} line")
+    return found, lineno + 1
 
 
 def parse_algebra_text(text: str) -> AlgebraDocument:
     """Parse the line format; raises :class:`ParseError` with exact positions."""
-    name: str | None = None
-    elements: tuple[str, ...] | None = None
-    unit: str | None = None
     rows: dict[str, tuple[str, ...]] = {}
-    last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        head, col = toks[0]
-        if head == "name:":
-            if name is not None:
-                raise ParseError(lineno, col, "duplicate name line")
-            if len(toks) != 2:
-                raise ParseError(lineno, col, "name takes exactly one label")
-            name = toks[1][0]
-        elif head == "elements:":
-            if elements is not None:
-                raise ParseError(lineno, col, "duplicate elements line")
-            if len(toks) < 2:
-                raise ParseError(lineno, col, "elements line lists no labels")
-            seen: dict[str, int] = {}
-            for tok, tcol in toks[1:]:
-                if tok in seen:
-                    raise ParseError(lineno, tcol, f"duplicate element label {tok!r}")
-                seen[tok] = tcol
-            elements = tuple(t for t, _ in toks[1:])
-        elif head == "unit:":
-            if unit is not None:
-                raise ParseError(lineno, col, "duplicate unit line")
-            if len(toks) != 2:
-                raise ParseError(lineno, col, "unit takes exactly one label")
-            unit = toks[1][0]
-        elif head == "row":
-            if elements is None:
-                raise ParseError(lineno, col, "row before the elements line")
-            if len(toks) < 2 or not toks[1][0].endswith(":"):
-                raise ParseError(lineno, col, "row syntax is: row <label>: <entries>")
-            label, lcol = toks[1][0][:-1], toks[1][1]
-            if label not in elements:
-                raise ParseError(lineno, lcol, f"row for unknown element {label!r}")
-            if label in rows:
-                raise ParseError(lineno, lcol, f"duplicate row for {label!r}")
-            entries = toks[2:]
-            if len(entries) != len(elements):
-                where = entries[len(elements)][1] if len(entries) > len(elements) else (
-                    entries[-1][1] if entries else lcol
-                )
-                raise ParseError(
-                    lineno,
-                    where,
-                    f"table not square: row {label!r} has {len(entries)} entries, "
-                    f"expected {len(elements)}",
-                )
-            for tok, tcol in entries:
-                if tok not in elements:
-                    raise ParseError(lineno, tcol, f"unknown element label {tok!r}")
-            rows[label] = tuple(t for t, _ in entries)
-        else:
-            raise ParseError(lineno, col, f"unknown directive {head!r}")
+    def row(found: dict, toks: list[str], lineno: int, raw: str) -> None:
+        elements = found.get("elements")
+        if elements is None:
+            raise _error(lineno, raw, 0, "row before the elements line")
+        if len(toks) < 2 or toks[1][-1:] != ":":
+            raise _error(lineno, raw, 0, "row syntax is: row <label>: <entries>")
+        label, entries = toks[1][:-1], toks[2:]
+        if label not in elements:
+            raise _error(lineno, raw, 1, f"row for unknown element {label!r}")
+        if label in rows:
+            raise _error(lineno, raw, 1, f"duplicate row for {label!r}")
+        n = len(elements)
+        if len(entries) != n:
+            # at the first entry too many, else at the last token of the row
+            message = f"table not square: row {label!r} has {len(entries)} entries, expected {n}"
+            raise _error(lineno, raw, min(2 + n, len(toks) - 1), message)
+        for tok in entries:
+            if tok not in elements:
+                raise _error(lineno, raw, 2 + entries.index(tok), f"unknown element label {tok!r}")
+        rows[label] = tuple(entries)
 
-    if elements is None:
-        raise ParseError(last_line + 1, 1, "missing elements line")
-    if unit is None:
-        raise ParseError(last_line + 1, 1, "missing unit line")
+    found, end = _read_lines(text, {"name": False, "unit": True}, "row", row)
+    elements, unit = found["elements"], found["unit"]
     if unit not in elements:
-        raise ParseError(last_line + 1, 1, f"unit {unit!r} is not an element")
+        raise ParseError(end, 1, f"unit {unit!r} is not an element")
     missing = [e for e in elements if e not in rows]
     if missing:
-        raise ParseError(last_line + 1, 1, f"missing row for {missing[0]!r}")
+        raise ParseError(end, 1, f"missing row for {missing[0]!r}")
     return AlgebraDocument(
-        name=name,
-        elements=elements,
+        name=found.get("name"),
+        elements=tuple(elements),
         unit=unit,
         table=tuple(rows[e] for e in elements),
-        metadata=None,
     )
 
 
@@ -319,39 +314,15 @@ def save_algebra(alg: FiniteLAlgebra, path: str | Path) -> None:
 
 def parse_poset_text(text: str) -> PosetSpec:
     """Poset files: an ``elements:`` line, a ``top:`` line, ``cover a < b`` lines."""
-    elements: tuple[str, ...] | None = None
-    top: str | None = None
     covers: list[tuple[str, str]] = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        head, col = toks[0]
-        if head == "elements:":
-            if elements is not None:
-                raise ParseError(lineno, col, "duplicate elements line")
-            if len(toks) < 2:
-                raise ParseError(lineno, col, "elements line lists no labels")
-            elements = tuple(t for t, _ in toks[1:])
-        elif head == "top:":
-            if top is not None:
-                raise ParseError(lineno, col, "duplicate top line")
-            if len(toks) != 2:
-                raise ParseError(lineno, col, "top takes exactly one label")
-            top = toks[1][0]
-        elif head == "cover":
-            if len(toks) != 4 or toks[2][0] != "<":
-                raise ParseError(lineno, col, "cover syntax is: cover <low> < <high>")
-            covers.append((toks[1][0], toks[3][0]))
-        else:
-            raise ParseError(lineno, col, f"unknown directive {head!r}")
-    if elements is None:
-        raise ParseError(last_line + 1, 1, "missing elements line")
-    if top is None:
-        raise ParseError(last_line + 1, 1, "missing top line")
-    return PosetSpec(elements=elements, covers=tuple(covers), top=top)
+
+    def cover(found: dict, toks: list[str], lineno: int, raw: str) -> None:
+        if len(toks) != 4 or toks[2] != "<":
+            raise _error(lineno, raw, 0, "cover syntax is: cover <low> < <high>")
+        covers.append((toks[1], toks[3]))
+
+    found, _ = _read_lines(text, {"top": True}, "cover", cover)
+    return PosetSpec(elements=tuple(found["elements"]), covers=tuple(covers), top=found["top"])
 
 
 def _report_payload(report: "LawReport", include_timing: bool) -> dict:

@@ -236,6 +236,19 @@ def test_laws_on_files(diamond_file, capsys):
     assert "PASS ideal-lattice.distributive :: diamond" in out
 
 
+def test_the_reused_parser_carries_nothing_into_the_next_call(diamond_file, capsys):
+    argv = ["laws", diamond_file, "--law", "ideal-lattice.distributive", "--json", "--no-timing"]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["law"] for r in first] == ["ideal-lattice.distributive"]
+    assert main(["laws", diamond_file, "--law", "meet.glb", "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "PASS meet.glb :: diamond (16 instances)",
+        "1/1 law checks passed on 1 algebra(s)",
+    ]
+
+
 def test_laws_enumerate_two(capsys):
     assert main(["laws", "--enumerate", "2", "--no-timing"]) == 0
     out = capsys.readouterr().out
@@ -394,8 +407,12 @@ def test_construct_poset(tmp_path, capsys):
         ("elements: 1 a b\ntop: 1\ncover a < b\ncover b < a\n", "covers are cyclic"),
         ("elements: 1 a\ntop: 1\n", "'1' is not above 'a'"),
         ("elements: 1 a\ntop: 1\ntop: a\ncover a < 1\n", "line 3, col 1: duplicate top line"),
+        (
+            "elements: 1 a a\ntop: 1\ncover a < 1\n",
+            "parse error: line 1, col 15: duplicate element label 'a'",
+        ),
     ],
-    ids=["unknown-label", "cyclic", "top-not-above", "duplicate-top"],
+    ids=["unknown-label", "cyclic", "top-not-above", "duplicate-top", "repeated-label"],
 )
 def test_construct_poset_rejects_a_malformed_poset(tmp_path, capsys, text, message):
     poset = tmp_path / "bad.poset"

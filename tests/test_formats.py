@@ -208,6 +208,63 @@ def test_poset_file_errors():
         parse_poset_text("elements: a b\ntop: b\ncover a b\n")
 
 
+_PARSERS = {"lalg": parse_algebra_text, "poset": parse_poset_text, "json": parse_algebra_json}
+
+#: Every error branch of the three readers, with the position and message it
+#: reports: blank lines, comments and tabs shift columns as a reader must see.
+READER_ERRORS = [
+    ('lalg', 'name: a\nname: b\n', 2, 1, 'duplicate name line'),
+    ('lalg', 'name: a b\n', 1, 1, 'name takes exactly one label'),
+    ('lalg', 'name:\n', 1, 1, 'name takes exactly one label'),
+    ('lalg', 'elements: a\nelements: a\n', 2, 1, 'duplicate elements line'),
+    ('lalg', 'elements:   # no labels\n', 1, 1, 'elements line lists no labels'),
+    ('lalg', 'elements: a b\tc b\n', 1, 17, "duplicate element label 'b'"),
+    ('lalg', 'unit: a\nunit: a\n', 2, 1, 'duplicate unit line'),
+    ('lalg', 'unit: a b\n', 1, 1, 'unit takes exactly one label'),
+    ('lalg', 'unit:\n', 1, 1, 'unit takes exactly one label'),
+    ('lalg', 'row a: a\nelements: a\n', 1, 1, 'row before the elements line'),
+    ('lalg', 'elements: a\nrow a a\n', 2, 1, 'row syntax is: row <label>: <entries>'),
+    ('lalg', 'elements: a\nrow\n', 2, 1, 'row syntax is: row <label>: <entries>'),
+    ('lalg', 'elements: a\n  row z: a\n', 2, 7, "row for unknown element 'z'"),
+    ('lalg', 'elements: a\nrow a: a\nrow a: a\n', 3, 5, "duplicate row for 'a'"),
+    ('lalg', 'elements: a b\nrow a: a b a\n', 2, 12, "table not square: row 'a' has 3 entries, expected 2"),
+    ('lalg', 'elements: a b\nrow a: a\n', 2, 8, "table not square: row 'a' has 1 entries, expected 2"),
+    ('lalg', 'elements: a b\nrow a:   # nothing\n', 2, 5, "table not square: row 'a' has 0 entries, expected 2"),
+    ('lalg', 'elements: a b\nrow a: a c\n', 2, 10, "unknown element label 'c'"),
+    ('lalg', 'elements: a b\nrow a: a b#c\n', 3, 1, 'missing unit line'),
+    ('lalg', '  what: ever\n', 1, 3, "unknown directive 'what:'"),
+    ('lalg', 'row: a\n', 1, 1, "unknown directive 'row:'"),
+    ('lalg', '\n# only a comment\n', 3, 1, 'missing elements line'),
+    ('lalg', '', 1, 1, 'missing elements line'),
+    ('lalg', 'elements: a\n\n', 3, 1, 'missing unit line'),
+    ('lalg', 'elements: a\nunit: b\nrow a: a\n', 4, 1, "unit 'b' is not an element"),
+    ('lalg', 'elements: a b\nunit: a\nrow b: a b\n', 4, 1, "missing row for 'a'"),
+    ('lalg', 'elements:a b\n', 1, 1, "unknown directive 'elements:a'"),
+    ('lalg', 'name: a\nname:\n', 2, 1, 'duplicate name line'),
+    ('poset', 'elements: a\nelements: b\n', 2, 1, 'duplicate elements line'),
+    ('poset', 'elements: # none\n', 1, 1, 'elements line lists no labels'),
+    ('poset', 'top: a\ntop: a\n', 2, 1, 'duplicate top line'),
+    ('poset', 'top: a b\n', 1, 1, 'top takes exactly one label'),
+    ('poset', 'elements: a b\ncover a < b c\n', 2, 1, 'cover syntax is: cover <low> < <high>'),
+    ('poset', 'elements: a b\ncover a > b\n', 2, 1, 'cover syntax is: cover <low> < <high>'),
+    ('poset', 'name: p\n', 1, 1, "unknown directive 'name:'"),
+    ('poset', 'top: a\n', 2, 1, 'missing elements line'),
+    ('poset', 'elements: a b\n\n', 3, 1, 'missing top line'),
+    ('poset', 'elements:a b\n', 1, 1, "unknown directive 'elements:a'"),
+    ('json', '[1, 2]', 1, 1, 'top level must be an object'),
+    ('json', '{"elements": ["a", 1], "unit": "a", "table": [["a", "a"]]}', 1, 2, 'elements must be a list of strings'),
+    ('json', '{"elements": "a", "unit": "a", "table": []}', 1, 2, 'elements must be a list of strings'),
+    ('json', '{"elements": ["a"], "unit": "a", "table": [["a"]],\n "metadata": [1]}', 2, 2, 'metadata must be an object'),
+]
+
+
+@pytest.mark.parametrize("kind, text, line, col, message", READER_ERRORS)
+def test_every_reader_error_has_its_position_and_message(kind, text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        _PARSERS[kind](text)
+    assert (exc.value.line, exc.value.col, exc.value.reason) == (line, col, message)
+
+
 def test_empty_report_serialization():
     assert serialize_report([], format="json") == '{"schema":1,"reports":[]}'
     assert serialize_report([], format="text") == ""
@@ -249,3 +306,24 @@ def test_timing_isolated_for_golden_comparisons():
     assert "time_s" in with_timing and "time_s" not in without
     text = serialize_report([_mk_report()], format="text", include_timing=False)
     assert "ms" not in text and "PASS" in text
+
+
+def test_text_report_of_a_failing_row_with_timing():
+    failing = LawReport(
+        law="join.witness-form",
+        corpus="diamond",
+        verdict="fail",
+        instances=3,
+        time_s=0.0456,
+        detail="no witness",
+        witness={"I": ["1"], "algebra_document": {"elements": ["1"]}, "J": ["1", "p"]},
+    )
+    assert serialize_report([_mk_report(), failing], format="text") == (
+        "PASS ideal-lattice.distributive :: B2 (8 instances, 1.2ms)\n"
+        "FAIL join.witness-form :: diamond (3 instances, 45.6ms) -- no witness\n"
+        '     witness: {"I":["1"],"J":["1","p"]}\n'
+    )
+    assert serialize_report([failing], format="text", include_timing=False) == (
+        "FAIL join.witness-form :: diamond (3 instances) -- no witness\n"
+        '     witness: {"I":["1"],"J":["1","p"]}\n'
+    )
