@@ -1,5 +1,5 @@
 """File formats: the line-oriented algebra format, JSON twins, poset files,
-and law-report serialization.
+and law-report serialization, its JSON encoded a block at a time.
 
 The text format (``.lalg``) is UTF-8, line oriented and diff friendly::
 
@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .constructions import PosetSpec
 from .core import FiniteLAlgebra, validate
@@ -342,6 +343,14 @@ def _report_payload(report: "LawReport", include_timing: bool) -> dict:
     return payload
 
 
+def json_array(blocks: Iterable[Sequence]) -> Iterator[str]:
+    """A compact JSON array in pieces, one ``json.dumps`` per (non-empty) block."""
+    yield "["
+    for k, block in enumerate(blocks):
+        yield ("," if k else "") + json.dumps(block, separators=(",", ":"))[1:-1]
+    yield "]"
+
+
 def serialize_report(
     reports: Sequence["LawReport"],
     format: str = "text",
@@ -353,11 +362,9 @@ def serialize_report(
     parenthetical (text) so deterministic comparisons can drop it.
     """
     if format == "json":
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "reports": [_report_payload(r, include_timing) for r in reports],
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        laws = groupby(reports, key=lambda r: r.law)
+        rows = "".join(json_array([_report_payload(r, include_timing) for r in group] for _, group in laws))
+        return f'{{"schema":{REPORT_SCHEMA},"reports":{rows}}}'
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     lines = []

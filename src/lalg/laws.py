@@ -112,7 +112,7 @@ class Context:
         return quasi_prime_elements(self.lattice)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a run holds every row until it prints
 class LawReport:
     """Verdict of one law on one corpus algebra."""
 

@@ -126,10 +126,10 @@ def _minimal_generator_counts(lat: IdealLattice) -> tuple[int, ...]:
     The ideal generated by a set is the join of its members' principal
     ideals, whose down-set is the union of theirs.  A breadth-first search
     over down-sets (ints) finds at level t the joins of t principal ideals:
-    level t+1 is every S u S_<x> for S new at level t, each new set looked
-    up once in ``lat.by_downset``; one that no ideal has goes to
-    :meth:`IdealLattice.join`, which raises.  The bottom's count is 0; the
-    counts are what the quasi-compactness report records.
+    level t+1 is every S u S_<x> other than S for S new at level t, each
+    new set looked up once in ``lat.by_downset``; one that no ideal has goes
+    to :meth:`IdealLattice.join`, which raises.  The bottom's count is 0;
+    the counts are what the quasi-compactness report records.
     """
     downsets, by_downset = lat.downsets, lat.by_downset
     generators = {downsets[p]: p for p in lat.principal}  # S_<x> -> the index of <x>
@@ -145,7 +145,7 @@ def _minimal_generator_counts(lat: IdealLattice) -> tuple[int, ...]:
                 lat.join(*next(pairs))
             counts[k] = t
         seen |= fresh
-        level = {d | g for d in fresh for g in generators}
+        level = {d | g for d in fresh for g in generators if g & ~d}
         t += 1
     return tuple(counts)
 

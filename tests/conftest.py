@@ -305,3 +305,41 @@ def topology_oracles():
     """The compact-basis scan (spec -> index or None) and the generator
     counts by lattice joins (lat -> counts)."""
     return _compact_basis_scan, _generator_counts_by_joins
+
+
+def _report_json_whole(reports, include_timing=True):
+    """Test-only oracle: the JSON law report as one ``json.dumps`` call
+    over the whole payload, every row's dict held at once."""
+    import json
+
+    from lalg import formats
+
+    rows = [formats._report_payload(r, include_timing) for r in reports]
+    return json.dumps({"schema": formats.REPORT_SCHEMA, "reports": rows}, separators=(",", ":"))
+
+
+def _ideals_json_whole(lat):
+    """Test-only oracle: the ``lalg ideals --json`` document with its three
+    m x m tables built as lists and encoded by one ``json.dumps`` call, the
+    joins by :meth:`IdealLattice.join`."""
+    import json
+
+    from lalg.ideals import labels_of
+
+    alg, masks, m = lat.algebra, lat.masks, len(lat)
+    payload = {
+        "schema": 1,
+        "algebra": alg.name,
+        "ideals": [labels_of(alg, a) for a in masks],
+        "meet": [[lat.index(a & b) for b in masks] for a in masks],
+        "join": [[lat.join(i, j) for j in range(m)] for i in range(m)],
+        "residuation": lat.residuation_table,
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@pytest.fixture(scope="session")
+def json_oracles():
+    """The whole-document encodings: (reports, include_timing) -> the law
+    report, and lattice -> the ``lalg ideals --json`` output."""
+    return _report_json_whole, _ideals_json_whole

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from lalg.cli import main
+from lalg.formats import load_algebra, save_algebra
+from lalg.ideals import enumerate_ideals, mask_of
 
 DIAMOND = """\
 name: diamond
@@ -227,6 +230,61 @@ def test_ideals_json_reports_a_planted_missing_join(monkeypatch, tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "falsification: chain3: no ideal has S_I u S_J as its down-set\n"
+
+
+def test_ideals_json_reports_a_planted_residual_that_is_no_ideal(monkeypatch, tmp_path, capsys):
+    # chain3's residual of the full ideal by the bottom planted as {1,b},
+    # which is no ideal: the residuation table raises, and the command
+    # falsifies before it prints
+    import lalg.cli as cli
+
+    real = cli.enumerate_ideals
+
+    def planted(alg):
+        lat = real(alg)
+        honest, full, bad = lat._residuation_mask, alg.full_mask, mask_of([alg.unit, alg.index_of("b")])
+        lat._residuation_mask = lambda imask, jmask: bad if (imask, jmask) == (full, 1 << alg.unit) else honest(imask, jmask)
+        return lat
+
+    monkeypatch.setattr(cli, "enumerate_ideals", planted)
+    f = tmp_path / "chain3.lalg"
+    f.write_text(CHAIN3)
+    assert main(["ideals", "--json", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "falsification: chain3: element-wise residuation is not an ideal\n"
+
+
+def test_ideals_json_is_the_whole_document_past_a_partial_block(json_oracles, algebras, tmp_path, capsys):
+    # chain3^2 x B2^2 has 36 ideals, a block of 32 rows and one of 4: the
+    # document written a block at a time is the one that one json.dumps
+    # call over the three tables as lists gives
+    from lalg.constructions import product
+
+    _, whole = json_oracles
+    alg = product(product(algebras["chain3"], algebras["chain3"]), algebras["B2xB2"])
+    path = tmp_path / "c3c3b2b2.lalg"
+    save_algebra(alg, path)
+    assert main(["ideals", "--json", str(path)]) == 0
+    assert capsys.readouterr().out == whole(enumerate_ideals(load_algebra(path)))
+
+
+def test_ideals_json_holds_a_few_blocks_at_most(tmp_path, capsys):
+    # anti7 (128 ideals, a 168 kB document) with stdout captured: the three
+    # tables as lists and their encoding at once peaked at 23.5 times the
+    # document's length, a block of rows at a time at 4.0 times, the
+    # lattice, its residuation table and the captured output included
+    # (tracemalloc, Python 3.11)
+    f = tmp_path / "anti7.lalg"
+    f.write_text(_antichain_text(7))
+    tracemalloc.start()
+    try:
+        assert main(["ideals", "--json", str(f)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert peak < 8 * len(out), (peak, len(out))
 
 
 def test_laws_on_files(diamond_file, capsys):

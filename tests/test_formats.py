@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from lalg.constructions import fixtures, poset_algebra
+from lalg.constructions import Fixture, enumerate_all, fixtures, poset_algebra, product_pairs
 from lalg.core import validate
 from lalg.errors import AxiomViolation, ParseError, UnwritableLabel
 from lalg.formats import (
@@ -18,7 +19,7 @@ from lalg.formats import (
     serialize_algebra_text,
     serialize_report,
 )
-from lalg.laws import LawReport
+from lalg.laws import LawReport, run_suite
 
 B2_TEXT = """\
 # the two-element Boolean algebra
@@ -327,3 +328,46 @@ def test_text_report_of_a_failing_row_with_timing():
         "FAIL join.witness-form :: diamond (3 instances) -- no witness\n"
         '     witness: {"I":["1"],"J":["1","p"]}\n'
     )
+
+
+def _law_corpus(n=None):
+    """The corpus of ``lalg laws``: the default one, or every table with up to n elements."""
+    if n is not None:
+        return [Fixture(a.name, a) for k in range(1, n + 1) for a in enumerate_all(k)]
+    corpus = list(fixtures())
+    seen = {f.name for f in corpus}
+    return corpus + [p for p in product_pairs() if p.name not in seen]
+
+
+@pytest.fixture(scope="module")
+def enum4_reports():
+    return run_suite(_law_corpus(4))
+
+
+def test_the_report_is_encoded_as_the_whole_payload_would_be(json_oracles, enum4_reports):
+    # one json.dumps per law, joined, against one over the whole payload:
+    # the default corpus and --enumerate 4 (5,564 rows, 9 failing), a
+    # failing row with a detail and a replayable witness, laws out of
+    # order, and no rows
+    whole, _ = json_oracles
+    witness = {"I": ["1"], "algebra_document": {"elements": ["1", "é"], "unit": "1"}}
+    failing = LawReport("join.witness-form", "B2", "fail", 3, 0.25, 'no "join" witness', witness)
+    cases = [[], [failing], [_mk_report(), failing, _mk_report()], run_suite(_law_corpus()), enum4_reports]
+    assert len(enum4_reports) == 5564 and sum(r.verdict == "fail" for r in enum4_reports) == 9
+    for reports in cases:
+        for timing in (True, False):
+            assert serialize_report(reports, format="json", include_timing=timing) == whole(reports, timing)
+
+
+def test_the_report_encoding_holds_a_few_documents_at_most(enum4_reports):
+    # the whole payload held every row's dict, the encoder's pieces and the
+    # string at once: 8.2 times the document's length at its peak here.
+    # One law's rows at a time, the blocks and their join peak at 2.0 times
+    # (tracemalloc, Python 3.11)
+    tracemalloc.start()
+    try:
+        doc = serialize_report(enum4_reports, format="json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(doc), (peak, len(doc))
