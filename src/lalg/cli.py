@@ -99,9 +99,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 #: ``lalg ideals --json`` prints three m x m tables, 56 MB at m = 2,048 and 228 MB
-#: at 4,096 (54 and 152 MB peak RSS), so above this many ideals it is a usage error.
+#: at 4,096 (19 and 21 MB peak RSS), so above this many ideals it is a usage error.
 IDEALS_JSON_CAP = 2048
-JSON_BLOCK_ROWS = 32  # table rows per json.dumps call of ``lalg ideals --json``
+JSON_BLOCK_ROWS = 32  # rows per write (ideal lists: per json.dumps call) of ``lalg ideals --json``
 
 
 def _cmd_ideals(args: argparse.Namespace) -> int:
@@ -116,17 +116,25 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
         for j in [index[q] for q in lat.join_irreducibles]:
             if not by_downset.keys() >= {a | downsets[j] for a in downsets}:  # lat.join raises on the miss
                 lat.join(next(i for i, a in enumerate(downsets) if a | downsets[j] not in by_downset), j)
-        blocks = [slice(b, b + JSON_BLOCK_ROWS) for b in range(0, len(lat), JSON_BLOCK_ROWS)]
-        tables = {  # rows by block; residuation_table raises here on a residual that is no ideal
-            "ideals": lambda rows: [labels_of(alg, a) for a in masks[rows]],
-            "meet": lambda rows: [[index[a & b] for b in masks] for a in masks[rows]],
-            "join": lambda rows: [[by_downset[a | b] for b in downsets] for a in downsets[rows]],
-            "residuation": lat.residuation_table.__getitem__,
+        residuals = lat.residuals()  # raises on a residual that is no ideal
+        # each entry is an index string made once, found through the mask, down-set or I \ J dict
+        name = [str(k) for k in range(len(lat))]
+        complements = [~b for b in masks]
+        meet, join, res = ({key: name[k] for key, k in d.items()} for d in (index, by_downset, residuals))
+        rows = {
+            "meet": lambda a, _: [meet[a & b] for b in masks],
+            "join": lambda _, d: [join[d | e] for e in downsets],
+            "residuation": lambda a, _: [res[a & c] for c in complements],
         }
-        sys.stdout.write(f'{{"schema":1,"algebra":{json.dumps(alg.name)}')
-        for key, rows in tables.items():
-            sys.stdout.write(f',"{key}":')
-            sys.stdout.writelines(json_array(map(rows, blocks)))
+        blocks = [slice(b, b + JSON_BLOCK_ROWS) for b in range(0, len(lat), JSON_BLOCK_ROWS)]
+        sys.stdout.write(f'{{"schema":1,"algebra":{json.dumps(alg.name)},"ideals":')
+        sys.stdout.writelines(json_array([labels_of(alg, a) for a in masks[b]] for b in blocks))
+        for key, row in rows.items():
+            sys.stdout.write(f',"{key}":[')
+            for k, b in enumerate(blocks):
+                block = ",".join(f"[{','.join(row(a, d))}]" for a, d in zip(masks[b], downsets[b]))
+                sys.stdout.write("," + block if k else block)
+            sys.stdout.write("]")
         sys.stdout.write("}\n")
         return 0
     print(f"{alg.name}: {len(lat)} ideal(s)")

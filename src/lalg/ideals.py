@@ -203,10 +203,10 @@ class IdealLattice:
     ``by_downset``, and I*J the set {x | <x> n I <= J}.  A hit is the meet,
     the join or the greatest K with K n I <= J; a join that misses raises
     :class:`DistributivityFailure` (only a non-distributive lattice lacks
-    it), a residual :class:`ResiduationNotGreatest`.  ``by_downset`` and
-    ``residuation_table``, the one m x m table, are built when first read,
-    so the lattices that serve only masks and spectra never build it, and
-    :meth:`residual` gives one residual without it; :meth:`quotient_by`
+    it), a residual :class:`ResiduationNotGreatest`.  ``by_downset`` is
+    built when first read; :meth:`residual` gives one residual and
+    :meth:`residuals` one per distinct I \\ J, in a dict the caller holds,
+    so no m x m structure lives on a lattice; :meth:`quotient_by`
     builds X/I once per ideal, as an algebra with its congruence and no
     lattice.  The theorems are checked in the laws
     ``ideal-lattice.distributive``, ``join.witness-form`` and
@@ -323,21 +323,19 @@ class IdealLattice:
             )
         return k
 
-    @cached_property
-    def residuation_table(self) -> tuple[tuple[int, ...], ...]:
-        # I*J depends on I \ J only: one residual and look-up per distinct difference
-        by_outside: dict[int, int] = {}
-        table = []
+    def residuals(self) -> dict[int, int]:
+        """I \\ J -> the index of I*J, one :meth:`residual` per distinct
+        difference (I*J depends on I \\ J only), visited in row-major order
+        of (I, J), so the first that is no ideal raises naming the first such
+        pair.  A fresh dict per call: the lattice keeps no m x m structure,
+        and a caller reads the row of I off ``imask & ~jmask``."""
+        out: dict[int, int] = {}
+        complements = [~jmask for jmask in self.masks]
         for imask in self.masks:
-            row = []
-            for jmask in self.masks:
-                outside = imask & ~jmask
-                k = by_outside.get(outside)
-                if k is None:
-                    k = by_outside[outside] = self.residual(imask, jmask)
-                row.append(k)
-            table.append(tuple(row))
-        return tuple(table)
+            outside = [imask & c for c in complements]
+            for j in sorted(map(outside.index, set(outside) - out.keys())):
+                out[outside[j]] = self.residual(imask, self.masks[j])
+        return out
 
 
 def certify_distributive(

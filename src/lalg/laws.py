@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .constructions import Fixture, product_injections
 from .core import FiniteLAlgebra, axiom_violations, partial_product, structure_flags
-from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError
+from .errors import AxiomViolation, DistributivityFailure, FalsificationError, LAlgebraError, SizeTooLarge
 from .formats import algebra_to_document, document_from_json_object
 from .ideals import (
     Congruence, IdealLattice, bits, braced, certify_distributive, close_under_rules, enumerate_ideals,
@@ -30,29 +30,38 @@ from .spectrum import (
 
 CheckResult = tuple[int, dict | None, str | None]
 
+#: The most ideals a law run reads a lattice of; above it the run stops with
+#: :class:`SizeTooLarge`, a usage error.  ``join.witness-form`` checks
+#: m(m+1)/2 pairs and ``ideal-lattice.is-l-algebra`` holds m^2 residuals:
+#: anti12 (4,096 ideals) takes 12-13 s and 148 MB, anti13 52-59 s and 536 MB
+#: (2-core VM, Python 3.11).
+MAX_IDEALS = 4096
+
 
 class Context:
     """Shared derived structures for one corpus algebra, each built on first read.
 
-    The lattice holds the quotients (``ctx.lattice.quotient_by(k)``) and the
-    residuation table, the spectrum its lattice, and the spectrum functions
-    read what they need off those, so every law that reads X/I, the table,
-    the spectrum, the topology report, the structure flags or the
-    quasi-prime elements reads the one copy built here.  The table is built
-    by the first of the two laws that read it (``residuation.adjunction``,
-    ``ideal-lattice.is-l-algebra``); the other laws never build it.  The
+    The lattice holds the quotients (``ctx.lattice.quotient_by(k)``), the
+    spectrum its lattice, and the spectrum functions read what they need off
+    those, so every law that reads X/I, the spectrum, the topology report,
+    the structure flags or the quasi-prime elements reads the one copy built
+    here.  A lattice above :data:`MAX_IDEALS` raises :class:`SizeTooLarge`,
+    which stops the run.  Nothing m x m is shared: ``ideal-lattice.is-l-algebra``
+    builds the m^2 residuals it reads and drops them when it returns.  The
     per-algebra facts are decided once too: ``distributive`` is the
     :func:`certify_distributive` outcome (its instance count, or the
     :class:`DistributivityFailure` it raised), read by
     ``ideal-lattice.distributive``, ``residuation.adjunction`` and
     ``spectrum.frame-bijection``; :meth:`primality` is the
     :func:`_principal_primality` verdict of one ideal, decided on first
-    read, for ``prime.definitions-agree``, ``ideal-lattice.is-l-algebra``
-    and the frame law.  Each law decides its own verdict from these facts.
+    read, for ``prime.definitions-agree``, the frame law and the two
+    residuation laws.  Each law decides its own verdict from these facts.
     Only X has a lattice: the spectra of its quotients and sub-algebras are
     the run's ``facts`` (:func:`~lalg.spectrum.spectrum_facts`), which
     ``prime.iff-quotient-irreducible`` and ``relative-spectrum.bijection``
-    are passed, so each operation table's facts are built once per run.
+    are passed, so each operation table's facts are built once per run; the
+    same dict keeps the ideal and point masks of each factor table that
+    ``product.factorization`` reads (:func:`_factor_facts`).
     """
 
     def __init__(self, fixture: Fixture, facts: dict):
@@ -64,7 +73,10 @@ class Context:
 
     @cached_property
     def lattice(self):
-        return enumerate_ideals(self.algebra)
+        lat = enumerate_ideals(self.algebra)
+        if len(lat) > MAX_IDEALS:
+            raise SizeTooLarge(f"{self.algebra.name}: {len(lat)} ideals exceed the law suite's cap of {MAX_IDEALS}")
+        return lat
 
     @cached_property
     def distributive(self) -> int | DistributivityFailure:
@@ -260,32 +272,50 @@ def _check_residuation(ctx: Context) -> CheckResult:
     return ctx.adjunction
 
 
-def _residuation_adjunction(ctx: Context) -> CheckResult:
-    """I n J <= K exactly when I <= J*K, for I the bottom or join-irreducible.
+def _elementwise_residual(lat: IdealLattice, outside: int) -> int:
+    """{x | <x> n I <= J} for ``outside`` = I \\ J, read off the principal ideals."""
+    return mask_of(x for x, p in enumerate(lat.principal) if not lat.masks[p] & outside)
 
-    On a lattice certified distributive both sides are preserved by joins in
-    I, and every I is the join of the join-irreducibles inside it, so those
-    I decide the law.  Without the certificate every I is checked.
+
+def _residuation_adjunction(ctx: Context) -> CheckResult:
+    """K n I <= J exactly when K <= I*J (:meth:`IdealLattice.residual`).
+
+    An ideal is the greatest such K exactly when it is {x | <x> n I <= J},
+    since every K is the union of the <x> inside it.  That set turns meets
+    in J into intersections, and joins in I too once the lattice is
+    distributive, so it is the intersection of the sets for j a
+    join-irreducible inside I and q a meet-irreducible above J (X if none),
+    and ideals are closed under intersection.  So on a lattice certified
+    distributive the k^2 pairs (j, q) and the bottom decide the law, one
+    instance each: the residual is an ideal and is that set.  The
+    meet-irreducibles are the principal meet-primes.  Without the
+    certificate every triple is checked.
     """
     lat = ctx.lattice
     m = len(lat)
     masks = lat.masks
     if isinstance(ctx.distributive, int):
-        lefts = [lat.bottom] + [lat.index(j) for j in lat.join_irreducibles]
-    else:
-        lefts = range(m)
+        meet_irreducibles = [masks[p] for p in range(m) if ctx.primality(p)["meet_form"]]
+        pairs = [(masks[lat.bottom],) * 2, *((j, q) for j in lat.join_irreducibles for q in meet_irreducibles)]
+        for instances, (imask, jmask) in enumerate(pairs, 1):
+            wrong = masks[lat.residual(imask, jmask)] ^ _elementwise_residual(lat, imask & ~jmask)
+            if wrong:  # K = <x> for x in one set and not the other
+                named = zip("IJK", (masks[lat.principal[next(bits(wrong))]], imask, jmask))
+                return instances, {key: labels_of(ctx.algebra, v) for key, v in named}, None
+        return len(pairs), None, None
+    residuals = lat.residuals()
     instances = 0
-    for i in lefts:
+    for i in range(m):
         imask = masks[i]
         # I <= K for every K, and I n J <= K for every K once per distinct I n J
         contains = [imask & ~kmask == 0 for kmask in masks]
         below: dict[int, list[bool]] = {}
-        for j in range(m):
-            inside = imask & masks[j]
+        for j, jmask in enumerate(masks):
+            inside = imask & jmask
             lhs = below.get(inside)
             if lhs is None:
                 lhs = below[inside] = [inside & ~kmask == 0 for kmask in masks]
-            rhs = list(map(contains.__getitem__, lat.residuation_table[j]))
+            rhs = [contains[residuals[jmask & ~kmask]] for kmask in masks]
             if lhs != rhs:
                 k = next(k for k in range(m) if lhs[k] != rhs[k])
                 named = {key: labels_of(ctx.algebra, masks[v]) for key, v in zip("IJK", (i, j, k))}
@@ -297,35 +327,37 @@ def _residuation_adjunction(ctx: Context) -> CheckResult:
 def _check_lattice_is_algebra(ctx: Context) -> CheckResult:
     """The residuation table is an L-algebra whose order is inclusion.
 
-    The table itself is checked, not an algebra validated from it, so there
-    is no carrier cap.  Once ``residuation.adjunction`` holds, each map
-    K -> I*K is a right adjoint, so both sides of the exchange identity,
-    z -> (x*y)*(x*z) and z -> (y*x)*(y*z), preserve all meets, the empty one
-    (the top) included; every ideal is the meet of the meet-irreducibles
-    above it, so the top and the meet-irreducibles decide the identity.
-    The lattice is then distributive (K n - is a left adjoint, so it
-    preserves joins), and there the meet-irreducibles are the meet-primes
-    (Davey & Priestley, ch. 2 and 5), which :func:`_principal_primality`
-    finds.  Without the adjunction every column is checked.  A violation is
-    reported through the full :func:`axiom_violations` list.
+    The m^2 residuals are built here, one per distinct I \\ J, and dropped
+    on return; the table is checked as it stands, so there is no carrier
+    cap.  As I*J = I*(I n J) depends on I \\ J only, x*x = 1 and
+    antisymmetry make the order inclusion.  Once ``residuation.adjunction``
+    holds, each distinct residual is checked to be {x | <x> n I <= J}, whose
+    adjunction that law decided; each K -> I*K is then a right adjoint, so
+    both sides of the exchange identity, z -> (x*y)*(x*z) and
+    z -> (y*x)*(y*z), preserve all meets, the top (the empty one) included,
+    and the top and the meet-irreducibles decide it.  The lattice is then
+    distributive (K n - is a left adjoint), and there the meet-irreducibles
+    are the meet-primes (Davey & Priestley, ch. 2 and 5), which
+    :func:`_principal_primality` finds.  Without the adjunction every column
+    is checked.  A violation is reported through the full
+    :func:`axiom_violations` list.
     """
     lat = ctx.lattice
     m = len(lat)
-    top = lat.top
     masks = lat.masks
-    table = lat.residuation_table
+    residuals = lat.residuals()
+    complements = [~jmask for jmask in masks]
+    table = [tuple([residuals[imask & c] for c in complements]) for imask in masks]
     columns = None
     if ctx.adjunction[1] is None:
-        columns = [top, *(p for p in range(m) if ctx.primality(p)["meet_form"])]
-    if axiom_violations(table, top, columns):
-        raise AxiomViolation(axiom_violations(table, top))
-    for i, (row, imask) in enumerate(zip(table, masks)):
-        tops = [r == top for r in row]
-        inside = [imask & ~jmask == 0 for jmask in masks]
-        if tops != inside:
-            j = next(j for j in range(m) if tops[j] != inside[j])
-            named = {key: labels_of(ctx.algebra, masks[v]) for key, v in zip("IJ", (i, j))}
-            return m * m, {**named, "problem": "residuation order differs from inclusion"}, None
+        for instances, (outside, r) in enumerate(residuals.items(), 1):
+            if masks[r] != _elementwise_residual(lat, outside):
+                pair = next((a, b) for a in masks for b in masks if a & ~b == outside)
+                named = {key: labels_of(ctx.algebra, v) for key, v in zip("IJ", pair)}
+                return instances, {**named, "problem": "residual is not {x | <x> n I <= J}"}, None
+        columns = [lat.top, *(p for p in range(m) if ctx.primality(p)["meet_form"])]
+    if axiom_violations(table, lat.top, columns):
+        raise AxiomViolation(axiom_violations(table, lat.top))
     return m * m, None, None
 
 
@@ -691,6 +723,17 @@ def _check_point_map(ctx: Context) -> CheckResult:
     return a.n, None, detail
 
 
+def _factor_facts(ctx: Context, alg: FiniteLAlgebra) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The ideal masks and the point masks of a product's factor, from one
+    lattice per operation table in a run, kept in the run's ``facts``."""
+    key = ("factor", alg.unit, alg.table)
+    got = ctx.facts.get(key)
+    if got is None:
+        lat = enumerate_ideals(alg)
+        got = ctx.facts[key] = frozenset(lat.masks), tuple(lat.masks[p] for p in prime_ideals(lat).points)
+    return got
+
+
 def _check_product_factorization(ctx: Context) -> CheckResult:
     if ctx.factors is None:
         return 0, None, "not a product fixture"
@@ -698,8 +741,8 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
     a = ctx.algebra
     left, right = product_injections(x, y)
     lat = ctx.lattice
-    lat_x = enumerate_ideals(x)
-    lat_y = enumerate_ideals(y)
+    ideals_x, points_x = _factor_facts(ctx, x)
+    ideals_y, points_y = _factor_facts(ctx, y)
     instances = 0
 
     pairs = set()
@@ -707,7 +750,7 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
         instances += 1
         ix = sum(1 << i for i in range(x.n) if (mask >> left[i]) & 1)
         iy = sum(1 << j for j in range(y.n) if (mask >> right[j]) & 1)
-        if ix not in lat_x._index or iy not in lat_y._index:
+        if ix not in ideals_x or iy not in ideals_y:
             return instances, {"problem": "projection of an ideal is not an ideal"}, None
         rebuilt = 0
         for i in bits(ix):
@@ -716,15 +759,15 @@ def _check_product_factorization(ctx: Context) -> CheckResult:
         if rebuilt != mask:
             return instances, {"ideal": labels_of(a, mask), "problem": "not a rectangle"}, None
         pairs.add((ix, iy))
-    if len(pairs) != len(lat_x) * len(lat_y):
+    if len(pairs) != len(ideals_x) * len(ideals_y):
         return instances, {"problem": "ideal lattice is not the product of the factors"}, None
 
     spec = ctx.topology
     expected = set()
-    for p in prime_ideals(lat_x).points:
-        expected.add(sum(1 << (i * y.n + j) for i in bits(lat_x.masks[p]) for j in range(y.n)))
-    for q in prime_ideals(lat_y).points:
-        expected.add(sum(1 << (i * y.n + j) for i in range(x.n) for j in bits(lat_y.masks[q])))
+    for p in points_x:
+        expected.add(sum(1 << (i * y.n + j) for i in bits(p) for j in range(y.n)))
+    for q in points_y:
+        expected.add(sum(1 << (i * y.n + j) for i in range(x.n) for j in bits(q)))
     actual = {lat.masks[p] for p in spec.points}
     instances += len(expected)
     if actual != expected:
@@ -770,10 +813,14 @@ def law_ids() -> tuple[str, ...]:
 
 def _run_one(law: Law, ctx: Context, corpus_id: str) -> LawReport:
     """One row: a raised error fails it with 0 instances, no detail and the
-    error's name, message and witness; every failing row carries the algebra."""
+    error's name, message and witness; every failing row carries the algebra.
+    :class:`SizeTooLarge` is an input limit, not a falsification: it stops
+    the run."""
     start = time.perf_counter()
     try:
         instances, witness, detail = law.check(ctx)
+    except SizeTooLarge:
+        raise
     except LAlgebraError as exc:
         instances, detail = 0, None
         witness = {"error": type(exc).__name__, "message": str(exc)}

@@ -18,7 +18,7 @@ The points come from the Birkhoff dual of the (distributive) ideal lattice
 along one route, :func:`lalg.ideals.point_masks`: one prime P_j per
 join-irreducible ideal j, read off the principal masks without a lattice.
 The opens are the lattice's down-sets, so a spectrum and its topology
-report read none of the lattice's m x m tables, and sub-algebras and
+report read no residuals, and sub-algebras and
 quotients get no lattice at all (:func:`spectrum_facts`).  The two textbook
 definitions of primality run once per algebra, in the law
 ``prime.definitions-agree``.
@@ -364,8 +364,9 @@ def relative_spectrum(spec: SpectrumTopology, i_index: int, facts: dict) -> tupl
     primes must land exactly on the open set U_I of the ambient spectrum,
     and the primes of X/I must pull back exactly onto the complement.
     I*P and I*(Q n I) are single residuals (:meth:`IdealLattice.residual`),
-    so no m x m table is read, and a residual that is not an ideal raises
-    :class:`~lalg.errors.ResiduationNotGreatest` for that pair.  Points are
+    not the m^2 of :meth:`IdealLattice.residuals`, and a residual that is
+    not an ideal raises :class:`~lalg.errors.ResiduationNotGreatest` for
+    that pair.  Points are
     visited by ascending lattice index, so the first failure named does not
     depend on the order of ``spec.points``.  Any other failure, a sum
     |Spec I| + |Spec X/I| other than |Spec X| included, raises

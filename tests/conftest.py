@@ -91,12 +91,24 @@ def upper_set_masks():
     return _upper_set_masks
 
 
+def _residuation_table(lat):
+    """Test-only oracle: the m x m residuation table, one
+    :meth:`IdealLattice.residual` per entry (no memo), as rows of indices."""
+    return tuple(tuple(lat.residual(a, b) for b in lat.masks) for a in lat.masks)
+
+
+@pytest.fixture(scope="session")
+def residuation_table():
+    """lat -> the residuation table, built entry by entry from ``residual``."""
+    return _residuation_table
+
+
 def _is_prime_residuation(lat, p):
-    """Proper P with, for every ideal I, I <= P or I*P <= P (reads the table)."""
+    """Proper P with, for every ideal I, I <= P or I*P <= P (one residual each)."""
     if p == lat.top:
         return False
     for i in range(len(lat)):
-        if not lat.leq(i, p) and not lat.leq(lat.residuation_table[i][p], p):
+        if not lat.leq(i, p) and not lat.leq(lat.residual(lat.masks[i], lat.masks[p]), p):
             return False
     return True
 
@@ -321,7 +333,8 @@ def _report_json_whole(reports, include_timing=True):
 def _ideals_json_whole(lat):
     """Test-only oracle: the ``lalg ideals --json`` document with its three
     m x m tables built as lists and encoded by one ``json.dumps`` call, the
-    joins by :meth:`IdealLattice.join`."""
+    joins by :meth:`IdealLattice.join` and the residuals by
+    :meth:`IdealLattice.residual`, one per entry."""
     import json
 
     from lalg.ideals import labels_of
@@ -333,7 +346,7 @@ def _ideals_json_whole(lat):
         "ideals": [labels_of(alg, a) for a in masks],
         "meet": [[lat.index(a & b) for b in masks] for a in masks],
         "join": [[lat.join(i, j) for j in range(m)] for i in range(m)],
-        "residuation": lat.residuation_table,
+        "residuation": _residuation_table(lat),
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
 

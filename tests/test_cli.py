@@ -255,6 +255,53 @@ def test_ideals_json_reports_a_planted_residual_that_is_no_ideal(monkeypatch, tm
     assert err == "falsification: chain3: element-wise residuation is not an ideal\n"
 
 
+def test_ideals_json_computes_one_residual_per_distinct_difference(monkeypatch, algebras, tmp_path, capsys):
+    # I*J depends on I \ J only: the command checks one residual per distinct
+    # difference before it writes, and writes every row off that memo
+    from lalg.constructions import product
+    from lalg.ideals import IdealLattice
+
+    real = IdealLattice._residuation_mask
+    calls = []
+    monkeypatch.setattr(IdealLattice, "_residuation_mask", lambda self, a, b: calls.append((a, b)) or real(self, a, b))
+    for alg in (algebras["omega5"], product(algebras["chain3"], algebras["B2xB2"])):
+        path = tmp_path / "input.lalg"
+        save_algebra(alg, path)
+        masks = enumerate_ideals(alg).masks
+        calls.clear()
+        assert main(["ideals", "--json", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["residuation"]) == len(masks)
+        assert len(calls) == len({a & ~b for a in masks for b in masks}) == len({a & ~b for a, b in calls})
+
+
+def test_laws_above_the_ideal_cap_exits_two(monkeypatch, tmp_path, capsys):
+    # chain3 has 3 ideals: at a cap of 3 the suite runs, at a cap of 2 it
+    # is a usage error with one error line and no report, in text and
+    # JSON; a selection of laws that reads no lattice runs above the cap
+    import lalg.laws as laws
+
+    f = tmp_path / "chain3.lalg"
+    f.write_text(CHAIN3)
+    monkeypatch.setattr(laws, "MAX_IDEALS", 3)
+    assert main(["laws", str(f), "--json", "--no-timing"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == len(laws.LAWS)
+    monkeypatch.setattr(laws, "MAX_IDEALS", 2)
+    for extra in ([], ["--json"]):
+        assert main(["laws", str(f), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: chain3: 3 ideals exceed the law suite's cap of 2\n"
+    assert main(["laws", str(f), "--law", "validate.axioms", "--law", "meet.glb", "--no-timing"]) == 0
+    assert "2/2 law checks passed" in capsys.readouterr().out
+
+
+def test_the_laws_cap_admits_anti12_and_refuses_anti13():
+    # anti k has 2^k ideals; the benchmark's ladder inputs have at most 128
+    import lalg.laws as laws
+
+    assert 2**12 <= laws.MAX_IDEALS < 2**13
+
+
 def test_ideals_json_is_the_whole_document_past_a_partial_block(json_oracles, algebras, tmp_path, capsys):
     # chain3^2 x B2^2 has 36 ideals, a block of 32 rows and one of 4: the
     # document written a block at a time is the one that one json.dumps

@@ -49,13 +49,13 @@ GOLDEN = {
     "ideals --json omega3": (0, "cdf4824910a21fbed52bcb676a7d985a694f5d766c9fd1ddf619b0020181a384"),
     "ideals --json omega5": (0, "e58fc05f83323aa7c43016805945c6bb620ae5ec0d4157b946c33e92d99fc590"),
     "ideals --json unit": (0, "4297796bf2b8f66dde3e10ffadc88b024a688690db373522060d139d3842e7d7"),
-    "laws --json --no-timing": (0, "3579e3d3fe89b188399277390cf0bfc613e393de8506c86f81a2eba5f1d28a34"),
-    "laws --json --no-timing --enumerate 4": (1, "6a0b7675b91f85955f0d2988f4ec89680b168fcf5b426dc3d57f612cf4a74909"),
-    "laws --json --no-timing --enumerate 5 --iso": (1, "d0de525ed033542a8fc84ee4bc414012225b81762807fb0ffb5851999b4de768"),
-    "laws --json --no-timing anti6": (0, "f1004382dde623f4621c6d9668c3de04ba0eec9643738aba2ec59bcbb5fc2f7c"),
-    "laws --json --no-timing anti7": (0, "dacc33ba20ee3a5004df86ea4131164a350f6f7c556c4fc8a18000a6c4d9cfaf"),
-    "laws --json --no-timing B2^4": (0, "8cee29dfbfafaa48788cab33a188e748649ba312ef71c1a4327e8ed7915fc2ec"),
-    "laws --json --no-timing chain3^2": (0, "0e7163fd7083b2740e4a4871262155dd158f50f4236f0e3629fea75eb0f9f919"),
+    "laws --json --no-timing": (0, "c823b1824870444ce85e1037fce1af8b285969bd900571a662d685331b05f66e"),
+    "laws --json --no-timing --enumerate 4": (1, "2cf21760b2d099e4882b9e778d99b2451ffc2390d175c62dd499659e8bd36723"),
+    "laws --json --no-timing --enumerate 5 --iso": (1, "ec94d6e14f44d659dec1d4008a271ba07fab00fa65a93f3cfbcd010610daf565"),
+    "laws --json --no-timing anti6": (0, "a9d1847af2e682e54e2724224b5100559522200be4e15c1f57b2ef4173cb46d0"),
+    "laws --json --no-timing anti7": (0, "78a57fc13c7dc02a3817392d6f6dd8cd0be8528a62dc3aeb1af40587767f0eb0"),
+    "laws --json --no-timing B2^4": (0, "8d1873c2cd9cc7e0a7c84dd905eade4196f105581cbda1ad25ea2be376bc5034"),
+    "laws --json --no-timing chain3^2": (0, "548b6f7b714d9072a51b426afafbec11a88362f958dfed34131b7f467f00cac3"),
     "spectrum --topology anti6": (0, "0c41aec2a02d5d3fda316dbc8505e948828ccf454bc2fa56c2402e5d0fa76a12"),
     "spectrum --topology anti7": (0, "f3ebb09103a6434f385dcb925e1aa6b17309b815e4c5619ef84f4eb58775a153"),
     "spectrum --topology B2": (0, "424c580c6ac90253746a9c2c4f5ac5fabf9e64aa254279449ae52fb77d7731d4"),

@@ -12,7 +12,7 @@ from lalg.constructions import (
 )
 from lalg.core import FiniteLAlgebra, structure_flags
 from lalg.formats import algebra_to_document, document_from_json_object
-from lalg.ideals import enumerate_ideals, mask_of
+from lalg.ideals import enumerate_ideals, labels_of, mask_of
 from lalg.laws import (
     LAWS,
     _PARTITION_SWEEP_LIMIT,
@@ -260,7 +260,7 @@ def test_ideal_lattice_above_the_carrier_cap_is_checked():
 def test_certified_lattice_laws_on_anti8():
     # 8 atoms under a top: 256 ideals and 8 join-irreducibles, where the
     # m^3 loops took seconds; the certificates check m + k down-sets and
-    # joins and (k+1) m^2 residuation triples
+    # joins, and k^2 + 1 residuals
     atoms = tuple(f"a{i}" for i in range(8))
     anti8 = poset_algebra(
         PosetSpec(elements=("t",) + atoms, covers=tuple((a, "t") for a in atoms), top="t")
@@ -272,7 +272,7 @@ def test_certified_lattice_laws_on_anti8():
     assert [(r.law, r.verdict, r.instances, r.detail) for r in reports] == [
         ("ideal-lattice.distributive", "pass", 256 + 8, "256 ideals"),
         ("join.witness-form", "pass", 256 * 257 // 2, None),
-        ("residuation.adjunction", "pass", 9 * 256 * 256, None),
+        ("residuation.adjunction", "pass", 8 * 8 + 1, None),
     ]
 
 
@@ -411,39 +411,170 @@ def test_meets_are_computed_once_per_algebra(monkeypatch, algebras):
 
 
 def test_lattice_is_algebra_law_falls_back_to_every_column_without_the_adjunction(
-    monkeypatch, algebras, meet_irreducibles
+    monkeypatch, algebras, meet_irreducibles, residuation_table
 ):
-    # B2xB2 has four ideals: {1}, two atoms and X; the atoms are the
-    # meet-irreducibles.  Setting A*{1} to {1} for the first atom A (it is
-    # the other atom) keeps the unit laws, antisymmetry, the order and the
-    # exchange identity at z = X and at both atoms; the identity breaks only
-    # at z = {1}.  The residual is no longer a right adjoint, so
-    # residuation.adjunction fails and is-l-algebra checks every column.
+    # omega3 has seven ideals; the second, {1,x}, is neither the top nor
+    # meet-irreducible.  Planting the residual of I \ J = {x2} as
+    # {y,1,x,x2} instead of {y,1,x} keeps the unit laws, antisymmetry, the
+    # order and the exchange identity at z = X and at every
+    # meet-irreducible; the identity breaks only at z = {1,x}.  The residual
+    # is no longer a right adjoint, so residuation.adjunction fails, and
+    # is-l-algebra checks every column.  The plant is keyed on I \ J, which
+    # is all a residual depends on: the lattice computes one per difference.
     from lalg.core import axiom_violations
     from lalg.ideals import IdealLattice
     from lalg.laws import _principal_primality
 
-    real = IdealLattice.residuation_table.func
-
-    def planted(self):
-        table = [list(row) for row in real(self)]
-        table[1][0] = 0
-        return tuple(map(tuple, table))
-
-    monkeypatch.setattr(IdealLattice, "residuation_table", property(planted))
-    fixture = Fixture("B2xB2", algebras["B2xB2"])
-    lat = enumerate_ideals(fixture.algebra)
-    assert meet_irreducibles(lat.masks, fixture.algebra.full_mask) == [1, 2]
-    assert [p for p in range(len(lat)) if _principal_primality(lat, p)["meet_form"]] == [1, 2]
-    assert not axiom_violations(lat.residuation_table, lat.top, [lat.top, 1, 2])
-    violations = axiom_violations(lat.residuation_table, lat.top)
-    assert violations and all(v.axiom == "exchange" and v.witness[2] == 0 for v in violations)
+    alg = algebras["omega3"]
+    lat = enumerate_ideals(alg)
+    outside, honest, wrong = mask_of([alg.index_of("x2")]), lat.masks[2], lat.masks[4]
+    assert lat.residual(lat.masks[3], lat.masks[2]) == 2 and lat.masks[3] & ~lat.masks[2] == outside
+    real = IdealLattice._residuation_mask
+    monkeypatch.setattr(
+        IdealLattice,
+        "_residuation_mask",
+        lambda self, imask, jmask: wrong if imask & ~jmask == outside else real(self, imask, jmask),
+    )
+    fixture = Fixture("omega3", alg)
+    table = residuation_table(lat)
+    columns = [lat.top, *meet_irreducibles(lat.masks, alg.full_mask)]
+    assert columns[1:] == [p for p in range(len(lat)) if _principal_primality(lat, p)["meet_form"]]
+    assert 1 not in columns and honest != wrong
+    assert not axiom_violations(table, lat.top, columns)
+    violations = axiom_violations(table, lat.top)
+    assert violations and all(v.axiom == "exchange" and v.witness[2] == 1 for v in violations)
 
     assert run_law("residuation.adjunction", fixture).verdict == "fail"
     report = run_law("ideal-lattice.is-l-algebra", fixture)
     assert report.verdict == "fail"
     assert report.witness["error"] == "AxiomViolation"
     assert report.witness["violations"] == [str(v) for v in violations]
+
+
+RESIDUATION_LAWS = ["ideal-lattice.is-l-algebra", "residuation.adjunction"]
+
+
+def _plant_residual(monkeypatch, outside, wrong):
+    """Plant ``wrong`` as I*J for every pair with I \\ J = ``outside``: a
+    residual depends on I \\ J only, and the lattice computes one per
+    distinct difference, so a plant keyed on one pair would reach the laws
+    only where that pair comes first."""
+    from lalg.ideals import IdealLattice
+
+    real = IdealLattice._residuation_mask
+    monkeypatch.setattr(
+        IdealLattice,
+        "_residuation_mask",
+        lambda self, imask, jmask: wrong if imask & ~jmask == outside else real(self, imask, jmask),
+    )
+
+
+@pytest.mark.parametrize("name", ["B2xB2", "omega5", "B2xchain3"])
+def test_a_wrong_residual_at_any_pair_fails_a_residuation_law(monkeypatch, full_corpus, name):
+    # each (I, J) in turn, with every ideal other than I*J planted as its
+    # residual: residuation.adjunction reads only the k^2 + 1 irreducible
+    # pairs, so a plant elsewhere is left to is-l-algebra, which checks
+    # each residual it reads against {x | <x> n I <= J}
+    alg = next(f.algebra for f in full_corpus if f.name == name)
+    lat = enumerate_ideals(alg)
+    honest = {(a, b): lat.residual(a, b) for a in lat.masks for b in lat.masks}
+    plants = {(a & ~b, w) for (a, b), r in honest.items() for w in range(len(lat)) if w != r}
+    assert len(plants) == {"B2xB2": 18, "omega5": 320, "B2xchain3": 65}[name]
+    for outside, w in sorted(plants):
+        _plant_residual(monkeypatch, outside, lat.masks[w])
+        reports = run_suite([Fixture(name, alg)], laws=RESIDUATION_LAWS)
+        monkeypatch.undo()
+        assert any(r.verdict == "fail" for r in reports), (outside, w)
+
+
+def test_a_wrong_residual_off_the_irreducible_pairs_fails_is_l_algebra(
+    monkeypatch, full_corpus, meet_irreducibles, residuation_table
+):
+    # B2xchain3: the residual of I \ J = {(0,1),(0,a)} planted as the
+    # ideal at index 2 instead of 3.  No join-irreducible j and
+    # meet-irreducible q have that difference, so residuation.adjunction
+    # passes, and the planted table keeps the unit laws, antisymmetry and
+    # the exchange identity at the top and every meet-irreducible; only the
+    # check of each residual against {x | <x> n I <= J} fails it
+    from lalg.core import axiom_violations
+
+    alg = next(f.algebra for f in full_corpus if f.name == "B2xchain3")
+    lat = enumerate_ideals(alg)
+    outside = mask_of([alg.index_of("(0,1)"), alg.index_of("(0,a)")])
+    assert lat.residuals()[outside] == 3
+    _plant_residual(monkeypatch, outside, lat.masks[2])
+    table = residuation_table(lat)
+    assert not axiom_violations(table, lat.top, [lat.top, *meet_irreducibles(lat.masks, alg.full_mask)])
+    reports = {r.law: r for r in run_suite([Fixture(alg.name, alg)], laws=RESIDUATION_LAWS)}
+    assert reports["residuation.adjunction"].verdict == "pass"
+    report = reports["ideal-lattice.is-l-algebra"]
+    assert report.verdict == "fail"
+    assert report.witness["problem"] == "residual is not {x | <x> n I <= J}"
+    pair = (report.witness["I"], report.witness["J"])
+    assert pair == next((labels_of(alg, a), labels_of(alg, b)) for a in lat.masks for b in lat.masks if a & ~b == outside)
+
+
+@pytest.mark.parametrize("name", ["chain3", "B2xB2", "omega3", "omega5"])
+def test_a_residual_that_breaks_order_equals_inclusion_fails_a_law(monkeypatch, algebras, name):
+    # order = inclusion is no longer checked entry by entry once the
+    # adjunction holds.  x*x = 1 fixes I*J = X wherever I \ J is empty, so a
+    # plant that breaks the order and keeps that unit law sets X as the
+    # residual of a non-empty I \ J; every such plant fails is-l-algebra
+    alg = algebras[name]
+    lat = enumerate_ideals(alg)
+    full = alg.full_mask
+    outsides = {a & ~b for a in lat.masks for b in lat.masks} - {0}
+    assert outsides
+    for outside in sorted(outsides):
+        _plant_residual(monkeypatch, outside, full)
+        residuals = lat.residuals()
+        assert any(residuals[a & ~b] == lat.top and a & ~b for a in lat.masks for b in lat.masks)
+        reports = {r.law: r for r in run_suite([Fixture(name, alg)], laws=RESIDUATION_LAWS)}
+        monkeypatch.undo()
+        assert reports["ideal-lattice.is-l-algebra"].verdict == "fail", outside
+
+
+def test_the_adjunction_computes_k_squared_residuals_and_the_bottoms(monkeypatch, fixture_map):
+    # on a lattice certified distributive, one residual per join-irreducible
+    # j and meet-irreducible q, and the bottom's, each an instance
+    from lalg.ideals import IdealLattice
+    from lalg.laws import Context, _check_residuation
+
+    real = IdealLattice._residuation_mask
+    calls = []
+    for name, fixture in fixture_map.items():
+        ctx = Context(fixture, {})
+        assert isinstance(ctx.distributive, int), name
+        k = len(ctx.lattice.join_irreducibles)
+        assert sum(ctx.primality(p)["meet_form"] for p in range(len(ctx.lattice))) == k, name
+        monkeypatch.setattr(
+            IdealLattice, "_residuation_mask", lambda self, a, b: calls.append((a, b)) or real(self, a, b)
+        )
+        assert _check_residuation(ctx) == (k * k + 1, None, None), name
+        assert len(calls) == k * k + 1, name
+        monkeypatch.undo()
+        calls.clear()
+
+
+def test_a_law_run_leaves_no_m_by_m_structure_on_the_lattice():
+    # anti6 has 64 ideals: after every law has run, no attribute of the
+    # shared lattice is a table of m rows of m entries, and no dict has m^2
+    # keys; the residuals live inside the laws that read them
+    from lalg.ideals import IdealLattice
+    from lalg.laws import Context, _run_one
+
+    assert not hasattr(IdealLattice, "residuation_table")
+    atoms = tuple(f"a{i}" for i in range(6))
+    anti6 = poset_algebra(PosetSpec(elements=("t",) + atoms, covers=tuple((a, "t") for a in atoms), top="t"))
+    ctx = Context(Fixture("anti6", anti6), {})
+    assert all(_run_one(law, ctx, "anti6").verdict == "pass" for law in LAWS)
+    lat, m = ctx.lattice, 64
+    assert len(lat) == m
+    for name, value in vars(lat).items():
+        if isinstance(value, dict):
+            assert len(value) < m * m, name
+        elif isinstance(value, (tuple, list)) and len(value) == m:
+            assert not all(isinstance(row, (tuple, list)) and len(row) == m for row in value), name
 
 
 def test_lattice_is_algebra_law_checks_the_top_and_every_meet_irreducible_column(
@@ -466,7 +597,9 @@ def test_lattice_is_algebra_law_checks_the_top_and_every_meet_irreducible_column
         assert seen == [[lat.top, *meet_irreducibles(lat.masks, alg.full_mask)]], name
 
 
-def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five, meet_irreducibles):
+def test_meet_irreducible_columns_decide_the_exchange_identity(
+    corpus_to_five, meet_irreducibles, residuation_table
+):
     # on every fixture, every table with n <= 4 and the 632 classes at n = 5
     # the k + 1 columns give the verdict of the full axiom check, and the
     # principal meet form picks them
@@ -475,7 +608,7 @@ def test_meet_irreducible_columns_decide_the_exchange_identity(corpus_to_five, m
 
     for alg in corpus_to_five:
         lat = enumerate_ideals(alg)
-        table = lat.residuation_table
+        table = residuation_table(lat)
         columns = [lat.top, *meet_irreducibles(lat.masks, alg.full_mask)]
         meet_primes = [p for p in range(len(lat)) if _principal_primality(lat, p)["meet_form"]]
         assert columns[1:] == meet_primes, alg.name
@@ -569,15 +702,15 @@ def _spectrum_fact_counts(monkeypatch, corpus, laws=None):
 
 
 def test_one_enumeration_per_table_in_a_law_run(monkeypatch, full_corpus):
-    # one run over the default corpus builds 34 ideal lattices, of its 16
-    # algebras and of the 18 factors of its 9 products, and none of a
-    # quotient or a sub-algebra; their spectra are 224 requests for spectrum
-    # facts (64 + 80 quotients, 80 sub-algebras) on 36 operation tables,
-    # and each table is computed once
+    # one run over the default corpus builds 19 ideal lattices, of its 16
+    # algebras and of the 3 operation tables among the 18 factors of its 9
+    # products, and none of a quotient or a sub-algebra; their spectra are
+    # 224 requests for spectrum facts (64 + 80 quotients, 80 sub-algebras)
+    # on 36 operation tables, and each table is computed once
     lattices, requested, cold = _spectrum_fact_counts(monkeypatch, full_corpus)
     owners = [f.algebra for f in full_corpus] + [x for f in full_corpus if f.factors for x in f.factors]
     assert sum(1 for f in full_corpus if f.factors) == 9
-    assert len(lattices) == 34 and all(any(alg is a for a in owners) for alg in lattices)
+    assert len(lattices) == 19 and all(any(alg is a for a in owners) for alg in lattices)
     assert len(requested) == 224
     assert len(cold) == len(set(cold)) == len(set(requested)) == 36
 
@@ -653,7 +786,7 @@ def test_a_law_run_keeps_no_sub_algebra_lattice_alive(monkeypatch, full_corpus):
     try:
         assert all_pass(run_suite(full_corpus))
         assert len(subs) == 80 and sub_lattices == []
-        assert len(refs) == 34 + 16 and all(ref() is None for ref in refs)
+        assert len(refs) == 19 + 16 and all(ref() is None for ref in refs)
     finally:
         gc.enable()
 

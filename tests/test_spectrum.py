@@ -68,11 +68,12 @@ def test_dual_points_are_the_primes_of_both_definitions(corpus_to_five, prime_or
 
 
 def test_the_definitions_law_builds_no_residuation_table(monkeypatch, fixture_map):
-    # the principal forms read the element-wise residual, not the m x m table
+    # the principal forms read the element-wise residual, not the m^2
+    # residuals of IdealLattice.residuals
     def unbuilt(lat):
         raise AssertionError(f"{lat.algebra.name}: residuation table built")
 
-    monkeypatch.setattr(ideals.IdealLattice, "residuation_table", property(unbuilt))
+    monkeypatch.setattr(ideals.IdealLattice, "residuals", unbuilt)
     reports = laws.run_suite(list(fixture_map.values()), ["prime.definitions-agree"])
     assert len(reports) == len(fixture_map) and laws.all_pass(reports)
 
@@ -136,8 +137,11 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
     # prime_ideals reads no table; relative_spectrum and prime_quotient_oracle
     # read the spectra of sub-algebras and quotients off their principal
     # masks and build no lattice, and relative_spectrum reads I*P and
-    # I*(Q n I) as single residuals, so X's table stays unbuilt
-    tables = {"residuation_table"}
+    # I*(Q n I) as single residuals, so X's m^2 residuals are never built
+    def unbuilt(lat):
+        raise AssertionError(f"{lat.algebra.name}: residuation table built")
+
+    monkeypatch.setattr(ideals.IdealLattice, "residuals", unbuilt)
     built = []
     real = ideals.IdealLattice.__init__
     monkeypatch.setattr(ideals.IdealLattice, "__init__", lambda self, a, *args: built.append(a) or real(self, a, *args))
@@ -145,24 +149,25 @@ def test_spectra_of_sub_lattices_build_no_tables(monkeypatch, algebras):
         alg = algebras[name]
         lat = enumerate_ideals(alg)
         spec = prime_ideals(lat)
-        assert not tables & set(vars(lat)), name
         facts = {}
         for k in range(len(lat)):
             relative_spectrum(spec, k, facts)
         prime_quotient_oracle(spec, facts)
-        assert len(facts) > 1 and not tables & set(vars(lat)), name
+        assert len(facts) > 1, name
         assert built == [alg], name
         built.clear()
 
 
-def test_topology_report_builds_no_tables(algebras):
+def test_topology_report_builds_no_tables(monkeypatch, algebras):
     # the closures, the irreducibility test and the generator search read
     # the opens and the down-sets only
-    tables = {"residuation_table"}
+    def unbuilt(lat):
+        raise AssertionError(f"{lat.algebra.name}: residuation table built")
+
+    monkeypatch.setattr(ideals.IdealLattice, "residuals", unbuilt)
     for name in ("B2xB2", "chain3", "omega3", "diamondxB2", "omega5"):
         lat = enumerate_ideals(algebras[name])
         topology_report(prime_ideals(lat))
-        assert not tables & set(vars(lat)), name
 
 
 def test_spectrum_sizes_match_fixtures(algebras, fixture_map):
